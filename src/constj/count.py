@@ -4,9 +4,11 @@ The count is a single pass over P^1(F_q).  Away from the zeroes of f the
 fiber size depends only on the class of f(P) modulo d-th powers
 (d = gcd(a, q-1)), so the sweep works with a precomputed table mapping each
 element code to its discrete-log residue modulo D = gcd(exponent, q-1).
-The table is built by walking the cyclic group F_q* once, vectorized in
-blocks.  Zeroes of f are detected inline (a place value hits 0) and receive
-the branch-corrected local count #{Y : Y^gcd(a,m) = local unit}.
+The table is built by walking the cyclic group F_q* once on integer element
+codes, where multiplying a block of codes by a fixed element takes a few
+table lookups per element.  Zeroes of f are detected inline (a place value
+hits 0) and receive the branch-corrected local count
+#{Y : Y^gcd(a,m) = local unit}.
 
 Chunks of the sweep are independent, so they can be fanned out to worker
 processes; partial sums are combined in chunk order and the result is
@@ -38,7 +40,8 @@ _GENERATOR_CACHE: dict[tuple[int, int], int] = {}
 
 
 # ---------------------------------------------------------------------------
-# vectorized arithmetic on blocks of field elements (coefficient columns)
+# vectorized arithmetic on blocks of field elements: coefficient columns
+# (deg, M) for general products, integer codes for products by a fixed element
 
 def _reduction_rows(ctx: FieldContext) -> np.ndarray:
     """Coefficients of x^(deg+t) mod modulus, for t = 0 .. deg-2."""
@@ -59,42 +62,29 @@ def _reduction_rows(ctx: FieldContext) -> np.ndarray:
     return rows
 
 
-def _mul_fixed(h: tuple[int, ...], block: np.ndarray, ctx: FieldContext, red: np.ndarray) -> np.ndarray:
-    """Multiply the fixed element h into a (deg, M) block of coefficients."""
-    deg, p = ctx.degree, ctx.p
-    m_cols = block.shape[1]
-    work = np.zeros((2 * deg - 1, m_cols), dtype=np.int32)
-    for j, hj in enumerate(h):
-        if hj:
-            work[j:j + deg] += hj * block
-    for t in range(2 * deg - 2, deg - 1, -1):
-        w = work[t]
-        for jj in range(deg):
-            rj = int(red[t - deg, jj])
-            if rj:
-                work[jj] += rj * w
-    return work[:deg] % p
-
-
 def _mul_blocks(a: np.ndarray, b: np.ndarray, ctx: FieldContext, red: np.ndarray) -> np.ndarray:
-    """Columnwise product of two (deg, M) coefficient blocks."""
+    """Columnwise product of two (deg, M) coefficient blocks.
+
+    Either block may be a single column, which is broadcast across the
+    other.  Works in int64 and reduces mod p after every product term and
+    every reduction term, so no entry exceeds p + (p-1)^2.
+    """
     deg, p = ctx.degree, ctx.p
-    m_cols = a.shape[1]
-    work = np.zeros((2 * deg - 1, m_cols), dtype=np.int32)
+    m_cols = max(a.shape[1], b.shape[1])
+    work = np.zeros((2 * deg - 1, m_cols), dtype=np.int64)
     for j in range(deg):
-        aj = a[j]
-        work[j:j + deg] += aj * b
+        work[j:j + deg] = (work[j:j + deg] + a[j] * b) % p
     for t in range(2 * deg - 2, deg - 1, -1):
         w = work[t]
         for jj in range(deg):
             rj = int(red[t - deg, jj])
             if rj:
-                work[jj] += rj * w
-    return work[:deg] % p
+                work[jj] = (work[jj] + rj * w) % p
+    return work[:deg]
 
 
 def _digits(codes: np.ndarray, ctx: FieldContext) -> np.ndarray:
-    out = np.empty((ctx.degree, codes.shape[0]), dtype=np.int32)
+    out = np.empty((ctx.degree, codes.shape[0]), dtype=np.int64)
     rem = codes.copy()
     for j in range(ctx.degree):
         out[j] = rem % ctx.p
@@ -108,6 +98,65 @@ def _codes_of(block: np.ndarray, ctx: FieldContext) -> np.ndarray:
         out *= ctx.p
         out += block[j]
     return out
+
+
+class _CodeMultiplier:
+    """Multiplication of element codes by a fixed h, by table lookup.
+
+    A code splits into base-p digit halves, x = x_lo + p^L x_hi with
+    L = ceil(deg/2).  For each h, two small tables give the digits of h*x_lo
+    and of (h X^L)*x_hi, packed into b-bit lanes with b = bit_length(2(p-1)),
+    so the sum of the two entries never carries from one lane into the next.
+    Two decode tables turn the low and the high lanes of that sum, digit by
+    digit mod p, back into code(h*x).
+    """
+
+    def __init__(self, ctx: FieldContext) -> None:
+        deg, p = ctx.degree, ctx.p
+        half = (deg + 1) // 2
+        self.ctx = ctx
+        self.red = _reduction_rows(ctx)
+        self.bits = (2 * (p - 1)).bit_length()
+        if deg * self.bits > 63:
+            raise ValidationError(f"F_{{{p}^{deg}}} is too large for a power-class table")
+        self.split = p**half
+        self.shift = half * self.bits
+        # X^L; at degree 1 the high half is always 0, so any factor will do
+        self.x_half = ctx.from_code(self.split) if half < deg else ctx.zero()
+        n_hi = p ** (deg - half)
+        self.digits = _digits(np.concatenate([np.arange(self.split), np.arange(n_hi)]), ctx)
+        self.table_sizes = [self.split, n_hi]
+        # 4-byte codes keep the decode tables cache-resident where q allows
+        dtype = np.int32 if ctx.q < 2**31 else np.int64
+        self.dec_lo = self._decoder(half, 0, dtype)
+        self.dec_hi = self._decoder(deg - half, half, dtype)
+
+    def _decoder(self, n_lanes: int, first_digit: int, dtype) -> np.ndarray:
+        p = self.ctx.p
+        lane = np.arange(1 << self.bits) % p
+        out = np.zeros(1, dtype=dtype)
+        for j in range(first_digit + n_lanes - 1, first_digit - 1, -1):
+            out = np.add.outer(out, (lane * p**j).astype(dtype)).ravel()
+        return out
+
+    def halves(self, codes: np.ndarray) -> np.ndarray:
+        """(2, M) array of the high and low digit halves of the codes."""
+        return np.stack(np.divmod(codes, self.split))
+
+    def __call__(self, h: FieldElement, halves: np.ndarray) -> np.ndarray:
+        """Codes of h*x for the elements x given by their halves."""
+        factors = np.array([h.coeffs, self.ctx.mul(h, self.x_half).coeffs], dtype=np.int64).T
+        factors = np.repeat(factors, self.table_sizes, axis=1)
+        prod = _mul_blocks(factors, self.digits, self.ctx, self.red)
+        packed = np.zeros(prod.shape[1], dtype=np.int64)
+        for j in range(self.ctx.degree):
+            packed |= prod[j] << (j * self.bits)
+        lo_tab, hi_tab = packed[: self.split], packed[self.split:]
+        lanes = hi_tab.take(halves[0])
+        lanes += lo_tab.take(halves[1])
+        out = self.dec_lo.take(lanes & ((1 << self.shift) - 1))
+        out += self.dec_hi.take(lanes >> self.shift)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +197,9 @@ def power_class_table(ctx: FieldContext, exponent: int) -> tuple[np.ndarray, int
     """uint8 array T with T[code(c)] = dlog(c) mod D, D = gcd(exponent, q-1).
 
     T[0] (the zero element) is the sentinel 255.  Built by walking the powers
-    of a generator in vectorized blocks.
+    of a generator on integer codes: a block of the first min(q-1, 2^20)
+    powers is grown by doubling, then shifted along the group by multiplying
+    with g^(block size), each step a table-lookup multiplication.
     """
     cache_key = (ctx.p, ctx.degree, exponent)
     if cache_key in _TABLE_CACHE:
@@ -156,30 +207,24 @@ def power_class_table(ctx: FieldContext, exponent: int) -> tuple[np.ndarray, int
     q = ctx.q
     d_cls = gcd(exponent, q - 1)
     g = find_generator(ctx)
-    red = _reduction_rows(ctx)
+    mul = _CodeMultiplier(ctx)
 
     block_cap = min(q - 1, _CHUNK)
-    block = np.zeros((ctx.degree, 1), dtype=np.int32)
-    block[0, 0] = 1
-    size = 1
-    while size < block_cap:
-        step = ctx.pow(g, size)
-        ext = _mul_fixed(step.coeffs, block[:, : min(size, block_cap - size)], ctx, red)
-        block = np.concatenate([block, ext], axis=1)
-        size = block.shape[1]
+    block = np.ones(1, dtype=np.int64)
+    while block.size < block_cap:
+        step = ctx.pow(g, block.size)
+        block = np.concatenate([block, mul(step, mul.halves(block[: block_cap - block.size]))])
+    halves = mul.halves(block)
 
     cls = np.full(q, 255, dtype=np.uint8)
-    idx = 0
+    phase = (np.arange(block_cap) % d_cls).astype(np.uint8)
     h = ctx.one()
     g_blk = ctx.pow(g, block_cap)
-    while idx < q - 1:
+    for idx in range(0, q - 1, block_cap):
         length = min(block_cap, q - 1 - idx)
-        seg = block[:, :length] if idx == 0 else _mul_fixed(h.coeffs, block[:, :length], ctx, red)
-        codes = _codes_of(seg, ctx)
-        cls[codes] = (np.arange(idx, idx + length, dtype=np.int64) % d_cls).astype(np.uint8)
-        idx += length
-        if idx < q - 1:
-            h = ctx.mul(h, g_blk)
+        seg = block[:length] if idx == 0 else mul(h, halves[:, :length])
+        cls[seg] = (phase[:length] + idx % d_cls) % d_cls
+        h = ctx.mul(h, g_blk)
     if int(np.count_nonzero(cls == 255)) != 1:
         raise InvariantViolation("power-class table incomplete; generator order is wrong")
 

@@ -238,7 +238,10 @@ def make_field(p: int, i: int = 1) -> FieldContext:
     """Build F_{p^i} with the lexicographically smallest monic irreducible.
 
     Candidate moduli are compared by their coefficient tuples
-    (c_0, ..., c_{i-1}), low degree first, so two runs always agree.
+    (c_0, ..., c_{i-1}), low degree first, so two runs always agree.  The
+    search starts at c_0 = 1: every candidate with c_0 = 0 is divisible by x,
+    and skipping them leaves the order of the rest, and so the modulus,
+    unchanged.
     """
     if not isinstance(p, int) or not is_prime(p) or p <= 3:
         raise ValidationError("p must be prime > 3")
@@ -246,8 +249,8 @@ def make_field(p: int, i: int = 1) -> FieldContext:
         raise ValidationError("extension degree must be a positive integer")
     if i == 1:
         return FieldContext(p=p, degree=1, modulus=(0, 1), q=p)
-    for tail in product(range(p), repeat=i):
-        cand = tuple(tail) + (1,)
+    for tail in product(range(1, p), *[range(p)] * (i - 1)):
+        cand = tail + (1,)
         if poly_is_irreducible(cand, p):
             return FieldContext(p=p, degree=i, modulus=cand, q=p**i)
     raise RuntimeError("unreachable: an irreducible of every degree exists")

@@ -31,6 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .forms import FactoredForm, J0, JCase
+from .gf import is_prime
 from .taxonomy import is_partner_rational
 
 ROOT_MODULUS_RTOL = 1e-6
@@ -359,7 +360,7 @@ def e_curve_trace(jcase: JCase, p: int) -> int:
     j = 0 uses y^2 = x^3 + 1; j = 1728 uses y^2 = x^3 - x.  The curve is
     supersingular exactly when the trace vanishes (p >= 5).
     """
-    if p <= 3 or not _is_prime_int(p):
+    if p <= 3 or not is_prime(p):
         raise ValidationError("p must be prime > 3")
     count = 1  # point at infinity
     for x in range(p):
@@ -369,12 +370,6 @@ def e_curve_trace(jcase: JCase, p: int) -> int:
         elif pow(rhs, (p - 1) // 2, p) == 1:
             count += 2
     return p + 1 - count
-
-
-def _is_prime_int(n: int) -> bool:
-    from .gf import is_prime
-
-    return is_prime(n)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
-"""Point counting: brute-force oracles, partner equality, cache, parallelism."""
+"""Point counting: brute-force oracles, partner equality, cache, parallelism,
+and the power-class table with its code multiplier."""
 
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import constj.count as count_mod
 from constj.count import CountCache, CountSeries, count_points, count_series, naive_count
 from constj.curve import CurveSpec
-from constj.errors import InvariantViolation
+from constj.errors import InvariantViolation, ValidationError
 from constj.forms import J0, J1728, Place, form_from_roots, parse_form
 from constj.gf import make_field
 from constj.taxonomy import catalog
@@ -218,3 +221,66 @@ def test_small_q_infinity_handling():
     f = form_from_roots(J1728, [3, 1], ["0", "1"], p=7)
     ctx = make_field(7, 1)
     assert count_points(CurveSpec(f, 4), ctx) == brute_force_count(f, 4, ctx)
+
+
+# ---------------------------------------------------------------------------
+# power-class table
+
+# lane widths b = bit_length(2(p-1)): p = 5 fills its 4-bit lanes to 8 of 15,
+# p = 17 needs 6 bits for 32, p = 257 needs 10 bits for 512; degree 1 has no
+# high digit half
+MULTIPLIER_FIELDS = [(5, 1), (5, 2), (5, 5), (7, 4), (17, 1), (17, 3), (257, 1), (257, 2), (13, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(MULTIPLIER_FIELDS), data=st.data())
+def test_code_multiplier_matches_field_mul(field, data):
+    ctx = make_field(*field)
+    h_code = data.draw(st.integers(0, ctx.q - 1), label="h")
+    xs = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=40), label="x")
+    mul = count_mod._CodeMultiplier(ctx)
+    got = mul(ctx.from_code(h_code), mul.halves(np.array(xs, dtype=np.int64)))
+    h = ctx.from_code(h_code)
+    assert got.tolist() == [ctx.code(ctx.mul(h, ctx.from_code(x))) for x in xs]
+
+
+def scalar_power_classes(ctx, exponent):
+    """Reference table: walk g^k one ctx.mul at a time and record k mod D."""
+    d_cls = np.gcd(exponent, ctx.q - 1)
+    table = [255] * ctx.q
+    g = count_mod.find_generator(ctx)
+    x = ctx.one()
+    for k in range(ctx.q - 1):
+        table[ctx.code(x)] = k % d_cls
+        x = ctx.mul(x, g)
+    return table
+
+
+@pytest.mark.parametrize("p,i", [(5, 1), (7, 1), (13, 1), (5, 2), (7, 2), (5, 3), (11, 3), (5, 4)])
+@pytest.mark.parametrize("exponent", [6, 4])
+@pytest.mark.parametrize("chunk", [1 << 20, 64])
+def test_power_class_table_matches_scalar_walk(monkeypatch, p, i, exponent, chunk):
+    # a small chunk makes the walk double its block and then shift it across
+    # several segments, the last one partial
+    monkeypatch.setattr(count_mod, "_CHUNK", chunk)
+    monkeypatch.setattr(count_mod, "_TABLE_CACHE", {})
+    ctx = make_field(p, i)
+    cls, d_cls = count_mod.power_class_table(ctx, exponent)
+    assert d_cls == np.gcd(exponent, ctx.q - 1)
+    assert cls.tolist() == scalar_power_classes(ctx, exponent)
+
+
+@pytest.mark.parametrize("p,i", [(1499, 2), (2003, 2), (50021, 1)])
+def test_power_class_table_large_p_no_overflow(p, i):
+    # products of digits near p overflowed int32 accumulators here once
+    ctx = make_field(p, i)
+    cls, d_cls = count_mod.power_class_table(ctx, 6)
+    sizes = np.bincount(cls, minlength=256)
+    assert sizes[255] == 1
+    assert sizes[:d_cls].tolist() == [(ctx.q - 1) // d_cls] * d_cls
+
+
+def test_power_class_table_refuses_lanes_past_int64():
+    # 16 digits of 4-bit lanes need 64 bits; refused before any allocation
+    with pytest.raises(ValidationError, match="too large"):
+        count_mod.power_class_table(make_field(5, 16), 6)

@@ -32,7 +32,9 @@ def test_make_field_f25():
     assert ctx.modulus == (1, 1, 1)
 
 
-@pytest.mark.parametrize("p,i", [(5, 3), (7, 2), (11, 2), (7, 3)])
+@pytest.mark.parametrize(
+    "p,i", [(5, 3), (7, 2), (11, 2), (7, 3), (5, 4), (5, 5), (5, 6), (7, 4), (13, 3)]
+)
 def test_make_field_modulus_is_smallest_irreducible(p, i):
     ctx = make_field(p, i)
     assert ctx.q == p**i
@@ -45,6 +47,19 @@ def test_make_field_modulus_is_smallest_irreducible(p, i):
         if cand == ctx.modulus:
             break
         assert not poly_is_irreducible(cand, p)
+
+
+@pytest.mark.parametrize(
+    "p,i,modulus",
+    [
+        (5, 9, (1, 0, 0, 0, 0, 0, 0, 2, 3, 1)),
+        (5, 10, (1, 0, 0, 0, 0, 0, 0, 0, 2, 2, 1)),
+        (7, 7, (1, 0, 0, 0, 0, 0, 6, 1)),
+    ],
+)
+def test_make_field_flagship_moduli_frozen(p, i, modulus):
+    # counts in the cache are keyed by level, so these must never move
+    assert make_field(p, i).modulus == modulus
 
 
 @pytest.mark.parametrize("bad", [4, 2, 3, 1, 0, -5, 6, 9])
