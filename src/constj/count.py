@@ -338,19 +338,20 @@ def count_points(curve: CurveSpec, ctx: FieldContext, jobs: int = 1) -> int:
             _, unit = local_unit(f, ProjPoint.finite(x), ctx, siblings=sibs)
             total += nth_power_count(ctx, unit, d)
 
-    _assert_weil(curve, q, total)
+    _assert_weil(curve, ctx.p, ctx.degree, total)
     return total
 
 
-def _assert_weil(curve: CurveSpec, q: int, n_points: int) -> None:
-    """|N - r_q(q+1)| <= 2 G sqrt(q), exactly, with r_q the number of
-    Frobenius-stable components and G the total geometric genus."""
+def _assert_weil(curve: CurveSpec, p: int, i: int, n_points: int) -> None:
+    """|N - r_q(q+1)| <= 2 G sqrt(q) at q = p^i, exactly, with r_q the number
+    of Frobenius-stable components and G the total geometric genus."""
+    q = p**i
     r_q = gcd(curve.components, q - 1)
     g_tot = curve.total_genus
-    lhs = (n_points - r_q * (q + 1)) ** 2
-    if lhs > 4 * g_tot * g_tot * q:
+    if (n_points - r_q * (q + 1)) ** 2 > 4 * g_tot * g_tot * q:
         raise InvariantViolation(
-            f"Weil bound violated: N={n_points}, q={q}, components={r_q}, total genus={g_tot}"
+            f"Weil bound violated at level {i}: N={n_points}, q={q}, "
+            f"components={r_q}, total genus={g_tot}"
         )
 
 
@@ -377,10 +378,7 @@ class CountSeries:
 
     def __post_init__(self) -> None:
         for i, n_pts in self.counts:
-            q = self.p**i
-            r_q = gcd(self.curve.components, q - 1)
-            if (n_pts - r_q * (q + 1)) ** 2 > 4 * self.curve.total_genus**2 * q:
-                raise InvariantViolation(f"Weil bound violated at level {i}")
+            _assert_weil(self.curve, self.p, i, n_pts)
 
     @property
     def i_max(self) -> int:

@@ -7,9 +7,12 @@ upper half filled in by the functional equation c_{2g-i} = q^{g-i} c_i.
 Every division must be exact; a non-integral coefficient means the counts
 are wrong and is reported as such.
 
-The interesting part of H^1 of the full cover is the exact quotient of its
-numerator by the subcover numerators; a nonzero remainder would falsify the
-branch-corrected counting and aborts the run.
+The interesting part of H^1 of the full cover is the primitive eigenspace
+factor: the full numerator is that factor times the subcover numerators.
+The factor, of degree 2(k-2), is rebuilt from the full cover's power sums
+at levels 1..k-2 minus those of the subcover numerators, so the full cover
+is counted only at low levels; every level counted beyond k-2 must match
+the product, and a mismatch aborts the run.
 """
 
 from __future__ import annotations
@@ -125,47 +128,71 @@ class LPolynomial:
         return sums[i - 1]
 
 
-def lpolynomial(series: CountSeries) -> LPolynomial:
+def lpolynomial(series: CountSeries, known: Optional[LPolynomial] = None) -> LPolynomial:
     """Reconstruct the zeta numerator from counts at levels 1..g.
 
-    Counts beyond level g, when present, are checked against the
-    reconstruction (functional-equation redundancy); any mismatch or
-    non-integral coefficient raises CountDataError.
+    With a known factor of genus g_k, only the other factor is reconstructed,
+    from the power sums r(q^i + 1) - N_i - s_i(known) at levels 1..g - g_k,
+    and the product is returned.  Counts beyond that level, when present,
+    are checked against the numerator (functional-equation redundancy); any
+    mismatch or non-integral coefficient raises CountDataError.
     """
+    return _reconstruct(series, known)[0]
+
+
+def _reconstruct(
+    series: CountSeries, known: Optional[LPolynomial]
+) -> tuple[LPolynomial, LPolynomial]:
+    """The numerator and its factor complementary to ``known``."""
     curve = series.curve
     q = series.p
     g_tot = curve.total_genus
     r = curve.components
     if g_tot == 0:
-        return LPolynomial(coeffs=(1,), q=q, g=0)
+        trivial = LPolynomial(coeffs=(1,), q=q, g=0)
+        return trivial, trivial
     if r > 1 and (q - 1) % r != 0:
         raise ValidationError(
             f"{r} components are permuted by Frobenius over F_{q}; reconstruction unsupported"
         )
-    if series.i_max < g_tot:
-        raise ValidationError(f"need counts up to level {g_tot}, have {series.i_max}")
+    known = known or LPolynomial(coeffs=(1,), q=q, g=0)
+    g_new = g_tot - known.g
+    if series.i_max < g_new:
+        raise ValidationError(f"need counts up to level {g_new}, have {series.i_max}")
+    where = f"count data inconsistent for cover a={curve.a} over F_{q}"
 
-    sums = [r * (q**i + 1) - series.n(i) for i in range(1, g_tot + 1)]
+    sums = [
+        r * (q**i + 1) - series.n(i) - known.power_sum(i) for i in range(1, g_new + 1)
+    ]
     coeffs = [1]
-    for j in range(1, g_tot + 1):
+    for j in range(1, g_new + 1):
         num = -(sums[j - 1] + sum(coeffs[t] * sums[j - t - 1] for t in range(1, j)))
         if num % j != 0:
-            raise CountDataError(f"count data inconsistent: coefficient {j} is not integral")
+            raise CountDataError(f"{where}: coefficient {j} (levels 1..{j}) is not integral")
         coeffs.append(num // j)
-    for i in range(g_tot - 1, -1, -1):
-        coeffs.append(q ** (g_tot - i) * coeffs[i])
+    for i in range(g_new - 1, -1, -1):
+        coeffs.append(q ** (g_new - i) * coeffs[i])
 
-    lpoly = LPolynomial(coeffs=tuple(coeffs), q=q, g=g_tot)
-    lpoly.check_functional_equation()
-    lpoly.check_root_moduli()
+    new = LPolynomial(coeffs=tuple(coeffs), q=q, g=g_new)
+    new.check_functional_equation()
+    try:
+        new.check_root_moduli()
+    except InvariantViolation as exc:
+        raise CountDataError(f"{where}: levels 1..{g_new} give a factor with a {exc}") from exc
+    lpoly = new
+    if known.g:
+        lpoly = LPolynomial(coeffs=poly_mul(new.coeffs, known.coeffs), q=q, g=g_tot)
+        lpoly.check_functional_equation()
+        lpoly.check_root_moduli()
     for i, n_actual in series.counts:
-        if i > g_tot:
-            predicted = r * (q**i + 1) - lpoly.power_sum(i)
+        if i > g_new:
+            predicted = predicted_count(lpoly, r, i)
             if predicted != n_actual:
                 raise CountDataError(
-                    f"count data inconsistent: level {i} has {n_actual}, zeta predicts {predicted}"
+                    f"{where}: level {i} has {n_actual}, "
+                    f"the numerator from levels 1..{g_new} predicts {predicted}"
                 )
-    return lpoly
+    return lpoly, new
 
 
 def predicted_count(lpoly: LPolynomial, components: int, i: int) -> int:
@@ -214,6 +241,9 @@ def required_level(curve: CurveSpec) -> int:
     return g_tot + 1 if 0 < g_tot <= 4 else g_tot
 
 
+_MAX_FIELD_Q = 2**27  # largest field a count may sweep: a power-class table of q bytes
+
+
 @dataclass(frozen=True)
 class ZetaBundle:
     """All counting and zeta data for one form at one prime."""
@@ -239,11 +269,29 @@ def zeta_bundle(
     jobs: int = 1,
     i_max_override: Optional[int] = None,
 ) -> ZetaBundle:
-    """Count all covers of f over F_p, reconstruct numerators, split off the
-    primitive eigenspace factor by exact division."""
+    """Count the covers of f over F_p and reconstruct their numerators.
+
+    The subcovers are counted to their required levels.  The full cover is
+    counted only to level min(required level, k-1): its primitive factor,
+    of degree 2(k-2), comes from the power sums at levels 1..k-2 minus those
+    of the subcover numerators, level k-1 is checked against the product,
+    and the levels up to the required one are filled in with predicted
+    counts.  With i_max_override every cover is counted to that level and
+    every level beyond k-2 is checked.
+    """
     if f.is_abstract or f.p != p:
         raise ValidationError(f"need a concrete form over F_{p}")
     curves = tuple(CurveSpec(f, a) for a in cover_orders(f.jcase))
+    full, subs = curves[0], curves[1:]
+    g_new = f.k - 2
+    g_subs = sum(c.total_genus for c in subs)
+    if full.total_genus != g_new + g_subs:
+        raise InvariantViolation(
+            f"full cover genus {full.total_genus} != (k-2) + subcover genera = {g_new + g_subs}"
+        )
+    if g_new != eigenspace_dims(f)[1]:
+        raise InvariantViolation("eigenspace factor degree disagrees with eigenspace dimension")
+
     needed = [required_level(c) for c in curves]
     if i_max_override is not None:
         too_low = [
@@ -253,29 +301,39 @@ def zeta_bundle(
             raise ValidationError(
                 "i_max too small; count " + "; ".join(too_low)
             )
-        needed = [i_max_override] * len(curves)
-    series = tuple(
-        count_series(c, n, cache=cache, jobs=jobs) for c, n in zip(curves, needed)
-    )
-    lpolys = tuple(lpolynomial(s) for s in series)
+        needed = counted = [i_max_override] * len(curves)
+    else:
+        counted = [min(needed[0], f.k - 1), *needed[1:]]
+    for c, n in zip(curves, counted):
+        i = next((i for i in range(1, n + 1) if p**i > _MAX_FIELD_Q), None)
+        if i is not None:
+            raise ValidationError(
+                f"counting cover a={c.a} at level {i} needs F_q with q = {p}^{i} = {p**i}, "
+                f"above the field-size limit {_MAX_FIELD_Q}"
+            )
 
+    sub_series = [count_series(c, n, cache=cache, jobs=jobs) for c, n in zip(subs, counted[1:])]
+    sub_lpolys = [lpolynomial(s) for s in sub_series]
     denom = (1,)
-    for lp in lpolys[1:]:
+    for lp in sub_lpolys:
         denom = poly_mul(denom, lp.coeffs)
-    quotient = exact_quotient(lpolys[0].coeffs, denom)
+    known = LPolynomial(coeffs=denom, q=p, g=g_subs)
 
-    expected = 2 * (f.k - 2)
-    if len(quotient) - 1 != expected:
-        raise InvariantViolation(
-            f"eigenspace factor degree {len(quotient) - 1} != 2(k-2) = {expected}"
-        )
-    dims = eigenspace_dims(f)
-    if expected != 2 * dims[1]:
-        raise InvariantViolation("eigenspace factor degree disagrees with eigenspace dimension")
-    new = LPolynomial(coeffs=quotient, q=p, g=f.k - 2)
-    new.check_functional_equation()
-    new.check_root_moduli()
-    return ZetaBundle(f=f, p=p, curves=curves, series=series, lpolys=lpolys, new_factor=new)
+    full_series = count_series(full, counted[0], cache=cache, jobs=jobs)
+    full_lpoly, new = _reconstruct(full_series, known)
+    predicted = tuple(
+        (i, predicted_count(full_lpoly, full.components, i))
+        for i in range(counted[0] + 1, needed[0] + 1)
+    )
+    full_series = CountSeries(curve=full, p=p, counts=full_series.counts + predicted)
+    return ZetaBundle(
+        f=f,
+        p=p,
+        curves=curves,
+        series=(full_series, *sub_series),
+        lpolys=(full_lpoly, *sub_lpolys),
+        new_factor=new,
+    )
 
 
 def new_factor(
@@ -284,8 +342,7 @@ def new_factor(
     cache: Optional[CountCache] = None,
     jobs: int = 1,
 ) -> LPolynomial:
-    """Exact quotient of the full-cover numerator by the subcover numerators;
-    degree 2(k-2)."""
+    """Primitive eigenspace factor of the full cover's numerator; degree 2(k-2)."""
     return zeta_bundle(f, p, cache=cache, jobs=jobs).new_factor
 
 

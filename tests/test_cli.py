@@ -1,6 +1,7 @@
 """Command-line behavior: rendering, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +183,67 @@ def test_reports_byte_identical_across_jobs(capsys, tmp_path):
     r1["config"].pop("jobs"), r2["config"].pop("jobs")
     r1["config"].pop("cache_dir"), r2["config"].pop("cache_dir")
     assert render_json(r1) == render_json(r2)
+
+
+@pytest.mark.parametrize(
+    "level, delta, message",
+    [
+        (1, 1, "coefficient 2 (levels 1..2) is not integral"),
+        (1, 2, "level 3 has 104, the numerator from levels 1..2 predicts 130"),
+        (3, 2, "level 3 has 106, the numerator from levels 1..2 predicts 104"),
+    ],
+)
+def test_wrong_cached_full_cover_count_exits_two(capsys, tmp_path, level, delta, message):
+    # (5,5,5,3)/F_5 has k = 4: the full cover is counted at levels 1..3,
+    # levels 1..2 give the new factor and level 3 is the redundancy check
+    argv = ["verify", "--p", "5", "--pattern", "5,5,5,3", "--cache-dir", str(tmp_path)]
+    assert run_cli(capsys, argv)[0] == 0
+    cache_file = tmp_path / "counts.cache"
+    (record,) = [
+        line for line in cache_file.read_text().splitlines()
+        if line.startswith(f"5 {level} ") and ":a=6 " in line
+    ]
+    p, i, key, value, version = record.split()
+    with cache_file.open("a") as fh:  # the last record wins
+        fh.write(f"{p} {i} {key} {int(value) + delta} {version}\n")
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "cover a=6 over F_5" in err and message in err
+
+
+def test_field_size_limit_exits_one(capsys, monkeypatch):
+    # F_{2003^3} for the order-4 cover: refused before anything is counted
+    def no_count(*args, **kwargs):
+        raise AssertionError("counted before the field-size limit was checked")
+
+    monkeypatch.setattr(lfunc_mod, "count_series", no_count)
+    code, _, err = run_cli(
+        capsys,
+        ["zeta", "--jcase", "1728", "--p", "2003", "--pattern", "3,3,3,3",
+         "--roots", "0,1,3,inf"],
+    )
+    assert code == 1
+    assert "a=4 at level 3" in err and "limit 134217728" in err
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("verify_j0_555555_p5", ["--p", "5", "--pattern", "5,5,5,5,5,5"]),
+        ("verify_j0_5553_p7", ["--p", "7", "--pattern", "5,5,5,3"]),
+        ("verify_j1728_3333_p7", ["--jcase", "1728", "--p", "7", "--pattern", "3,3,3,3"]),
+        ("verify_j0_444_p7", ["--p", "7", "--pattern", "4,4,4"]),
+    ],
+)
+def test_reports_match_golden_files(capsys, name, args):
+    # reports written by the full-genus counting route, before the full
+    # cover was counted only to level k-1
+    code, out, _ = run_cli(capsys, ["verify", *args, "--format", "json"])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_default_roots_are_canonical(capsys):

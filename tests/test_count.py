@@ -158,6 +158,14 @@ def test_weil_bound_enforced(f5553):
         CountSeries(curve=series.curve, p=5, counts=bad)
 
 
+def test_weil_check_names_level_and_counts(f5553):
+    # count_points and CountSeries share this one check
+    curve = CurveSpec(f5553, 6)
+    count_mod._assert_weil(curve, 5, 2, 26 + 2 * 4 * 5)  # on the bound
+    with pytest.raises(InvariantViolation, match="Weil bound violated at level 2: N=10000, q=25"):
+        count_mod._assert_weil(curve, 5, 2, 10_000)
+
+
 def test_parallel_matches_serial_across_chunks(monkeypatch, f5553):
     monkeypatch.setattr(count_mod, "_CHUNK", 500)  # force many chunks
     curve = CurveSpec(f5553, 6)

@@ -25,9 +25,11 @@ from constj.lfunc import (
     newton_polygon,
     poly_mul,
     predicted_count,
+    required_level,
     verdict,
     zeta_bundle,
 )
+from constj.taxonomy import catalog
 
 from conftest import concrete_form
 
@@ -251,3 +253,47 @@ def test_i_max_override_guard(f5553):
         zeta_bundle(f5553, 5, i_max_override=2)
     bundle = zeta_bundle(f5553, 5, i_max_override=5)
     assert all(s.i_max == 5 for s in bundle.series)
+
+
+def _full_genus_route_cases():
+    cases = []
+    for jcase in (J0, J1728):
+        for row in catalog(jcase):
+            for p in (5, 7, 11, 13):
+                full = CurveSpec(concrete_form(jcase, row.pattern, p), jcase.exponent)
+                if p**full.total_genus <= 10**6:
+                    tag = ",".join(map(str, row.pattern))
+                    cases.append(pytest.param(jcase, row.pattern, p, id=f"{jcase.tag}-{tag}-p{p}"))
+    return cases
+
+
+@pytest.mark.parametrize("jcase, pattern, p", _full_genus_route_cases())
+def test_bundle_matches_full_genus_route(jcase, pattern, p):
+    # the oracle counts the full cover to its required level, reconstructs
+    # its numerator from those counts alone and divides out the subcovers
+    f = concrete_form(jcase, pattern, p)
+    bundle = zeta_bundle(f, p)
+    full = bundle.curves[0]
+    series = count_series(full, required_level(full))
+    numerator = lpolynomial(series)
+    denom = (1,)
+    for lp in bundle.lpolys[1:]:
+        denom = poly_mul(denom, lp.coeffs)
+    assert bundle.lpolys[0] == numerator
+    assert bundle.new_factor.coeffs == exact_quotient(numerator.coeffs, denom)
+    assert bundle.series[0].counts == series.counts
+
+
+def test_lpolynomial_with_known_factor_matches_plain(f5553):
+    curve = CurveSpec(f5553, 6)
+    plain = lpolynomial(count_series(curve, 5))
+    bundle = zeta_bundle(f5553, 5)
+    known = LPolynomial(
+        coeffs=poly_mul(bundle.lpolys[1].coeffs, bundle.lpolys[2].coeffs), q=5, g=2
+    )
+    # levels 1..k-2 = 1..2 determine the factor; 3..5 are checked against it
+    assert lpolynomial(count_series(curve, 5), known=known) == plain
+    assert lpolynomial(count_series(curve, 2), known=known) == plain
+    with pytest.raises(ValidationError, match="need counts up to level 2"):
+        lpolynomial(count_series(curve, 1), known=known)
+
