@@ -1,18 +1,20 @@
 """Exact point counts of smooth models of u^a = f over F_{p^i}.
 
-The count is a single pass over P^1(F_q).  Away from the zeroes of f the
-fiber size depends only on the class of f(P) modulo d-th powers
-(d = gcd(a, q-1)), so the sweep works with a precomputed table mapping each
-element code to its discrete-log residue modulo D = gcd(exponent, q-1).
-The table is built by walking the cyclic group F_q* once on integer element
+The covers of one form are counted together, in one pass over P^1(F_q) per
+field.  Away from the zeroes of f the fiber size of u^a depends only on the
+class of f(P) modulo d-th powers (d = gcd(a, q-1)), and every cover order
+divides 12, the lcm of the exponents 6 and 4.  So one table per field,
+mapping each element code to its discrete-log residue modulo
+D = gcd(12, q-1), serves every cover of both j-cases: the sweep histograms
+the residue of f(P), and each cover reads its count off the histogram.  The
+table is built by walking the cyclic group F_q* once on integer element
 codes, where multiplying a block of codes by a fixed element takes a few
 table lookups per element.  Zeroes of f are detected inline (a place value
 hits 0) and receive the branch-corrected local count
-#{Y : Y^gcd(a,m) = local unit}.
+#{Y : Y^gcd(a,m) = local unit}, read off the same table.
 
 Chunks of the sweep are independent, so they can be fanned out to worker
-processes; partial sums are combined in chunk order and the result is
-bit-identical to a serial run.
+processes; their histograms are summed, bit-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -21,22 +23,21 @@ import multiprocessing
 import os
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from .curve import CurveSpec
 from .errors import InvariantViolation, ValidationError
-from .forms import FactoredForm, ProjPoint, evaluate, local_unit
-from .gf import FieldContext, FieldElement, enumerate_p1, make_field, nth_power_count
+from .forms import ProjPoint, local_unit
+from .gf import FieldContext, FieldElement, make_field
 
 _CHUNK = 1 << 20
-_TABLE_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, int]] = {}
-_TABLE_CACHE_LIMIT = 4
-_GENERATOR_CACHE: dict[tuple[int, int], int] = {}
+_CLASS_MODULUS = 12  # lcm of the family exponents 6 and 4: every cover order divides it
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +179,6 @@ def _prime_factors(n: int) -> list[int]:
 
 def find_generator(ctx: FieldContext) -> FieldElement:
     """Smallest-code generator of F_q*; deterministic."""
-    key = (ctx.p, ctx.degree)
-    if key in _GENERATOR_CACHE:
-        return ctx.from_code(_GENERATOR_CACHE[key])
     order = ctx.q - 1
     cofactors = [order // ell for ell in _prime_factors(order)]
     one = ctx.one()
@@ -188,32 +186,31 @@ def find_generator(ctx: FieldContext) -> FieldElement:
     for code in range(start, ctx.q):
         cand = ctx.from_code(code)
         if all(ctx.pow(cand, cf) != one for cf in cofactors):
-            _GENERATOR_CACHE[key] = code
             return cand
     raise InvariantViolation("no generator found; field construction is broken")
 
 
-def power_class_table(ctx: FieldContext, exponent: int) -> tuple[np.ndarray, int]:
-    """uint8 array T with T[code(c)] = dlog(c) mod D, D = gcd(exponent, q-1).
+@lru_cache(maxsize=None)
+def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
+    """uint8 array T with T[code(c)] = dlog(c) mod D, D = gcd(12, q-1).
 
-    T[0] (the zero element) is the sentinel 255.  Built by walking the powers
-    of a generator on integer codes: a block of the first min(q-1, 2^20)
-    powers is grown by doubling, then shifted along the group by multiplying
-    with g^(block size), each step a table-lookup multiplication.
+    T[0] (the zero element) is the sentinel 255.  Built once per field by
+    walking the powers of a generator on integer codes: a block of the first
+    min(q-1, 2^20) powers is grown by doubling, then shifted along the group
+    by multiplying with g^(block size), each step a table-lookup
+    multiplication.  The table is shared by every caller and read-only.
     """
-    cache_key = (ctx.p, ctx.degree, exponent)
-    if cache_key in _TABLE_CACHE:
-        return _TABLE_CACHE[cache_key]
     q = ctx.q
-    d_cls = gcd(exponent, q - 1)
+    d_cls = gcd(_CLASS_MODULUS, q - 1)
     g = find_generator(ctx)
     mul = _CodeMultiplier(ctx)
 
     block_cap = min(q - 1, _CHUNK)
     block = np.ones(1, dtype=np.int64)
+    step = g  # g^(block size); the block doubles, so the step squares
     while block.size < block_cap:
-        step = ctx.pow(g, block.size)
         block = np.concatenate([block, mul(step, mul.halves(block[: block_cap - block.size]))])
+        step = ctx.mul(step, step)
     halves = mul.halves(block)
 
     cls = np.full(q, 255, dtype=np.uint8)
@@ -227,10 +224,7 @@ def power_class_table(ctx: FieldContext, exponent: int) -> tuple[np.ndarray, int
         h = ctx.mul(h, g_blk)
     if int(np.count_nonzero(cls == 255)) != 1:
         raise InvariantViolation("power-class table incomplete; generator order is wrong")
-
-    while len(_TABLE_CACHE) >= _TABLE_CACHE_LIMIT:
-        _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
-    _TABLE_CACHE[cache_key] = (cls, d_cls)
+    cls.flags.writeable = False
     return cls, d_cls
 
 
@@ -257,8 +251,9 @@ def _place_value_codes(pl, codes: np.ndarray, ctx: FieldContext, red: np.ndarray
 _SWEEP_STATE: dict = {}
 
 
-def _sweep_chunk(bounds: tuple[int, int]) -> tuple[int, list[tuple[int, int]]]:
-    """Bulk fiber count over [lo, hi) plus the zeroes of f seen there."""
+def _sweep_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Histogram of dlog f mod D over the points of [lo, hi) where f does
+    not vanish, plus the zeroes of f seen there."""
     st = _SWEEP_STATE
     ctx: FieldContext = st["ctx"]
     lo, hi = bounds
@@ -275,11 +270,10 @@ def _sweep_chunk(bounds: tuple[int, int]) -> tuple[int, list[tuple[int, int]]]:
             vanish |= z
             zeros.extend((place_idx, int(c)) for c in codes[z])
         acc += m * st["cls"][vals].astype(np.int32)
-    ok = (~vanish) & (acc % st["d_a"] == 0)
-    return st["d_a"] * int(np.count_nonzero(ok)), zeros
+    return np.bincount(acc[~vanish] % st["d_cls"], minlength=st["d_cls"]), zeros
 
 
-def _run_sweep(jobs: int, q: int) -> tuple[int, list[tuple[int, int]]]:
+def _run_sweep(jobs: int, q: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     bounds = [(lo, min(lo + _CHUNK, q)) for lo in range(0, q, _CHUNK)]
     if jobs <= 1 or len(bounds) < 2 or os.name != "posix":
         parts = [_sweep_chunk(b) for b in bounds]
@@ -287,42 +281,41 @@ def _run_sweep(jobs: int, q: int) -> tuple[int, list[tuple[int, int]]]:
         mp = multiprocessing.get_context("fork")
         with mp.Pool(processes=min(jobs, len(bounds))) as pool:
             parts = pool.map(_sweep_chunk, bounds)
-    total = 0
-    zeros: list[tuple[int, int]] = []
-    for bulk, zs in parts:
-        total += bulk
-        zeros.extend(zs)
-    return total, zeros
+    hist = sum(h for h, _ in parts)
+    zeros = [z for _, zs in parts for z in zs]
+    return hist, zeros
 
 
-def count_points(curve: CurveSpec, ctx: FieldContext, jobs: int = 1) -> int:
-    """Number of F_q-points of the smooth projective model of the cover."""
-    f = curve.f
+def count_points(curves: Sequence[CurveSpec], ctx: FieldContext, jobs: int = 1) -> tuple[int, ...]:
+    """F_q-point counts of the smooth projective models of covers of one
+    form, in the order given, from one sweep of P^1(F_q)."""
+    f = curves[0].f
     if f.is_abstract:
         raise ValidationError("cannot count points of an abstract form")
+    if any(c.f != f for c in curves):
+        raise ValidationError("covers counted together must share one form")
     if ctx.p != f.p:
         raise ValidationError(f"curve over F_{f.p} counted in characteristic {ctx.p}")
-    if curve.a % ctx.p == 0:
+    if any(c.a % ctx.p == 0 for c in curves):
         raise ValidationError("cover order divisible by the characteristic")
     q = ctx.q
-    cls, _ = power_class_table(ctx, f.jcase.exponent)
-    d_a = gcd(curve.a, q - 1)
+    cls, d_cls = power_class_table(ctx)
 
     _SWEEP_STATE.clear()
-    _SWEEP_STATE.update(
-        ctx=ctx, places=f.places, cls=cls, d_a=d_a, red=_reduction_rows(ctx)
-    )
-    total, zero_list = _run_sweep(jobs, q)
+    _SWEEP_STATE.update(ctx=ctx, places=f.places, cls=cls, d_cls=d_cls, red=_reduction_rows(ctx))
+    hist, zero_list = _run_sweep(jobs, q)
     _SWEEP_STATE.clear()
 
-    # point at infinity
-    inf_mult = next((m for pl, m in f.places if pl.at_infinity), None)
-    if inf_mult is None:
-        total += gcd(curve.a, q - 1)  # f(1:0) = 1, always an a-th power
-    else:
-        total += gcd(gcd(curve.a, inf_mult), q - 1)  # unit there is 1
+    inf_mult = next((m for pl, m in f.places if pl.at_infinity), 0)  # 0: f(1:0) = 1
+    totals = []
+    for curve in curves:
+        # d_a points above each finite non-zero whose value is a d_a-th
+        # power, and gcd(a, m, q-1) above infinity, where the unit is 1
+        d_a = gcd(curve.a, q - 1)
+        totals.append(d_a * int(hist[::d_a].sum()) + gcd(curve.a, inf_mult, q - 1))
 
-    # finite zeroes, grouped per place so sibling roots are known
+    # finite zeroes, grouped per place so sibling roots are known; the unit
+    # is a d-th power exactly when its class is divisible by d
     by_place: dict[int, list[int]] = {}
     for place_idx, code in zero_list:
         by_place.setdefault(place_idx, []).append(code)
@@ -333,13 +326,17 @@ def count_points(curve: CurveSpec, ctx: FieldContext, jobs: int = 1) -> int:
                 f"place {pl.describe()} has {len(codes)} roots in F_{q}, expected {pl.degree}"
             )
         sibs = [ctx.from_code(c) for c in codes]
-        d = gcd(curve.a, m)
         for x in sibs:
             _, unit = local_unit(f, ProjPoint.finite(x), ctx, siblings=sibs)
-            total += nth_power_count(ctx, unit, d)
+            unit_cls = int(cls[ctx.code(unit)])
+            for idx, curve in enumerate(curves):
+                d = gcd(curve.a, m, q - 1)
+                if unit_cls % d == 0:
+                    totals[idx] += d
 
-    _assert_weil(curve, ctx.p, ctx.degree, total)
-    return total
+    for curve, total in zip(curves, totals):
+        _assert_weil(curve, ctx.p, ctx.degree, total)
+    return tuple(totals)
 
 
 def _assert_weil(curve: CurveSpec, p: int, i: int, n_points: int) -> None:
@@ -353,18 +350,6 @@ def _assert_weil(curve: CurveSpec, p: int, i: int, n_points: int) -> None:
             f"Weil bound violated at level {i}: N={n_points}, q={q}, "
             f"components={r_q}, total genus={g_tot}"
         )
-
-
-def naive_count(f: FactoredForm, a: int, ctx: FieldContext) -> int:
-    """Count of the singular model: sum of #{u : u^a = f(P)} over P^1(F_q).
-
-    Agrees with count_points whenever gcd(a, m) = 1 at every place; used as
-    the squarefree-agreement oracle.
-    """
-    total = 0
-    for point in enumerate_p1(ctx):
-        total += nth_power_count(ctx, evaluate(f, point, ctx), a)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +377,8 @@ class CountSeries:
 
 
 class CountCache:
-    """Append-only line cache: p, level, curve key, count, tool version."""
+    """Append-only line cache: p, level, curve key, count, tool version.
+    A record of another tool version is a miss, so it is counted again."""
 
     def __init__(self, directory) -> None:
         self.path = Path(directory) / "counts.cache"
@@ -413,7 +399,8 @@ class CountCache:
                     except (ValueError, IndexError):
                         warnings.warn(f"{self.path}:{lineno}: corrupt cache record; recounting")
                         continue
-                    self._records[(p, i, key)] = value
+                    if fields[4] == TOOL_VERSION:
+                        self._records[(p, i, key)] = value
         return self._records
 
     def get(self, p: int, i: int, key: str) -> Optional[int]:
@@ -428,20 +415,30 @@ class CountCache:
 
 
 def count_series(
-    curve: CurveSpec,
-    i_max: int,
+    curves: Sequence[CurveSpec],
+    levels: Sequence[int],
     cache: Optional[CountCache] = None,
     jobs: int = 1,
-) -> CountSeries:
-    """Counts at levels 1..i_max, loading from and refreshing the cache."""
-    p = curve.f.p
-    key = curve.key()
-    counts = []
-    for i in range(1, i_max + 1):
-        value = cache.get(p, i, key) if cache is not None else None
-        if value is None:
-            value = count_points(curve, make_field(p, i), jobs=jobs)
-            if cache is not None:
-                cache.put(p, i, key, value)
-        counts.append((i, value))
-    return CountSeries(curve=curve, p=p, counts=tuple(counts))
+) -> tuple[CountSeries, ...]:
+    """Counts of covers of one form, cover c at levels 1..levels[c].
+
+    Walks the levels in turn: at each one, the covers the cache does not
+    hold there are counted together in one sweep and their counts appended
+    to the cache.
+    """
+    p = curves[0].f.p
+    keys = [c.key() for c in curves]
+    counts: list[list[tuple[int, int]]] = [[] for _ in curves]
+    for i in range(1, max(levels, default=0) + 1):
+        due = [idx for idx, n in enumerate(levels) if i <= n]
+        found = {idx: cache.get(p, i, keys[idx]) for idx in due} if cache is not None else {}
+        missing = [idx for idx in due if found.get(idx) is None]
+        if missing:
+            fresh = count_points([curves[idx] for idx in missing], make_field(p, i), jobs=jobs)
+            for idx, value in zip(missing, fresh):
+                found[idx] = value
+                if cache is not None:
+                    cache.put(p, i, keys[idx], value)
+        for idx in due:
+            counts[idx].append((i, found[idx]))
+    return tuple(CountSeries(curve=c, p=p, counts=tuple(n)) for c, n in zip(curves, counts))

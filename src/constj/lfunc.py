@@ -271,7 +271,8 @@ def zeta_bundle(
 ) -> ZetaBundle:
     """Count the covers of f over F_p and reconstruct their numerators.
 
-    The subcovers are counted to their required levels.  The full cover is
+    The covers are counted together, one sweep per level.  The subcovers
+    are counted to their required levels.  The full cover is
     counted only to level min(required level, k-1): its primitive factor,
     of degree 2(k-2), comes from the power sums at levels 1..k-2 minus those
     of the subcover numerators, level k-1 is checked against the product,
@@ -312,14 +313,13 @@ def zeta_bundle(
                 f"above the field-size limit {_MAX_FIELD_Q}"
             )
 
-    sub_series = [count_series(c, n, cache=cache, jobs=jobs) for c, n in zip(subs, counted[1:])]
+    full_series, *sub_series = count_series(curves, counted, cache=cache, jobs=jobs)
     sub_lpolys = [lpolynomial(s) for s in sub_series]
     denom = (1,)
     for lp in sub_lpolys:
         denom = poly_mul(denom, lp.coeffs)
     known = LPolynomial(coeffs=denom, q=p, g=g_subs)
 
-    full_series = count_series(full, counted[0], cache=cache, jobs=jobs)
     full_lpoly, new = _reconstruct(full_series, known)
     predicted = tuple(
         (i, predicted_count(full_lpoly, full.components, i))

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from math import gcd
+
 import pytest
 
 from constj.forms import FactoredForm, J0, J1728, JCase, form_from_roots
-from constj.gf import FieldContext, ProjPoint, enumerate_p1
+from constj.gf import FieldContext, ProjPoint, enumerate_p1, nth_power_count
 from constj import forms
 
 
@@ -39,6 +41,39 @@ def brute_force_count(f: FactoredForm, a: int, ctx: FieldContext) -> int:
             1 for u_code in range(ctx.q) if ctx.pow(ctx.from_code(u_code), a) == one
         )
     return total
+
+
+def naive_count(f: FactoredForm, a: int, ctx: FieldContext) -> int:
+    """Count of the singular model: sum of #{u : u^a = f(P)} over P^1(F_q).
+
+    Agrees with count_points whenever gcd(a, m) = 1 at every place; used as
+    the squarefree-agreement oracle.
+    """
+    total = 0
+    for point in enumerate_p1(ctx):
+        total += nth_power_count(ctx, forms.evaluate(f, point, ctx), a)
+    return total
+
+
+def smooth_model_counts(f: FactoredForm, orders, ctx: FieldContext) -> tuple[int, ...]:
+    """Points of the smooth models of u^a = f, a in orders, one point of
+    P^1(F_q) at a time.
+
+    Away from the zeroes of f: #{u : u^a = f(P)}.  At a zero of multiplicity
+    m: #{Y : Y^gcd(a, m) = local unit}, one point per F_q-rational branch.
+    The point at infinity is either kind.  No table and no sweep, so it is an
+    oracle for count_points at every multiplicity.
+    """
+    totals = [0] * len(orders)
+    for point in enumerate_p1(ctx):
+        val = forms.evaluate(f, point, ctx)
+        if val.is_zero():
+            m, unit = forms.local_unit(f, point, ctx)
+            counts = [nth_power_count(ctx, unit, gcd(a, m)) for a in orders]
+        else:
+            counts = [nth_power_count(ctx, val, a) for a in orders]
+        totals = [t + n for t, n in zip(totals, counts)]
+    return tuple(totals)
 
 
 def enumeration_power_count(ctx: FieldContext, c, n: int) -> int:

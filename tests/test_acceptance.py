@@ -11,7 +11,7 @@ import pytest
 
 import constj.count as count_mod
 from constj.cli import main
-from constj.count import count_points, naive_count
+from constj.count import count_points
 from constj.curve import CurveSpec, branch_correction, chi_singular, eigenspace_dims, genus
 from constj.forms import J0, J1728, abstract_pattern, form_from_roots
 from constj.lfunc import (
@@ -27,7 +27,7 @@ from constj.gf import make_field
 from constj.surface import invariants, mw_rank_char0, ns_perp_check
 from constj.taxonomy import catalog, enumerate_patterns
 
-from conftest import concrete_form
+from conftest import concrete_form, naive_count
 
 J0_EXPECTED = [
     (5, 1), (4, 2), (3, 3),
@@ -111,7 +111,7 @@ def test_criterion_3_supersingularity_full_size():
     bundle = zeta_bundle(f, 5, jobs=1)
     # the bundle predicts level 10 from low levels; sweep F_{5^10} directly
     ctx = make_field(5, 10)
-    serial_count = count_points(bundle.curves[0], ctx, jobs=1)
+    (serial_count,) = count_points(bundle.curves[:1], ctx, jobs=1)
     serial_elapsed = time.perf_counter() - started
     _BUNDLES["full"] = bundle
 
@@ -124,11 +124,10 @@ def test_criterion_3_supersingularity_full_size():
     assert serial_elapsed < 600.0
 
     # parallel sweep from a cold table cache must match and stay in budget
-    count_mod._TABLE_CACHE.clear()
-    count_mod._GENERATOR_CACHE.clear()
+    count_mod.power_class_table.cache_clear()
     started = time.perf_counter()
     parallel = zeta_bundle(f, 5, jobs=8)
-    parallel_count = count_points(bundle.curves[0], ctx, jobs=8)
+    (parallel_count,) = count_points(bundle.curves[:1], ctx, jobs=8)
     parallel_elapsed = time.perf_counter() - started
     assert parallel_elapsed < 120.0
     assert [s.counts for s in parallel.series] == [s.counts for s in bundle.series]
@@ -202,7 +201,9 @@ def test_criterion_7_partner_count_equality():
         g = f.complement()
         for i in (1, 2):
             ctx = make_field(5, i)
-            assert count_points(CurveSpec(f, 6), ctx) == count_points(CurveSpec(g, 6), ctx), (
+            assert count_points((CurveSpec(f, 6),), ctx) == count_points(
+                (CurveSpec(g, 6),), ctx
+            ), (
                 row.pattern,
                 ctx.q,
             )
@@ -235,13 +236,13 @@ def test_criterion_9_oracle_battery():
             ctx = make_field(p, i)
             assert ctx.q <= 343
             for a in (2, 3, 6):
-                assert count_points(CurveSpec(f, a), ctx) == naive_count(f, a, ctx)
+                assert count_points((CurveSpec(f, a),), ctx) == (naive_count(f, a, ctx),)
                 checked += 1
     f1728 = form_from_roots(J1728, [1] * 4, ["0", "1", "2", "inf"], p=7)
     for i in (1, 2, 3):
         ctx = make_field(7, i)
         for a in (2, 4):
-            assert count_points(CurveSpec(f1728, a), ctx) == naive_count(f1728, a, ctx)
+            assert count_points((CurveSpec(f1728, a),), ctx) == (naive_count(f1728, a, ctx),)
             checked += 1
 
     # Weil bounds on every count produced by the headline bundles

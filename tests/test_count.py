@@ -1,5 +1,6 @@
 """Point counting: brute-force oracles, partner equality, cache, parallelism,
-and the power-class table with its code multiplier."""
+the power-class table with its code multiplier, and the joint count of all
+covers of a form against the smooth-model oracle."""
 
 import warnings
 
@@ -8,14 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import constj.count as count_mod
-from constj.count import CountCache, CountSeries, count_points, count_series, naive_count
+from constj import __version__ as TOOL_VERSION
+from constj.count import CountCache, CountSeries, count_points, count_series
 from constj.curve import CurveSpec
 from constj.errors import InvariantViolation, ValidationError
 from constj.forms import J0, J1728, Place, form_from_roots, parse_form
 from constj.gf import make_field
+from constj.lfunc import cover_orders, zeta_bundle
 from constj.taxonomy import catalog
 
-from conftest import brute_force_count, concrete_form
+from conftest import brute_force_count, concrete_form, naive_count, smooth_model_counts
 
 
 def x_cubed_plus_one_form():
@@ -31,20 +34,20 @@ def x_cubed_plus_one_form():
 def test_rational_curve_counts(i):
     curve = CurveSpec(concrete_form(J0, (5, 1)), 6)
     ctx = make_field(5, i)
-    assert count_points(curve, ctx) == ctx.q + 1
+    assert count_points((curve,), ctx) == (ctx.q + 1,)
 
 
 def test_elliptic_curve_counts_frozen():
     curve = CurveSpec(x_cubed_plus_one_form(), 2)
-    assert count_points(curve, make_field(5, 1)) == 6
-    assert count_points(curve, make_field(5, 2)) == 36
+    assert count_points((curve,), make_field(5, 1)) == (6,)
+    assert count_points((curve,), make_field(5, 2)) == (36,)
 
 
 @pytest.mark.parametrize("i", [1, 2])
 def test_elliptic_curve_counts_brute_force(i):
     curve = CurveSpec(x_cubed_plus_one_form(), 2)
     ctx = make_field(5, i)
-    assert count_points(curve, ctx) == brute_force_count(curve.f, 2, ctx)
+    assert count_points((curve,), ctx) == (brute_force_count(curve.f, 2, ctx),)
 
 
 @pytest.mark.parametrize(
@@ -57,7 +60,7 @@ def test_subcover_counts_brute_force(pattern, a, i):
     # is then a valid smooth-count oracle
     f = concrete_form(J0, pattern)
     ctx = make_field(5, i)
-    assert count_points(CurveSpec(f, a), ctx) == brute_force_count(f, a, ctx)
+    assert count_points((CurveSpec(f, a),), ctx) == (brute_force_count(f, a, ctx),)
 
 
 def test_full_cover_brute_force_on_squarefree():
@@ -69,7 +72,7 @@ def test_full_cover_brute_force_on_squarefree():
     )
     for i in (1, 2):
         ctx = make_field(5, i)
-        assert count_points(CurveSpec(f, 6), ctx) == brute_force_count(f, 6, ctx)
+        assert count_points((CurveSpec(f, 6),), ctx) == (brute_force_count(f, 6, ctx),)
 
 
 def test_disconnected_cover_counts_by_components():
@@ -95,7 +98,7 @@ def test_disconnected_cover_counts_by_components():
                 1 for u in range(ctx.q) if ctx.pow(ctx.from_code(u), 3) == val
             )
         n_minus += 1  # above (1:0), w vanishes there
-        assert count_points(CurveSpec(f, 6), ctx) == n_plus + n_minus
+        assert count_points((CurveSpec(f, 6),), ctx) == (n_plus + n_minus,)
 
 
 @pytest.mark.parametrize(
@@ -112,7 +115,7 @@ def test_squarefree_agreement(p, i_list, mults, roots):
     for a in (2, 3, 6):
         for i in i_list:
             ctx = make_field(p, i)
-            assert count_points(CurveSpec(f, a), ctx) == naive_count(f, a, ctx)
+            assert count_points((CurveSpec(f, a),), ctx) == (naive_count(f, a, ctx),)
 
 
 def test_squarefree_agreement_with_quadratic_place():
@@ -127,7 +130,7 @@ def test_squarefree_agreement_with_quadratic_place():
     for i in (1, 2, 3):
         ctx = make_field(7, i)
         for a in (2, 6):
-            assert count_points(CurveSpec(f, a), ctx) == naive_count(f, a, ctx)
+            assert count_points((CurveSpec(f, a),), ctx) == (naive_count(f, a, ctx),)
 
 
 @pytest.mark.parametrize("row_idx", range(7))
@@ -137,7 +140,7 @@ def test_partner_equality_all_catalog_patterns(row_idx):
     g = f.complement()
     for i in (1, 2):
         ctx = make_field(5, i)
-        assert count_points(CurveSpec(f, 6), ctx) == count_points(CurveSpec(g, 6), ctx)
+        assert count_points((CurveSpec(f, 6),), ctx) == count_points((CurveSpec(g, 6),), ctx)
 
 
 def test_partner_equality_subcovers(f5553):
@@ -145,13 +148,13 @@ def test_partner_equality_subcovers(f5553):
     for a in (2, 3):
         for i in (1, 2):
             ctx = make_field(5, i)
-            assert count_points(CurveSpec(f5553, a), ctx) == count_points(
-                CurveSpec(g, a), ctx
+            assert count_points((CurveSpec(f5553, a),), ctx) == count_points(
+                (CurveSpec(g, a),), ctx
             )
 
 
 def test_weil_bound_enforced(f5553):
-    series = count_series(CurveSpec(f5553, 6), 3)
+    (series,) = count_series((CurveSpec(f5553, 6),), (3,))
     # tamper: a count far outside the Weil interval must be rejected
     bad = tuple((i, n + 10_000) for i, n in series.counts)
     with pytest.raises(InvariantViolation, match="Weil"):
@@ -168,17 +171,17 @@ def test_weil_check_names_level_and_counts(f5553):
 
 def test_parallel_matches_serial_across_chunks(monkeypatch, f5553):
     monkeypatch.setattr(count_mod, "_CHUNK", 500)  # force many chunks
-    curve = CurveSpec(f5553, 6)
+    curves = tuple(CurveSpec(f5553, a) for a in (6, 2, 3))
     ctx = make_field(5, 5)
-    serial = count_points(curve, ctx, jobs=1)
-    parallel = count_points(curve, ctx, jobs=3)
+    serial = count_points(curves, ctx, jobs=1)
+    parallel = count_points(curves, ctx, jobs=3)
     assert serial == parallel
 
 
 def test_count_series_and_cache(tmp_path, f5553):
     cache = CountCache(tmp_path)
     curve = CurveSpec(f5553, 6)
-    series = count_series(curve, 4, cache=cache)
+    (series,) = count_series((curve,), (4,), cache=cache)
     assert [i for i, _ in series.counts] == [1, 2, 3, 4]
     assert cache.path.exists()
     lines = cache.path.read_text().splitlines()
@@ -192,7 +195,7 @@ def test_count_series_and_cache(tmp_path, f5553):
     monkey_target = count_mod.count_points
     count_mod.count_points = boom
     try:
-        again = count_series(curve, 4, cache=fresh)
+        (again,) = count_series((curve,), (4,), cache=fresh)
     finally:
         count_mod.count_points = monkey_target
     assert again.counts == series.counts
@@ -201,12 +204,12 @@ def test_count_series_and_cache(tmp_path, f5553):
 def test_cache_corruption_recounts_with_warning(tmp_path, f5553):
     cache = CountCache(tmp_path)
     curve = CurveSpec(f5553, 2)
-    series = count_series(curve, 2, cache=cache)
+    (series,) = count_series((curve,), (2,), cache=cache)
     cache.path.write_text("garbage line\n5 x {key} 1 v\n".format(key=curve.key()))
     fresh = CountCache(tmp_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        again = count_series(curve, 2, cache=fresh)
+        (again,) = count_series((curve,), (2,), cache=fresh)
     assert again.counts == series.counts
     assert any("corrupt" in str(w.message) for w in caught)
     # the recount appended valid records: a third pass is pure cache hits
@@ -214,11 +217,25 @@ def test_cache_corruption_recounts_with_warning(tmp_path, f5553):
     assert final.get(5, 1, curve.key()) == series.n(1)
 
 
+def test_cache_ignores_records_of_another_version(tmp_path, f5553):
+    curve = CurveSpec(f5553, 2)
+    (series,) = count_series((curve,), (1,))
+    n = series.n(1)
+    cache = CountCache(tmp_path)
+    cache.path.write_text(f"5 1 {curve.key()} {n + 1} 0.0.0-stale\n")
+    assert cache.get(5, 1, curve.key()) is None
+    (again,) = count_series((curve,), (1,), cache=cache)
+    assert again.counts == series.counts
+    # recounted and appended under this version, which a fresh reader trusts
+    assert cache.path.read_text().splitlines()[1] == f"5 1 {curve.key()} {n} {TOOL_VERSION}"
+    assert CountCache(tmp_path).get(5, 1, curve.key()) == n
+
+
 def test_count_series_below_genus_is_fine_but_lfunc_rejects(f5553):
     from constj.errors import ValidationError
     from constj.lfunc import lpolynomial
 
-    series = count_series(CurveSpec(f5553, 6), 2)
+    (series,) = count_series((CurveSpec(f5553, 6),), (2,))
     assert series.i_max == 2
     with pytest.raises(ValidationError, match="level"):
         lpolynomial(series)
@@ -228,7 +245,7 @@ def test_small_q_infinity_handling():
     # no place at infinity: f(1:0) = 1 contributes gcd(a, q-1) points
     f = form_from_roots(J1728, [3, 1], ["0", "1"], p=7)
     ctx = make_field(7, 1)
-    assert count_points(CurveSpec(f, 4), ctx) == brute_force_count(f, 4, ctx)
+    assert count_points((CurveSpec(f, 4),), ctx) == (brute_force_count(f, 4, ctx),)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +269,10 @@ def test_code_multiplier_matches_field_mul(field, data):
     assert got.tolist() == [ctx.code(ctx.mul(h, ctx.from_code(x))) for x in xs]
 
 
-def scalar_power_classes(ctx, exponent):
-    """Reference table: walk g^k one ctx.mul at a time and record k mod D."""
-    d_cls = np.gcd(exponent, ctx.q - 1)
+def scalar_power_classes(ctx, modulus):
+    """Reference table: walk g^k one ctx.mul at a time and record k mod D,
+    D = gcd(modulus, q-1)."""
+    d_cls = np.gcd(modulus, ctx.q - 1)
     table = [255] * ctx.q
     g = count_mod.find_generator(ctx)
     x = ctx.one()
@@ -271,18 +289,24 @@ def test_power_class_table_matches_scalar_walk(monkeypatch, p, i, exponent, chun
     # a small chunk makes the walk double its block and then shift it across
     # several segments, the last one partial
     monkeypatch.setattr(count_mod, "_CHUNK", chunk)
-    monkeypatch.setattr(count_mod, "_TABLE_CACHE", {})
+    count_mod.power_class_table.cache_clear()
     ctx = make_field(p, i)
-    cls, d_cls = count_mod.power_class_table(ctx, exponent)
-    assert d_cls == np.gcd(exponent, ctx.q - 1)
-    assert cls.tolist() == scalar_power_classes(ctx, exponent)
+    cls, d_cls = count_mod.power_class_table(ctx)
+    assert d_cls == np.gcd(12, ctx.q - 1)
+    assert cls.tolist() == scalar_power_classes(ctx, 12)
+    # the covers of the family with this exponent read the classes mod
+    # gcd(exponent, q-1), which divides D
+    d_e = np.gcd(exponent, ctx.q - 1)
+    assert [c if c == 255 else c % d_e for c in cls.tolist()] == scalar_power_classes(
+        ctx, exponent
+    )
 
 
 @pytest.mark.parametrize("p,i", [(1499, 2), (2003, 2), (50021, 1)])
 def test_power_class_table_large_p_no_overflow(p, i):
     # products of digits near p overflowed int32 accumulators here once
     ctx = make_field(p, i)
-    cls, d_cls = count_mod.power_class_table(ctx, 6)
+    cls, d_cls = count_mod.power_class_table(ctx)
     sizes = np.bincount(cls, minlength=256)
     assert sizes[255] == 1
     assert sizes[:d_cls].tolist() == [(ctx.q - 1) // d_cls] * d_cls
@@ -291,4 +315,66 @@ def test_power_class_table_large_p_no_overflow(p, i):
 def test_power_class_table_refuses_lanes_past_int64():
     # 16 digits of 4-bit lanes need 64 bits; refused before any allocation
     with pytest.raises(ValidationError, match="too large"):
-        count_mod.power_class_table(make_field(5, 16), 6)
+        count_mod.power_class_table(make_field(5, 16))
+
+
+# ---------------------------------------------------------------------------
+# all covers of a form in one sweep per field, one table per field
+
+# levels with q <= 2500 at each prime
+SMALL_LEVELS = {5: 4, 7: 4, 11: 3, 13: 3}
+CATALOG_PATTERNS = [(jcase, row.pattern) for jcase in (J0, J1728) for row in catalog(jcase)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_joint_count_matches_smooth_model_oracle(data):
+    # random multiplicities, including gcd(a, m) > 1 where neither the
+    # singular model nor the brute-force count is a valid oracle
+    jcase, pattern = data.draw(st.sampled_from(CATALOG_PATTERNS), label="pattern")
+    p = data.draw(st.sampled_from(sorted(SMALL_LEVELS)), label="p")
+    pool = [str(r) for r in range(p)] + ["inf"]
+    roots = data.draw(
+        st.lists(st.sampled_from(pool), min_size=len(pattern), max_size=len(pattern), unique=True),
+        label="roots",
+    )
+    level = data.draw(st.integers(1, SMALL_LEVELS[p]), label="level")
+    f = form_from_roots(jcase, list(pattern), roots, p=p)
+    ctx = make_field(p, level)
+    curves = tuple(CurveSpec(f, a) for a in cover_orders(jcase))
+    joint = count_points(curves, ctx)
+    assert joint == smooth_model_counts(f, [c.a for c in curves], ctx)
+    assert joint == tuple(count_points((c,), ctx)[0] for c in curves)
+
+
+def test_flagship_bundle_sweeps_once_and_builds_one_table_per_field(monkeypatch):
+    f = form_from_roots(J0, [5] * 6, ["0", "1", "2", "3", "4", "inf"], p=5)
+    calls = []
+    sweep = count_mod.count_points
+
+    def counted(curves, ctx, jobs=1):
+        calls.append((ctx.q, tuple(c.a for c in curves)))
+        return sweep(curves, ctx, jobs=jobs)
+
+    monkeypatch.setattr(count_mod, "count_points", counted)
+    count_mod.power_class_table.cache_clear()
+    zeta_bundle(f, 5)
+    # the genus-2 and genus-4 subcovers need levels 1..3 and 1..5, the full
+    # cover levels 1..k-1 = 1..5
+    assert calls == [(5, (6, 2, 3)), (25, (6, 2, 3)), (125, (6, 2, 3)), (625, (6, 3)),
+                     (3125, (6, 3))]
+    info = count_mod.power_class_table.cache_info()
+    assert (info.misses, info.hits) == (5, 0)
+
+
+def test_both_j_cases_share_one_table():
+    ctx = make_field(7, 2)
+    f0 = form_from_roots(J0, [5, 5, 5, 3], ["0", "1", "inf", "2"], p=7)
+    f1728 = form_from_roots(J1728, [3, 3, 3, 3], ["0", "1", "3", "inf"], p=7)
+    count_mod.power_class_table.cache_clear()
+    for f in (f0, f1728):
+        curves = tuple(CurveSpec(f, a) for a in cover_orders(f.jcase))
+        assert count_points(curves, ctx) == smooth_model_counts(f, [c.a for c in curves], ctx)
+    info = count_mod.power_class_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert count_mod.power_class_table(ctx)[1] == 12

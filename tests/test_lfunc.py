@@ -40,18 +40,21 @@ def test_lpolynomial_of_elliptic_curve():
         [(Place.infinity(), 3), (Place.linear(4, 5), 1), (Place.from_poly((1, 4, 1), 5), 1)],
         p=5,
     )
-    lp = lpolynomial(count_series(CurveSpec(f, 2), 2))
+    (series,) = count_series((CurveSpec(f, 2),), (2,))
+    lp = lpolynomial(series)
     assert lp.coeffs == (1, 0, 5)  # trace zero: supersingular at p = 5
 
 
 def test_lpolynomial_of_rational_curve():
-    lp = lpolynomial(count_series(CurveSpec(concrete_form(J0, (5, 1)), 6), 0))
+    (series,) = count_series((CurveSpec(concrete_form(J0, (5, 1)), 6),), (0,))
+    lp = lpolynomial(series)
     assert lp.coeffs == (1,)
     assert lp.degree == 0
 
 
 def test_lpolynomial_full_cover(f5553):
-    lp = lpolynomial(count_series(CurveSpec(f5553, 6), 5))
+    (series,) = count_series((CurveSpec(f5553, 6),), (5,))
+    lp = lpolynomial(series)
     assert lp.degree == 8
     lp.check_functional_equation()
     assert all(isinstance(c, int) for c in lp.coeffs)
@@ -59,7 +62,7 @@ def test_lpolynomial_full_cover(f5553):
 
 def test_lpolynomial_redundancy_detects_bad_counts(f5553):
     curve = CurveSpec(f5553, 6)
-    series = count_series(curve, 5)
+    (series,) = count_series((curve,), (5,))
     # perturb the redundancy level by a Weil-legal amount
     tampered = tuple((i, n if i != 5 else n + 6) for i, n in series.counts)
     with pytest.raises(CountDataError, match="inconsistent"):
@@ -68,7 +71,7 @@ def test_lpolynomial_redundancy_detects_bad_counts(f5553):
 
 def test_lpolynomial_integrality_guard(f5553):
     curve = CurveSpec(f5553, 6)
-    series = count_series(curve, 4)
+    (series,) = count_series((curve,), (4,))
     tampered = tuple((i, n if i != 3 else n + 1) for i, n in series.counts)
     with pytest.raises(CountDataError):
         lpolynomial(CountSeries(curve=curve, p=5, counts=tampered))
@@ -76,7 +79,7 @@ def test_lpolynomial_integrality_guard(f5553):
 
 def test_predicted_count_reproduces_extra_level(f5553):
     curve = CurveSpec(f5553, 6)
-    series = count_series(curve, 5)
+    (series,) = count_series((curve,), (5,))
     lp = lpolynomial(series)
     assert predicted_count(lp, curve.components, 5) == series.n(5)
 
@@ -274,7 +277,7 @@ def test_bundle_matches_full_genus_route(jcase, pattern, p):
     f = concrete_form(jcase, pattern, p)
     bundle = zeta_bundle(f, p)
     full = bundle.curves[0]
-    series = count_series(full, required_level(full))
+    (series,) = count_series((full,), (required_level(full),))
     numerator = lpolynomial(series)
     denom = (1,)
     for lp in bundle.lpolys[1:]:
@@ -286,14 +289,17 @@ def test_bundle_matches_full_genus_route(jcase, pattern, p):
 
 def test_lpolynomial_with_known_factor_matches_plain(f5553):
     curve = CurveSpec(f5553, 6)
-    plain = lpolynomial(count_series(curve, 5))
+    (five,) = count_series((curve,), (5,))
+    plain = lpolynomial(five)
     bundle = zeta_bundle(f5553, 5)
     known = LPolynomial(
         coeffs=poly_mul(bundle.lpolys[1].coeffs, bundle.lpolys[2].coeffs), q=5, g=2
     )
     # levels 1..k-2 = 1..2 determine the factor; 3..5 are checked against it
-    assert lpolynomial(count_series(curve, 5), known=known) == plain
-    assert lpolynomial(count_series(curve, 2), known=known) == plain
+    assert lpolynomial(five, known=known) == plain
+    (two,) = count_series((curve,), (2,))
+    assert lpolynomial(two, known=known) == plain
+    (one,) = count_series((curve,), (1,))
     with pytest.raises(ValidationError, match="need counts up to level 2"):
-        lpolynomial(count_series(curve, 1), known=known)
+        lpolynomial(one, known=known)
 
