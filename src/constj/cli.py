@@ -1,9 +1,9 @@
 """Command-line front end: catalog, verify, zeta, report.
 
-Exit codes: 0 success (including "congruence does not apply"), 1 validation
-error, 2 hard failure (a verdict that should hold came out false, or an
-internal consistency check tripped).  Reports are deterministic for a given
-config and tool version; wall-clock timing goes to stderr only.
+Exit codes: 0 success (including "congruence does not apply"), 1 usage or
+validation error, 2 hard failure (a verdict that should hold came out false,
+or an internal consistency check tripped).  Reports are deterministic for a
+given config and tool version; wall-clock timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="count levels 1..imax (must cover the genus)")
             p_cmd.add_argument("--cache-dir", default=None,
                                help="directory for the point-count cache")
-            p_cmd.add_argument("--jobs", type=int, default=1,
-                               help="parallel workers for the sweep")
 
     common(sub.add_parser("catalog", help="reproduce the classification tables"), False)
     common(sub.add_parser("verify", help="run the full pipeline and gate on the verdict"), True)
@@ -179,7 +177,6 @@ def _parse_run_config(args, command: str) -> dict:
         "i_max": args.imax,
         "cache_dir": args.cache_dir,
         "format": args.format,
-        "jobs": args.jobs,
     }
 
 
@@ -241,9 +238,7 @@ def run_pipeline(cfg: dict, with_verdict: bool) -> tuple[dict, Optional[lfunc.Ve
             f"pattern {list(f.pattern)} has no rational partner; use zeta instead"
         )
 
-    bundle = lfunc.zeta_bundle(
-        f, cfg["p"], cache=cache, jobs=cfg["jobs"], i_max_override=cfg["i_max"]
-    )
+    bundle = lfunc.zeta_bundle(f, cfg["p"], cache=cache, i_max_override=cfg["i_max"])
     verdict_obj = lfunc.verdict_from_bundle(bundle, strict=False) if with_verdict else None
 
     counts_section = {
@@ -338,8 +333,10 @@ def cmd_run(args, command: str) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a usage error is invalid input
+        return 0 if exc.code == 0 else 1
     try:
         if args.command == "catalog":
             return cmd_catalog(args)

@@ -12,15 +12,10 @@ codes, where multiplying a block of codes by a fixed element takes a few
 table lookups per element.  Zeroes of f are detected inline (a place value
 hits 0) and receive the branch-corrected local count
 #{Y : Y^gcd(a,m) = local unit}, read off the same table.
-
-Chunks of the sweep are independent, so they can be fanned out to worker
-processes; their histograms are summed, bit-identical to a serial run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -248,47 +243,31 @@ def _place_value_codes(pl, codes: np.ndarray, ctx: FieldContext, red: np.ndarray
     return _codes_of(acc, ctx)
 
 
-_SWEEP_STATE: dict = {}
-
-
-def _sweep_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _sweep_chunk(
+    lo: int, hi: int, places, ctx: FieldContext, cls: np.ndarray, d_cls: int, red: np.ndarray
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Histogram of dlog f mod D over the points of [lo, hi) where f does
     not vanish, plus the zeroes of f seen there."""
-    st = _SWEEP_STATE
-    ctx: FieldContext = st["ctx"]
-    lo, hi = bounds
     codes = np.arange(lo, hi, dtype=np.int64)
     acc = np.zeros(hi - lo, dtype=np.int32)
     vanish = np.zeros(hi - lo, dtype=bool)
     zeros: list[tuple[int, int]] = []
-    for place_idx, (pl, m) in enumerate(st["places"]):
+    for place_idx, (pl, m) in enumerate(places):
         if pl.at_infinity:
             continue  # value 1 at every finite point
-        vals = _place_value_codes(pl, codes, ctx, st["red"])
+        vals = _place_value_codes(pl, codes, ctx, red)
         z = vals == 0
         if z.any():
             vanish |= z
             zeros.extend((place_idx, int(c)) for c in codes[z])
-        acc += m * st["cls"][vals].astype(np.int32)
-    return np.bincount(acc[~vanish] % st["d_cls"], minlength=st["d_cls"]), zeros
+        acc += m * cls[vals].astype(np.int32)
+    return np.bincount(acc[~vanish] % d_cls, minlength=d_cls), zeros
 
 
-def _run_sweep(jobs: int, q: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    bounds = [(lo, min(lo + _CHUNK, q)) for lo in range(0, q, _CHUNK)]
-    if jobs <= 1 or len(bounds) < 2 or os.name != "posix":
-        parts = [_sweep_chunk(b) for b in bounds]
-    else:
-        mp = multiprocessing.get_context("fork")
-        with mp.Pool(processes=min(jobs, len(bounds))) as pool:
-            parts = pool.map(_sweep_chunk, bounds)
-    hist = sum(h for h, _ in parts)
-    zeros = [z for _, zs in parts for z in zs]
-    return hist, zeros
-
-
-def count_points(curves: Sequence[CurveSpec], ctx: FieldContext, jobs: int = 1) -> tuple[int, ...]:
+def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, ...]:
     """F_q-point counts of the smooth projective models of covers of one
-    form, in the order given, from one sweep of P^1(F_q)."""
+    form, in the order given, from one sweep of P^1(F_q) in chunks of at
+    most _CHUNK points."""
     f = curves[0].f
     if f.is_abstract:
         raise ValidationError("cannot count points of an abstract form")
@@ -300,11 +279,13 @@ def count_points(curves: Sequence[CurveSpec], ctx: FieldContext, jobs: int = 1) 
         raise ValidationError("cover order divisible by the characteristic")
     q = ctx.q
     cls, d_cls = power_class_table(ctx)
-
-    _SWEEP_STATE.clear()
-    _SWEEP_STATE.update(ctx=ctx, places=f.places, cls=cls, d_cls=d_cls, red=_reduction_rows(ctx))
-    hist, zero_list = _run_sweep(jobs, q)
-    _SWEEP_STATE.clear()
+    red = _reduction_rows(ctx)
+    hist = np.zeros(d_cls, dtype=np.int64)
+    zero_list: list[tuple[int, int]] = []
+    for lo in range(0, q, _CHUNK):
+        part, zeros = _sweep_chunk(lo, min(lo + _CHUNK, q), f.places, ctx, cls, d_cls, red)
+        hist += part
+        zero_list.extend(zeros)
 
     inf_mult = next((m for pl, m in f.places if pl.at_infinity), 0)  # 0: f(1:0) = 1
     totals = []
@@ -418,7 +399,6 @@ def count_series(
     curves: Sequence[CurveSpec],
     levels: Sequence[int],
     cache: Optional[CountCache] = None,
-    jobs: int = 1,
 ) -> tuple[CountSeries, ...]:
     """Counts of covers of one form, cover c at levels 1..levels[c].
 
@@ -434,7 +414,7 @@ def count_series(
         found = {idx: cache.get(p, i, keys[idx]) for idx in due} if cache is not None else {}
         missing = [idx for idx in due if found.get(idx) is None]
         if missing:
-            fresh = count_points([curves[idx] for idx in missing], make_field(p, i), jobs=jobs)
+            fresh = count_points([curves[idx] for idx in missing], make_field(p, i))
             for idx, value in zip(missing, fresh):
                 found[idx] = value
                 if cache is not None:

@@ -76,17 +76,10 @@ def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _poly_trim(a[:]), _poly_trim(b[:])
     while b != [0]:
-        # reduce a mod b (b made monic on the fly)
         inv_lead = pow(b[-1], p - 2, p)
-        bm = [(c * inv_lead) % p for c in b]
-        r = a[:]
-        for d in range(len(r) - 1, len(bm) - 2, -1):
-            c = r[d] % p
-            if c:
-                off = d - (len(bm) - 1)
-                for j, bj in enumerate(bm):
-                    r[off + j] = (r[off + j] - c * bj) % p
-        a, b = b, _poly_trim(r[: len(bm) - 1] or [0])
+        monic = [(c * inv_lead) % p for c in b]
+        # a constant divisor leaves the empty remainder
+        a, b = b, _poly_trim(_poly_rem(a, monic, p) or [0])
     return a
 
 
@@ -125,7 +118,7 @@ def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldContext:
-    """Immutable description of F_{p^degree}; shareable across workers."""
+    """Immutable description of F_{p^degree}."""
 
     p: int
     degree: int

@@ -209,23 +209,21 @@ def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def exact_quotient(numerator: tuple[int, ...], denominator: tuple[int, ...]) -> tuple[int, ...]:
-    """Divide integer polynomials with constant term 1; remainder must vanish."""
+    """Divide integer polynomials with constant term 1; remainder must vanish.
+
+    The denominator is primitive (constant term 1), so by Gauss's lemma an
+    exact quotient is integral.
+    """
     if denominator[0] != 1 or numerator[0] != 1:
         raise ValidationError("expected constant term 1 on both sides")
-    deg_q = len(numerator) - len(denominator)
-    if deg_q < 0:
+    if len(numerator) < len(denominator):
         raise BranchInconsistencyError("denominator degree exceeds numerator degree")
-    quot = [1]
-    for n in range(1, deg_q + 1):
-        val = numerator[n] - sum(
-            denominator[j] * quot[n - j] for j in range(1, min(n, len(denominator) - 1) + 1)
-        )
-        quot.append(val)
-    if poly_mul(tuple(quot), denominator) != tuple(numerator):
+    quot, rem = _frac_divmod([Fraction(c) for c in numerator], [Fraction(c) for c in denominator])
+    if any(rem):
         raise BranchInconsistencyError(
             "branch-correction inconsistency: eigenspace factor division has a remainder"
         )
-    return tuple(quot)
+    return tuple(int(c) for c in quot)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +264,6 @@ def zeta_bundle(
     f: FactoredForm,
     p: int,
     cache: Optional[CountCache] = None,
-    jobs: int = 1,
     i_max_override: Optional[int] = None,
 ) -> ZetaBundle:
     """Count the covers of f over F_p and reconstruct their numerators.
@@ -313,7 +310,7 @@ def zeta_bundle(
                 f"above the field-size limit {_MAX_FIELD_Q}"
             )
 
-    full_series, *sub_series = count_series(curves, counted, cache=cache, jobs=jobs)
+    full_series, *sub_series = count_series(curves, counted, cache=cache)
     sub_lpolys = [lpolynomial(s) for s in sub_series]
     denom = (1,)
     for lp in sub_lpolys:
@@ -340,10 +337,9 @@ def new_factor(
     f: FactoredForm,
     p: int,
     cache: Optional[CountCache] = None,
-    jobs: int = 1,
 ) -> LPolynomial:
     """Primitive eigenspace factor of the full cover's numerator; degree 2(k-2)."""
-    return zeta_bundle(f, p, cache=cache, jobs=jobs).new_factor
+    return zeta_bundle(f, p, cache=cache).new_factor
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +479,6 @@ def verdict(
     f: FactoredForm,
     p: int,
     cache: Optional[CountCache] = None,
-    jobs: int = 1,
     strict: bool = True,
 ) -> Verdict:
     """Supersingularity verdict for a form whose partner surface is rational."""
@@ -491,4 +486,4 @@ def verdict(
         raise ValidationError(
             f"pattern {f.pattern} does not have a rational partner surface"
         )
-    return verdict_from_bundle(zeta_bundle(f, p, cache=cache, jobs=jobs), strict=strict)
+    return verdict_from_bundle(zeta_bundle(f, p, cache=cache), strict=strict)

@@ -80,15 +80,13 @@ class SurfaceInvariants:
 
 
 def invariants(f: FactoredForm) -> SurfaceInvariants:
+    rank = mw_rank_char0(f)  # checks e = 12n
     fibers = fiber_types(f)
     e = sum(fb.euler for fb in fibers)
-    if e != 12 * f.n:
-        raise InvariantViolation(f"Euler number {e} != 12n = {12 * f.n}")
     chi = e // 12
     p_g = chi - 1
     b2 = e - 2
     h11 = b2 - 2 * p_g
-    rank = mw_rank_char0(f)
     ns_dim = 2 + sum(fb.components - 1 for fb in fibers) + rank
     return SurfaceInvariants(
         n=f.n,

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import constj.count as count_mod
 import constj.lfunc as lfunc_mod
 from constj.cli import main, render_json
 from constj.errors import FalsifiedClaimError
@@ -174,15 +175,40 @@ def test_verify_exit_two_on_strict_raise(capsys, monkeypatch):
     assert "FAILURE" in err
 
 
-def test_reports_byte_identical_across_jobs(capsys, tmp_path):
-    argv = ["zeta", "--p", "5", "--pattern", "5,5,5,3", "--format", "json"]
-    _, out1, _ = run_cli(capsys, argv + ["--jobs", "1", "--cache-dir", str(tmp_path / "a")])
-    _, out2, _ = run_cli(capsys, argv + ["--jobs", "2", "--cache-dir", str(tmp_path / "b")])
-    # the config echo includes the jobs flag; reports must agree elsewhere
-    r1, r2 = json.loads(out1), json.loads(out2)
-    r1["config"].pop("jobs"), r2["config"].pop("jobs")
-    r1["config"].pop("cache_dir"), r2["config"].pop("cache_dir")
-    assert render_json(r1) == render_json(r2)
+def test_warm_cache_report_byte_identical_without_counting(capsys, tmp_path, monkeypatch):
+    argv = ["zeta", "--p", "5", "--pattern", "5,5,5,3", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    code, cold, _ = run_cli(capsys, argv)
+    assert code == 0
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a warm cache must serve every count")
+
+    monkeypatch.setattr(count_mod, "count_points", no_sweep)
+    code, warm, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert warm == cold
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "5"],
+        ["verify", "--p", "5", "--pattern", "5,5,5,3", "--jcase", "7"],
+        ["verify", "--p", "5", "--pattern", "5,5,5,3", "--jobs", "2"],
+    ],
+    ids=["missing-pattern", "bad-jcase", "removed-jobs"],
+)
+def test_usage_error_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == "" and "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--help"])
+    assert code == 0
+    assert "--pattern" in out
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Point counting: brute-force oracles, partner equality, cache, parallelism,
+"""Point counting: brute-force oracles, partner equality, cache, chunking,
 the power-class table with its code multiplier, and the joint count of all
 covers of a form against the smooth-model oracle."""
 
@@ -169,13 +169,12 @@ def test_weil_check_names_level_and_counts(f5553):
         count_mod._assert_weil(curve, 5, 2, 10_000)
 
 
-def test_parallel_matches_serial_across_chunks(monkeypatch, f5553):
-    monkeypatch.setattr(count_mod, "_CHUNK", 500)  # force many chunks
-    curves = tuple(CurveSpec(f5553, a) for a in (6, 2, 3))
+def test_many_chunk_sweep_matches_smooth_model(monkeypatch, f5553):
+    monkeypatch.setattr(count_mod, "_CHUNK", 500)  # F_{5^5} in seven chunks
+    orders = (6, 2, 3)
     ctx = make_field(5, 5)
-    serial = count_points(curves, ctx, jobs=1)
-    parallel = count_points(curves, ctx, jobs=3)
-    assert serial == parallel
+    swept = count_points(tuple(CurveSpec(f5553, a) for a in orders), ctx)
+    assert swept == smooth_model_counts(f5553, orders, ctx)
 
 
 def test_count_series_and_cache(tmp_path, f5553):
@@ -352,9 +351,9 @@ def test_flagship_bundle_sweeps_once_and_builds_one_table_per_field(monkeypatch)
     calls = []
     sweep = count_mod.count_points
 
-    def counted(curves, ctx, jobs=1):
+    def counted(curves, ctx):
         calls.append((ctx.q, tuple(c.a for c in curves)))
-        return sweep(curves, ctx, jobs=jobs)
+        return sweep(curves, ctx)
 
     monkeypatch.setattr(count_mod, "count_points", counted)
     count_mod.power_class_table.cache_clear()
