@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
@@ -23,6 +24,7 @@ from .errors import FalsifiedClaimError, InvariantViolation, ValidationError
 _JSON_INT_LIMIT = 1 << 53
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="constj",
@@ -42,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
             p_cmd.add_argument("--roots", default=None,
                                help="root list matching the pattern, e.g. 0,1,inf,2 "
                                     "(default: 0,1,inf,2,3,...)")
-            p_cmd.add_argument("--imax", type=int, default=None,
-                               help="count levels 1..imax (must cover the genus)")
             p_cmd.add_argument("--cache-dir", default=None,
                                help="directory for the point-count cache")
 
@@ -174,7 +174,6 @@ def _parse_run_config(args, command: str) -> dict:
         "p": args.p,
         "pattern": pattern,
         "roots": roots,
-        "i_max": args.imax,
         "cache_dir": args.cache_dir,
         "format": args.format,
     }
@@ -238,7 +237,7 @@ def run_pipeline(cfg: dict, with_verdict: bool) -> tuple[dict, Optional[lfunc.Ve
             f"pattern {list(f.pattern)} has no rational partner; use zeta instead"
         )
 
-    bundle = lfunc.zeta_bundle(f, cfg["p"], cache=cache, i_max_override=cfg["i_max"])
+    bundle = lfunc.zeta_bundle(f, cfg["p"], cache=cache)
     verdict_obj = lfunc.verdict_from_bundle(bundle, strict=False) if with_verdict else None
 
     counts_section = {

@@ -5,7 +5,8 @@ F_q-rational components) smooth projective curve is reconstructed from
 power sums s_i = r(q^i + 1) - N(q^i) via Newton's identities, with the
 upper half filled in by the functional equation c_{2g-i} = q^{g-i} c_i.
 Every division must be exact; a non-integral coefficient means the counts
-are wrong and is reported as such.
+are wrong and is reported as such.  Each rebuilt factor is checked to be a
+Weil polynomial by an integer Sturm count, with no floating point.
 
 The interesting part of H^1 of the full cover is the primitive eigenspace
 factor: the full numerator is that factor times the subcover numerators.
@@ -22,8 +23,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-import numpy as np
-
 from .count import CountCache, CountSeries, count_series
 from .curve import CurveSpec, eigenspace_dims
 from .errors import (
@@ -36,9 +35,6 @@ from .errors import (
 from .forms import FactoredForm, J0, JCase
 from .gf import is_prime
 from .taxonomy import is_partner_rational
-
-ROOT_MODULUS_RTOL = 1e-6
-
 
 def _frac_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     num = num[:]
@@ -55,19 +51,14 @@ def _frac_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fractio
     return quot, num
 
 
-def _squarefree_part(coeffs: tuple[int, ...]) -> list[Fraction]:
-    """Exact squarefree part: P / gcd(P, P')."""
-    poly = [Fraction(c) for c in coeffs]
-    deriv = [Fraction(i * c) for i, c in enumerate(coeffs)][1:] or [Fraction(0)]
-    a, b = poly, deriv
-    while len(b) > 1 or b[0] != 0:
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    gcd_poly = [c / a[-1] for c in a]
-    quot, rem = _frac_divmod(poly, gcd_poly)
-    if len(rem) > 1 or rem[0] != 0:
-        raise InvariantViolation("squarefree-part division must be exact")
-    return quot
+def _value(poly: list[Fraction], x: int) -> Fraction:
+    return sum((c * x**i for i, c in enumerate(poly)), Fraction(0))
+
+
+def _sign_changes(chain: list[list[Fraction]], x: int) -> int:
+    """Sign changes at x along a polynomial sequence, zeroes skipped."""
+    signs = [v > 0 for v in (_value(poly, x) for poly in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 @dataclass(frozen=True)
@@ -96,21 +87,37 @@ class LPolynomial:
             if self.coeffs[2 * self.g - i] != self.q ** (self.g - i) * self.coeffs[i]:
                 raise InvariantViolation(f"functional equation fails at i={i}")
 
-    def check_root_moduli(self, rtol: float = ROOT_MODULUS_RTOL) -> None:
-        """All complex reciprocal roots have |alpha| = sqrt(q), floating check.
+    def check_root_moduli(self) -> None:
+        """All reciprocal roots have |alpha| = sqrt(q), in exact arithmetic.
 
-        Repeated roots are ill-conditioned for numeric root finders, so the
-        roots are taken from the squarefree part (computed exactly first).
+        With the functional equation, L(T) = T^g R(qT + 1/T), and alpha is
+        on the sqrt(q) circle exactly when beta = alpha + q/alpha is real
+        with beta^2 <= 4q.  S(z), defined by S(x^2) = (-1)^g R(x) R(-x), is
+        monic of degree g with the roots beta_i^2, so the check is that all
+        g roots of S lie in [0, 4q]: after dividing out the roots at the
+        endpoints, a Sturm count over (0, 4q) must find every distinct root
+        (Kedlaya, "Search techniques for root-unitary polynomials", 2008).
         """
-        if self.degree == 0:
+        self.check_functional_equation()
+        q, g, c = self.q, self.g, self.coeffs
+        # R = c_g + sum_k c_{g-k} D_k(x), where D_k(qT + 1/T) = T^-k + q^k T^k
+        r, d_prev, d = [c[g]] + [0] * g, [2], [0, 1]
+        for k in range(1, g + 1):
+            for j, v in enumerate(d):
+                r[j] += c[g - k] * v
+            d_prev, d = d, [a - q * b for a, b in zip([0, *d], d_prev + [0, 0])]
+        even = poly_mul(tuple(r), tuple((-1) ** j * v for j, v in enumerate(r)))
+        s = [Fraction((-1) ** g * v) for v in even[::2]]
+        for end in (0, 4 * q):  # divide out the roots at the endpoints
+            while _value(s, end) == 0:
+                s = _frac_divmod(s, [Fraction(-end), Fraction(1)])[0]
+        if len(s) == 1:
             return
-        squarefree = _squarefree_part(self.coeffs)
-        scale = float(self.q) ** 0.5
-        balanced = [float(c) / scale**i for i, c in enumerate(squarefree)]
-        roots = np.roots(balanced[::-1])
-        err = np.abs(np.abs(roots) - 1.0)
-        if err.size and float(err.max()) > rtol:
-            raise InvariantViolation(f"reciprocal root off the sqrt(q) circle by {err.max():.3g}")
+        chain = [s, [i * v for i, v in enumerate(s)][1:]]
+        while any(rem := _frac_divmod(chain[-2], chain[-1])[1]):
+            chain.append([-v for v in rem])
+        if _sign_changes(chain, 0) - _sign_changes(chain, 4 * q) != len(s) - len(chain[-1]):
+            raise InvariantViolation("reciprocal root off the sqrt(q) circle")
 
     def power_sum(self, i: int) -> int:
         """Sum of i-th powers of the reciprocal roots, by Newton's identities."""
@@ -131,9 +138,10 @@ class LPolynomial:
 def lpolynomial(series: CountSeries, known: Optional[LPolynomial] = None) -> LPolynomial:
     """Reconstruct the zeta numerator from counts at levels 1..g.
 
-    With a known factor of genus g_k, only the other factor is reconstructed,
-    from the power sums r(q^i + 1) - N_i - s_i(known) at levels 1..g - g_k,
-    and the product is returned.  Counts beyond that level, when present,
+    With a known factor of genus g_k, a Weil polynomial, only the other
+    factor is reconstructed and checked, from the power sums
+    r(q^i + 1) - N_i - s_i(known) at levels 1..g - g_k, and the product is
+    returned.  Counts beyond that level, when present,
     are checked against the numerator (functional-equation redundancy); any
     mismatch or non-integral coefficient raises CountDataError.
     """
@@ -174,16 +182,13 @@ def _reconstruct(
         coeffs.append(q ** (g_new - i) * coeffs[i])
 
     new = LPolynomial(coeffs=tuple(coeffs), q=q, g=g_new)
-    new.check_functional_equation()
     try:
         new.check_root_moduli()
     except InvariantViolation as exc:
         raise CountDataError(f"{where}: levels 1..{g_new} give a factor with a {exc}") from exc
     lpoly = new
-    if known.g:
+    if known.g:  # a product of Weil polynomials is one
         lpoly = LPolynomial(coeffs=poly_mul(new.coeffs, known.coeffs), q=q, g=g_tot)
-        lpoly.check_functional_equation()
-        lpoly.check_root_moduli()
     for i, n_actual in series.counts:
         if i > g_new:
             predicted = predicted_count(lpoly, r, i)
@@ -264,7 +269,6 @@ def zeta_bundle(
     f: FactoredForm,
     p: int,
     cache: Optional[CountCache] = None,
-    i_max_override: Optional[int] = None,
 ) -> ZetaBundle:
     """Count the covers of f over F_p and reconstruct their numerators.
 
@@ -274,8 +278,7 @@ def zeta_bundle(
     of degree 2(k-2), comes from the power sums at levels 1..k-2 minus those
     of the subcover numerators, level k-1 is checked against the product,
     and the levels up to the required one are filled in with predicted
-    counts.  With i_max_override every cover is counted to that level and
-    every level beyond k-2 is checked.
+    counts.
     """
     if f.is_abstract or f.p != p:
         raise ValidationError(f"need a concrete form over F_{p}")
@@ -291,17 +294,7 @@ def zeta_bundle(
         raise InvariantViolation("eigenspace factor degree disagrees with eigenspace dimension")
 
     needed = [required_level(c) for c in curves]
-    if i_max_override is not None:
-        too_low = [
-            f"cover u^{c.a}: levels 1..{n}" for c, n in zip(curves, needed) if i_max_override < n
-        ]
-        if too_low:
-            raise ValidationError(
-                "i_max too small; count " + "; ".join(too_low)
-            )
-        needed = counted = [i_max_override] * len(curves)
-    else:
-        counted = [min(needed[0], f.k - 1), *needed[1:]]
+    counted = [min(needed[0], f.k - 1), *needed[1:]]
     for c, n in zip(curves, counted):
         i = next((i for i in range(1, n + 1) if p**i > _MAX_FIELD_Q), None)
         if i is not None:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from constj.forms import FactoredForm, J0, J1728, JCase, form_from_roots
 from constj.gf import FieldContext, ProjPoint, enumerate_p1, nth_power_count
+from constj.lfunc import LPolynomial, _frac_divmod
 from constj import forms
 
 
@@ -79,6 +82,35 @@ def smooth_model_counts(f: FactoredForm, orders, ctx: FieldContext) -> tuple[int
 def enumeration_power_count(ctx: FieldContext, c, n: int) -> int:
     """#\\{u : u^n = c\\} by exhausting u; the oracle for nth_power_count."""
     return sum(1 for code in range(ctx.q) if ctx.pow(ctx.from_code(code), n) == c)
+
+
+def _squarefree_part(coeffs: tuple[int, ...]) -> list[Fraction]:
+    """Exact squarefree part: P / gcd(P, P')."""
+    poly = [Fraction(c) for c in coeffs]
+    deriv = [Fraction(i * c) for i, c in enumerate(coeffs)][1:] or [Fraction(0)]
+    a, b = poly, deriv
+    while len(b) > 1 or b[0] != 0:
+        _, r = _frac_divmod(a, b)
+        a, b = b, r
+    gcd_poly = [c / a[-1] for c in a]
+    quot, rem = _frac_divmod(poly, gcd_poly)
+    assert not any(rem)
+    return quot
+
+
+def float_root_moduli_ok(lp: LPolynomial) -> bool:
+    """Floating-point Weil check, the oracle for LPolynomial.check_root_moduli.
+
+    Repeated roots are ill-conditioned for numeric root finders, so the
+    roots are taken from the squarefree part (computed exactly first).
+    """
+    if lp.degree == 0:
+        return True
+    squarefree = _squarefree_part(lp.coeffs)
+    scale = float(lp.q) ** 0.5
+    balanced = [float(c) / scale**i for i, c in enumerate(squarefree)]
+    roots = np.roots(balanced[::-1])
+    return bool(np.all(np.abs(np.abs(roots) - 1.0) <= 1e-6))
 
 
 @pytest.fixture(scope="session")

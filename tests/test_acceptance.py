@@ -257,12 +257,12 @@ def test_criterion_9_oracle_battery():
                 assert (n_pts - r_q * (q + 1)) ** 2 <= 4 * curve.total_genus**2 * q
                 n_counts += 1
 
-    # integrality of every zeta coefficient, and root moduli within 1e-6
+    # integrality of every zeta coefficient, and exact root moduli
     for tag in ("small", "full", "j1728"):
         for lp in (*_bundle(tag).lpolys, _bundle(tag).new_factor):
             assert all(isinstance(c, int) for c in lp.coeffs)
             lp.check_functional_equation()
-            lp.check_root_moduli(rtol=1e-6)
+            lp.check_root_moduli()
 
     # functional-equation redundancy: one extra level for every curve of
     # total genus <= 4 (the series carry level g+1 by construction)
@@ -282,5 +282,5 @@ def test_criterion_9_oracle_battery():
         9,
         elapsed,
         f"{checked} squarefree agreements (q <= 343), Weil bounds on {n_counts} counts, "
-        f"integral coefficients, {redundant} redundancy checks, root moduli at 1e-6",
+        f"integral coefficients, {redundant} redundancy checks, exact root moduli",
     )

@@ -7,7 +7,7 @@ import pytest
 
 import constj.count as count_mod
 import constj.lfunc as lfunc_mod
-from constj.cli import main, render_json
+from constj.cli import build_parser, main, render_json
 from constj.errors import FalsifiedClaimError
 
 
@@ -196,8 +196,9 @@ def test_warm_cache_report_byte_identical_without_counting(capsys, tmp_path, mon
         ["verify", "--p", "5"],
         ["verify", "--p", "5", "--pattern", "5,5,5,3", "--jcase", "7"],
         ["verify", "--p", "5", "--pattern", "5,5,5,3", "--jobs", "2"],
+        ["verify", "--p", "5", "--pattern", "5,5,5,3", "--imax", "5"],
     ],
-    ids=["missing-pattern", "bad-jcase", "removed-jobs"],
+    ids=["missing-pattern", "bad-jcase", "removed-jobs", "removed-imax"],
 )
 def test_usage_error_exits_one(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -272,21 +273,24 @@ def test_reports_match_golden_files(capsys, name, args):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    assert build_parser() is build_parser()
+    assert run_cli(capsys, ["verify", "--p", "5"])[0] == 1
+    code, out, _ = run_cli(capsys, ["verify", "--help"])
+    assert code == 0 and "--pattern" in out
+    code, out, _ = run_cli(
+        capsys, ["verify", "--p", "5", "--pattern", "5,5,5,5,5,5", "--format", "json"]
+    )
+    assert code == 0
+    assert out == (GOLDEN / "verify_j0_555555_p5.json").read_text()
+
+
 def test_default_roots_are_canonical(capsys):
     code, out, _ = run_cli(
         capsys, ["zeta", "--p", "5", "--pattern", "5,5,5,3", "--format", "json"]
     )
     assert code == 0
     assert json.loads(out)["config"]["roots"] == ["0", "1", "inf", "2"]
-
-
-def test_imax_too_small_lists_needed_levels(capsys):
-    code, _, err = run_cli(
-        capsys,
-        ["verify", "--p", "5", "--pattern", "5,5,5,3", "--imax", "2"],
-    )
-    assert code == 1
-    assert "count" in err and "1..5" in err
 
 
 def test_big_integers_become_strings():

@@ -1,8 +1,10 @@
 """Zeta numerators, eigenspace factor, Newton polygons, verdicts."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from constj.count import CountSeries, count_series
 from constj.curve import CurveSpec, eigenspace_dims
@@ -10,6 +12,7 @@ from constj.errors import (
     BranchInconsistencyError,
     CountDataError,
     FalsifiedClaimError,
+    InvariantViolation,
     ValidationError,
 )
 from constj.forms import J0, J1728, Place, form_from_roots, parse_form
@@ -31,7 +34,7 @@ from constj.lfunc import (
 )
 from constj.taxonomy import catalog
 
-from conftest import concrete_form
+from conftest import concrete_form, float_root_moduli_ok
 
 
 def test_lpolynomial_of_elliptic_curve():
@@ -251,11 +254,63 @@ def test_root_moduli_check_rejects_non_weil_polynomial():
         lp.check_root_moduli()
 
 
-def test_i_max_override_guard(f5553):
-    with pytest.raises(ValidationError, match="i_max too small"):
-        zeta_bundle(f5553, 5, i_max_override=2)
-    bundle = zeta_bundle(f5553, 5, i_max_override=5)
-    assert all(s.i_max == 5 for s in bundle.series)
+def _root_check_passes(lp: LPolynomial) -> bool:
+    try:
+        lp.check_root_moduli()
+    except InvariantViolation as exc:
+        assert "circle" in str(exc)
+        return False
+    return True
+
+
+def _product_of_quadratics(traces, q):
+    coeffs = (1,)
+    for a in traces:
+        coeffs = poly_mul(coeffs, (1, -a, q))
+    return LPolynomial(coeffs=coeffs, q=q, g=len(traces))
+
+
+@pytest.mark.parametrize("q", [5, 7, 25, 49, 125])
+def test_root_check_weil_bound_edges(q):
+    b = isqrt(4 * q)  # floor(2 sqrt(q))
+    for a, weil in ((b + 1, False), (-b - 1, False), (b, True), (-b, True)):
+        lp = LPolynomial(coeffs=(1, a, q), q=q, g=1)
+        assert _root_check_passes(lp) is weil
+        assert float_root_moduli_ok(lp) is weil
+    # beta = +-i: the functional equation holds, the Weil bound does not
+    lp = LPolynomial(coeffs=(1, 0, 2 * q + 1, 0, q * q), q=q, g=2)
+    assert not _root_check_passes(lp) and not float_root_moduli_ok(lp)
+
+
+@pytest.mark.parametrize("coeffs, q", [((1, 0, 10, 0, 25), 5), ((1, 10, 25), 25)])
+def test_root_check_accepts_repeated_roots(coeffs, q):
+    lp = LPolynomial(coeffs=coeffs, q=q, g=len(coeffs) // 2)
+    assert _root_check_passes(lp) and float_root_moduli_ok(lp)
+
+
+def test_root_check_rejects_a_root_past_a_repeated_boundary_root():
+    # S(z) = (z - 4q)^2 (z - 5q)^2 at q = 25: every Sturm polynomial vanishes
+    # at 4q unless the boundary roots are divided out first
+    boundary = _product_of_quadratics([10, 10], 25)
+    lp = LPolynomial(coeffs=poly_mul(boundary.coeffs, (1, 0, -75, 0, 625)), q=25, g=4)
+    assert not _root_check_passes(lp) and not float_root_moduli_ok(lp)
+
+
+def test_root_check_requires_functional_equation():
+    lp = LPolynomial(coeffs=(1, 1, 0, 2, 25), q=5, g=2)
+    with pytest.raises(InvariantViolation, match="functional equation"):
+        lp.check_root_moduli()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(q=st.sampled_from([5, 7, 9, 11, 25, 49, 125]), data=st.data())
+def test_root_check_on_products_of_quadratics(q, data):
+    b = isqrt(4 * q)
+    traces = data.draw(st.lists(st.integers(-b, b), min_size=1, max_size=4))
+    assert _root_check_passes(_product_of_quadratics(traces, q))
+    bad = data.draw(st.integers(0, len(traces) - 1))
+    traces[bad] = data.draw(st.sampled_from([1, -1])) * data.draw(st.integers(b + 1, b + 5))
+    assert not _root_check_passes(_product_of_quadratics(traces, q))
 
 
 def _full_genus_route_cases():
@@ -268,6 +323,25 @@ def _full_genus_route_cases():
                     tag = ",".join(map(str, row.pattern))
                     cases.append(pytest.param(jcase, row.pattern, p, id=f"{jcase.tag}-{tag}-p{p}"))
     return cases
+
+
+def _oracle_cases():
+    cases = [pytest.param(*case.values, None, id=case.id) for case in _full_genus_route_cases()]
+    # the acceptance bundles not among them
+    cases.append(pytest.param(J0, (5,) * 6, 5, None, id="j0-5,5,5,5,5,5-p5"))
+    cases.append(pytest.param(J1728, (3, 3, 3, 3), 7, "0,1,3,inf", id="j1728-3,3,3,3-p7-roots"))
+    return cases
+
+
+@pytest.mark.parametrize("jcase, pattern, p, roots", _oracle_cases())
+def test_exact_root_check_agrees_with_float_oracle(jcase, pattern, p, roots):
+    if roots is None:
+        f = concrete_form(jcase, pattern, p)
+    else:
+        f = form_from_roots(jcase, list(pattern), roots.split(","), p=p)
+    bundle = zeta_bundle(f, p)
+    for lp in (*bundle.lpolys, bundle.new_factor):
+        assert _root_check_passes(lp) and float_root_moduli_ok(lp)
 
 
 @pytest.mark.parametrize("jcase, pattern, p", _full_genus_route_cases())
