@@ -230,7 +230,7 @@ def _polygon_json(poly: lfunc.NewtonPolygon) -> list[list[str]]:
 def run_pipeline(cfg: dict, with_verdict: bool) -> tuple[dict, Optional[lfunc.Verdict]]:
     jcase = forms.jcase_from_tag(cfg["jcase"])
     f = forms.form_from_roots(jcase, cfg["pattern"], cfg["roots"], p=cfg["p"])
-    cache = count.CountCache(cfg["cache_dir"]) if cfg["cache_dir"] else None
+    cache = count.CountCache(cfg["cache_dir"], f) if cfg["cache_dir"] else None
 
     if with_verdict and not taxonomy.is_partner_rational(f):
         raise ValidationError(

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__ as TOOL_VERSION
 from .curve import CurveSpec
 from .errors import InvariantViolation, ValidationError
-from .forms import ProjPoint, local_unit
+from .forms import FactoredForm, ProjPoint, local_unit
 from .gf import FieldContext, FieldElement, make_field
 
 _CHUNK = 1 << 20
@@ -320,16 +320,20 @@ def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, .
     return tuple(totals)
 
 
-def _assert_weil(curve: CurveSpec, p: int, i: int, n_points: int) -> None:
+def _assert_weil(
+    curve: CurveSpec, p: int, i: int, n_points: int, source: Optional[Path] = None
+) -> None:
     """|N - r_q(q+1)| <= 2 G sqrt(q) at q = p^i, exactly, with r_q the number
-    of Frobenius-stable components and G the total geometric genus."""
+    of Frobenius-stable components and G the total geometric genus.  The
+    message names the cover, the prime and, for a cached count, its file."""
     q = p**i
     r_q = gcd(curve.components, q - 1)
     g_tot = curve.total_genus
     if (n_points - r_q * (q + 1)) ** 2 > 4 * g_tot * g_tot * q:
+        read_from = f"; count read from {source}" if source is not None else ""
         raise InvariantViolation(
-            f"Weil bound violated at level {i}: N={n_points}, q={q}, "
-            f"components={r_q}, total genus={g_tot}"
+            f"cover a={curve.a} over F_{p}: Weil bound violated at level {i}: N={n_points}, "
+            f"q={q}, components={r_q}, total genus={g_tot}{read_from}"
         )
 
 
@@ -358,12 +362,15 @@ class CountSeries:
 
 
 class CountCache:
-    """Append-only line cache: p, level, curve key, count, tool version.
-    A record of another tool version is a miss, so it is counted again."""
+    """Append-only count file of one form, DIR/<form key>.counts, so a run
+    reads only its own form's records.  One record per line: p, level,
+    curve key, count, tool version; the last record of a key wins.  A
+    record of another tool version is a miss, so it is counted again."""
 
-    def __init__(self, directory) -> None:
-        self.path = Path(directory) / "counts.cache"
+    def __init__(self, directory: str | Path, f: FactoredForm) -> None:
+        self.path = Path(directory) / f"{f.key()}.counts"
         self._records: Optional[dict[tuple[int, int, str], int]] = None
+        self._dir_made = False
 
     def _load(self) -> dict[tuple[int, int, str], int]:
         if self._records is None:
@@ -388,7 +395,9 @@ class CountCache:
         return self._load().get((p, i, key))
 
     def put(self, p: int, i: int, key: str, count: int) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if not self._dir_made:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._dir_made = True
         with self.path.open("a") as fh:
             fh.write(f"{p} {i} {key} {count} {TOOL_VERSION}\n")
             fh.flush()
@@ -402,9 +411,10 @@ def count_series(
 ) -> tuple[CountSeries, ...]:
     """Counts of covers of one form, cover c at levels 1..levels[c].
 
-    Walks the levels in turn: at each one, the covers the cache does not
-    hold there are counted together in one sweep and their counts appended
-    to the cache.
+    Walks the levels in turn: at each one, the covers the cache (the form's
+    count file) does not hold there are counted together in one sweep and
+    their counts appended to the cache.  A cached count is checked against
+    the Weil bound as it is read.
     """
     p = curves[0].f.p
     keys = [c.key() for c in curves]
@@ -412,6 +422,9 @@ def count_series(
     for i in range(1, max(levels, default=0) + 1):
         due = [idx for idx, n in enumerate(levels) if i <= n]
         found = {idx: cache.get(p, i, keys[idx]) for idx in due} if cache is not None else {}
+        for idx, value in found.items():
+            if value is not None:
+                _assert_weil(curves[idx], p, i, value, cache.path)
         missing = [idx for idx in due if found.get(idx) is None]
         if missing:
             fresh = count_points([curves[idx] for idx in missing], make_field(p, i))

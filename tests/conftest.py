@@ -115,10 +115,8 @@ def float_root_moduli_ok(lp: LPolynomial) -> bool:
 
 @pytest.fixture(scope="session")
 def shared_cache(tmp_path_factory):
-    """One point-count cache for the whole session; heavy counts run once."""
-    from constj.count import CountCache
-
-    return CountCache(tmp_path_factory.mktemp("counts"))
+    """One point-count cache directory for the whole session; heavy counts run once."""
+    return tmp_path_factory.mktemp("counts")
 
 
 @pytest.fixture(scope="session")

@@ -225,7 +225,7 @@ def test_wrong_cached_full_cover_count_exits_two(capsys, tmp_path, level, delta,
     # levels 1..2 give the new factor and level 3 is the redundancy check
     argv = ["verify", "--p", "5", "--pattern", "5,5,5,3", "--cache-dir", str(tmp_path)]
     assert run_cli(capsys, argv)[0] == 0
-    cache_file = tmp_path / "counts.cache"
+    (cache_file,) = tmp_path.glob("*.counts")
     (record,) = [
         line for line in cache_file.read_text().splitlines()
         if line.startswith(f"5 {level} ") and ":a=6 " in line
@@ -300,3 +300,22 @@ def test_big_integers_become_strings():
     assert rendered["big"] == str(2**60)
     assert rendered["neg"] == str(-(2**60))
     assert rendered["nested"] == [str(2**54)]
+
+
+def test_cached_count_past_weil_bound_names_cover_prime_and_file(capsys, tmp_path):
+    argv = ["verify", "--p", "7", "--pattern", "5,5,5,3", "--cache-dir", str(tmp_path)]
+    assert run_cli(capsys, argv)[0] == 0
+    (cache_file,) = tmp_path.glob("*.counts")
+    (record,) = [
+        line for line in cache_file.read_text().splitlines()
+        if line.startswith("7 1 ") and ":a=6 " in line
+    ]
+    p, i, key, _, version = record.split()
+    with cache_file.open("a") as fh:  # the last record wins
+        fh.write(f"{p} {i} {key} 1009 {version}\n")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert (
+        "HARD FAILURE: cover a=6 over F_7: Weil bound violated at level 1: N=1009, q=7, "
+        f"components=1, total genus=4; count read from {cache_file}"
+    ) in err

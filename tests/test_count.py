@@ -3,6 +3,7 @@ the power-class table with its code multiplier, and the joint count of all
 covers of a form against the smooth-model oracle."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_many_chunk_sweep_matches_smooth_model(monkeypatch, f5553):
 
 
 def test_count_series_and_cache(tmp_path, f5553):
-    cache = CountCache(tmp_path)
+    cache = CountCache(tmp_path, f5553)
     curve = CurveSpec(f5553, 6)
     (series,) = count_series((curve,), (4,), cache=cache)
     assert [i for i, _ in series.counts] == [1, 2, 3, 4]
@@ -190,7 +191,7 @@ def test_count_series_and_cache(tmp_path, f5553):
     def boom(*args, **kwargs):
         raise AssertionError("sweep ran despite a warm cache")
 
-    fresh = CountCache(tmp_path)
+    fresh = CountCache(tmp_path, f5553)
     monkey_target = count_mod.count_points
     count_mod.count_points = boom
     try:
@@ -201,33 +202,95 @@ def test_count_series_and_cache(tmp_path, f5553):
 
 
 def test_cache_corruption_recounts_with_warning(tmp_path, f5553):
-    cache = CountCache(tmp_path)
+    cache = CountCache(tmp_path, f5553)
     curve = CurveSpec(f5553, 2)
     (series,) = count_series((curve,), (2,), cache=cache)
     cache.path.write_text("garbage line\n5 x {key} 1 v\n".format(key=curve.key()))
-    fresh = CountCache(tmp_path)
+    fresh = CountCache(tmp_path, f5553)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         (again,) = count_series((curve,), (2,), cache=fresh)
     assert again.counts == series.counts
     assert any("corrupt" in str(w.message) for w in caught)
-    # the recount appended valid records: a third pass is pure cache hits
-    final = CountCache(tmp_path)
-    assert final.get(5, 1, curve.key()) == series.n(1)
+    # the recount appended valid records: a third pass is pure cache hits,
+    # and the corrupt lines left in the file still warn a later reader
+    final = CountCache(tmp_path, f5553)
+    with pytest.warns(UserWarning, match="corrupt cache record"):
+        assert final.get(5, 1, curve.key()) == series.n(1)
 
 
 def test_cache_ignores_records_of_another_version(tmp_path, f5553):
     curve = CurveSpec(f5553, 2)
     (series,) = count_series((curve,), (1,))
     n = series.n(1)
-    cache = CountCache(tmp_path)
+    cache = CountCache(tmp_path, f5553)
     cache.path.write_text(f"5 1 {curve.key()} {n + 1} 0.0.0-stale\n")
     assert cache.get(5, 1, curve.key()) is None
     (again,) = count_series((curve,), (1,), cache=cache)
     assert again.counts == series.counts
     # recounted and appended under this version, which a fresh reader trusts
     assert cache.path.read_text().splitlines()[1] == f"5 1 {curve.key()} {n} {TOOL_VERSION}"
-    assert CountCache(tmp_path).get(5, 1, curve.key()) == n
+    assert CountCache(tmp_path, f5553).get(5, 1, curve.key()) == n
+
+
+def test_two_writers_interleave_and_the_last_record_wins(tmp_path, f5553):
+    key6, key2 = CurveSpec(f5553, 6).key(), CurveSpec(f5553, 2).key()
+    first, second = CountCache(tmp_path / "new", f5553), CountCache(tmp_path / "new", f5553)
+    first.put(5, 1, key6, 10)
+    second.put(5, 1, key2, 20)
+    second.put(5, 1, key6, 11)
+    first.put(5, 2, key6, 30)
+    first.put(5, 1, key2, 21)
+    reader = CountCache(tmp_path / "new", f5553)
+    assert reader._load() == {(5, 1, key6): 11, (5, 1, key2): 21, (5, 2, key6): 30}
+    assert len(reader.path.read_text().splitlines()) == 5
+
+
+def test_warm_read_opens_only_its_own_forms_file(tmp_path, monkeypatch, f5553):
+    f552 = concrete_form(J0, (5, 5, 2))
+    forms_and_curves = {
+        f: tuple(CurveSpec(f, a) for a in cover_orders(J0)) for f in (f5553, f552)
+    }
+    cold = {f: count_series(curves, (2, 2, 2), cache=CountCache(tmp_path, f))
+            for f, curves in forms_and_curves.items()}
+    paths = {f: CountCache(tmp_path, f).path for f in forms_and_curves}
+    assert sorted(tmp_path.iterdir()) == sorted(paths.values())
+
+    read = []
+    real_read_text = Path.read_text
+
+    def spy_read_text(path, *args, **kwargs):
+        read.append(path)
+        return real_read_text(path, *args, **kwargs)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a warm cache must serve every count")
+
+    monkeypatch.setattr(Path, "read_text", spy_read_text)
+    monkeypatch.setattr(count_mod, "count_points", no_sweep)
+    reader = CountCache(tmp_path, f5553)
+    warm = count_series(forms_and_curves[f5553], (2, 2, 2), cache=reader)
+    assert warm == cold[f5553]
+    assert read == [paths[f5553]]
+    # the file read holds the form's 3 covers x 2 levels and nothing else
+    records = reader._load()
+    assert len(records) == 6
+    assert {key for _, _, key in records} == {c.key() for c in forms_and_curves[f5553]}
+
+
+def test_old_layout_cache_file_is_never_read(tmp_path, f5553):
+    curve = CurveSpec(f5553, 6)
+    (series,) = count_series((curve,), (2,))
+    stale = "garbage line\n" + "".join(
+        f"5 {i} {curve.key()} {n + 1} {TOOL_VERSION}\n" for i, n in series.counts
+    )
+    (tmp_path / "counts.cache").write_text(stale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (again,) = count_series((curve,), (2,), cache=CountCache(tmp_path, f5553))
+    assert again.counts == series.counts
+    assert (tmp_path / "counts.cache").read_text() == stale
+    assert len(CountCache(tmp_path, f5553).path.read_text().splitlines()) == 2
 
 
 def test_count_series_below_genus_is_fine_but_lfunc_rejects(f5553):

@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from constj.count import CountSeries, count_series
+from constj.count import CountCache, CountSeries, count_series
 from constj.curve import CurveSpec, eigenspace_dims
 from constj.errors import (
     BranchInconsistencyError,
@@ -104,7 +104,8 @@ def test_new_factor_small_case(f5553):
 
 
 def test_new_factor_squarefree_sextic_degree(f_squarefree_sextic, shared_cache):
-    bundle = zeta_bundle(f_squarefree_sextic, 5, cache=shared_cache)
+    cache = CountCache(shared_cache, f_squarefree_sextic)
+    bundle = zeta_bundle(f_squarefree_sextic, 5, cache=cache)
     assert bundle.new_factor.degree == 8  # 2(k-2), k = 6
     assert bundle.new_factor.degree == 2 * eigenspace_dims(f_squarefree_sextic)[1]
 
@@ -123,7 +124,7 @@ def test_new_factor_division_exact_for_every_catalog_pattern(shared_cache):
 
     for row in catalog(J0):
         f = concrete_form(J0, row.pattern)
-        bundle = zeta_bundle(f, 5, cache=shared_cache)
+        bundle = zeta_bundle(f, 5, cache=CountCache(shared_cache, f))
         assert bundle.new_factor.degree == 2 * (row.k - 2)
         product = bundle.lpolys[1].coeffs
         product = poly_mul(product, bundle.lpolys[2].coeffs)
