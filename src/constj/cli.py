@@ -174,7 +174,6 @@ def _parse_run_config(args, command: str) -> dict:
         "p": args.p,
         "pattern": pattern,
         "roots": roots,
-        "cache_dir": args.cache_dir,
         "format": args.format,
     }
 
@@ -227,10 +226,12 @@ def _polygon_json(poly: lfunc.NewtonPolygon) -> list[list[str]]:
     return [[str(slope), str(length)] for slope, length in poly.segments]
 
 
-def run_pipeline(cfg: dict, with_verdict: bool) -> tuple[dict, Optional[lfunc.Verdict]]:
+def run_pipeline(
+    cfg: dict, cache_dir: Optional[str], with_verdict: bool
+) -> tuple[dict, Optional[lfunc.Verdict]]:
     jcase = forms.jcase_from_tag(cfg["jcase"])
     f = forms.form_from_roots(jcase, cfg["pattern"], cfg["roots"], p=cfg["p"])
-    cache = count.CountCache(cfg["cache_dir"], f) if cfg["cache_dir"] else None
+    cache = count.CountCache(cache_dir, f) if cache_dir else None
 
     if with_verdict and not taxonomy.is_partner_rational(f):
         raise ValidationError(
@@ -315,7 +316,9 @@ def _report_text(report: dict) -> str:
 def cmd_run(args, command: str) -> int:
     cfg = _parse_run_config(args, command)
     started = time.perf_counter()
-    report, verdict_obj = run_pipeline(cfg, with_verdict=command in ("verify", "report"))
+    report, verdict_obj = run_pipeline(
+        cfg, args.cache_dir, with_verdict=command in ("verify", "report")
+    )
     elapsed_ms = int(1000 * (time.perf_counter() - started))
     if args.format == "json":
         sys.stdout.write(render_json(report))

@@ -8,10 +8,11 @@ mapping each element code to its discrete-log residue modulo
 D = gcd(12, q-1), serves every cover of both j-cases: the sweep histograms
 the residue of f(P), and each cover reads its count off the histogram.  The
 table is built by walking the cyclic group F_q* once on integer element
-codes, where multiplying a block of codes by a fixed element takes a few
-table lookups per element.  Zeroes of f are detected inline (a place value
-hits 0) and receive the branch-corrected local count
-#{Y : Y^gcd(a,m) = local unit}, read off the same table.
+codes, where multiplying a block of codes by a fixed element h is one
+deg x deg matrix product over F_p on their digits: multiplication by h is
+F_p-linear.  Zeroes of f are detected inline (a place value hits 0) and
+receive the branch-corrected local count #{Y : Y^gcd(a,m) = local unit},
+read off the same table.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ from .forms import FactoredForm, ProjPoint, local_unit
 from .gf import FieldContext, FieldElement, make_field
 
 _CHUNK = 1 << 20
+_MAX_FIELD_Q = 2**27  # largest field a count may sweep: a power-class table of q bytes
 _CLASS_MODULUS = 12  # lcm of the family exponents 6 and 4: every cover order divides it
 
 
 # ---------------------------------------------------------------------------
 # vectorized arithmetic on blocks of field elements: coefficient columns
-# (deg, M) for general products, integer codes for products by a fixed element
+# (deg, M) for general products, a matrix for products by a fixed element
 
 def _reduction_rows(ctx: FieldContext) -> np.ndarray:
     """Coefficients of x^(deg+t) mod modulus, for t = 0 .. deg-2."""
@@ -96,63 +98,19 @@ def _codes_of(block: np.ndarray, ctx: FieldContext) -> np.ndarray:
     return out
 
 
-class _CodeMultiplier:
-    """Multiplication of element codes by a fixed h, by table lookup.
+def _times(h: FieldElement, digits: np.ndarray, ctx: FieldContext) -> np.ndarray:
+    """Codes of h*x for the elements x given by their (deg, M) digits.
 
-    A code splits into base-p digit halves, x = x_lo + p^L x_hi with
-    L = ceil(deg/2).  For each h, two small tables give the digits of h*x_lo
-    and of (h X^L)*x_hi, packed into b-bit lanes with b = bit_length(2(p-1)),
-    so the sum of the two entries never carries from one lane into the next.
-    Two decode tables turn the low and the high lanes of that sum, digit by
-    digit mod p, back into code(h*x).
+    Multiplication by h is F_p-linear: its matrix has column j = h X^j, so
+    one matrix product multiplies the whole block.  Below _MAX_FIELD_Q no
+    sum of deg products of digits, deg (p-1)^2, reaches 2^63.
     """
-
-    def __init__(self, ctx: FieldContext) -> None:
-        deg, p = ctx.degree, ctx.p
-        half = (deg + 1) // 2
-        self.ctx = ctx
-        self.red = _reduction_rows(ctx)
-        self.bits = (2 * (p - 1)).bit_length()
-        if deg * self.bits > 63:
-            raise ValidationError(f"F_{{{p}^{deg}}} is too large for a power-class table")
-        self.split = p**half
-        self.shift = half * self.bits
-        # X^L; at degree 1 the high half is always 0, so any factor will do
-        self.x_half = ctx.from_code(self.split) if half < deg else ctx.zero()
-        n_hi = p ** (deg - half)
-        self.digits = _digits(np.concatenate([np.arange(self.split), np.arange(n_hi)]), ctx)
-        self.table_sizes = [self.split, n_hi]
-        # 4-byte codes keep the decode tables cache-resident where q allows
-        dtype = np.int32 if ctx.q < 2**31 else np.int64
-        self.dec_lo = self._decoder(half, 0, dtype)
-        self.dec_hi = self._decoder(deg - half, half, dtype)
-
-    def _decoder(self, n_lanes: int, first_digit: int, dtype) -> np.ndarray:
-        p = self.ctx.p
-        lane = np.arange(1 << self.bits) % p
-        out = np.zeros(1, dtype=dtype)
-        for j in range(first_digit + n_lanes - 1, first_digit - 1, -1):
-            out = np.add.outer(out, (lane * p**j).astype(dtype)).ravel()
-        return out
-
-    def halves(self, codes: np.ndarray) -> np.ndarray:
-        """(2, M) array of the high and low digit halves of the codes."""
-        return np.stack(np.divmod(codes, self.split))
-
-    def __call__(self, h: FieldElement, halves: np.ndarray) -> np.ndarray:
-        """Codes of h*x for the elements x given by their halves."""
-        factors = np.array([h.coeffs, self.ctx.mul(h, self.x_half).coeffs], dtype=np.int64).T
-        factors = np.repeat(factors, self.table_sizes, axis=1)
-        prod = _mul_blocks(factors, self.digits, self.ctx, self.red)
-        packed = np.zeros(prod.shape[1], dtype=np.int64)
-        for j in range(self.ctx.degree):
-            packed |= prod[j] << (j * self.bits)
-        lo_tab, hi_tab = packed[: self.split], packed[self.split:]
-        lanes = hi_tab.take(halves[0])
-        lanes += lo_tab.take(halves[1])
-        out = self.dec_lo.take(lanes & ((1 << self.shift) - 1))
-        out += self.dec_hi.take(lanes >> self.shift)
-        return out
+    cols = [h]
+    for _ in range(1, ctx.degree):
+        cols.append(ctx.mul(cols[-1], ctx.from_code(ctx.p)))  # times X
+    prod = np.array([c.coeffs for c in cols], dtype=np.int64).T @ digits
+    prod %= ctx.p
+    return _codes_of(prod, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +150,27 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
     T[0] (the zero element) is the sentinel 255.  Built once per field by
     walking the powers of a generator on integer codes: a block of the first
     min(q-1, 2^20) powers is grown by doubling, then shifted along the group
-    by multiplying with g^(block size), each step a table-lookup
-    multiplication.  The table is shared by every caller and read-only.
+    by multiplying with g^(block size), each step one matrix product on the
+    block's digits.  A field above _MAX_FIELD_Q is refused before any work.
+    The table is shared by every caller and read-only.
     """
     q = ctx.q
+    if q > _MAX_FIELD_Q:
+        raise ValidationError(
+            f"F_{{{ctx.p}^{ctx.degree}}} is too large for a power-class table: "
+            f"q = {q} is above the field-size limit {_MAX_FIELD_Q}"
+        )
     d_cls = gcd(_CLASS_MODULUS, q - 1)
     g = find_generator(ctx)
-    mul = _CodeMultiplier(ctx)
 
     block_cap = min(q - 1, _CHUNK)
     block = np.ones(1, dtype=np.int64)
     step = g  # g^(block size); the block doubles, so the step squares
     while block.size < block_cap:
-        block = np.concatenate([block, mul(step, mul.halves(block[: block_cap - block.size]))])
+        head = _times(step, _digits(block[: block_cap - block.size], ctx), ctx)
+        block = np.concatenate([block, head])
         step = ctx.mul(step, step)
-    halves = mul.halves(block)
+    digits = _digits(block, ctx)
 
     cls = np.full(q, 255, dtype=np.uint8)
     phase = (np.arange(block_cap) % d_cls).astype(np.uint8)
@@ -214,7 +178,7 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
     g_blk = ctx.pow(g, block_cap)
     for idx in range(0, q - 1, block_cap):
         length = min(block_cap, q - 1 - idx)
-        seg = block[:length] if idx == 0 else mul(h, halves[:, :length])
+        seg = block[:length] if idx == 0 else _times(h, digits[:, :length], ctx)
         cls[seg] = (phase[:length] + idx % d_cls) % d_cls
         h = ctx.mul(h, g_blk)
     if int(np.count_nonzero(cls == 255)) != 1:
@@ -394,14 +358,15 @@ class CountCache:
     def get(self, p: int, i: int, key: str) -> Optional[int]:
         return self._load().get((p, i, key))
 
-    def put(self, p: int, i: int, key: str, count: int) -> None:
+    def put(self, p: int, i: int, counts: dict[str, int]) -> None:
+        """Append the counts at F_{p^i}, {curve key: count}, in one write."""
         if not self._dir_made:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._dir_made = True
         with self.path.open("a") as fh:
-            fh.write(f"{p} {i} {key} {count} {TOOL_VERSION}\n")
+            fh.write("".join(f"{p} {i} {key} {n} {TOOL_VERSION}\n" for key, n in counts.items()))
             fh.flush()
-        self._load()[(p, i, key)] = count
+        self._load().update(((p, i, key), n) for key, n in counts.items())
 
 
 def count_series(
@@ -413,8 +378,8 @@ def count_series(
 
     Walks the levels in turn: at each one, the covers the cache (the form's
     count file) does not hold there are counted together in one sweep and
-    their counts appended to the cache.  A cached count is checked against
-    the Weil bound as it is read.
+    their counts appended to the cache in one write.  A cached count is
+    checked against the Weil bound as it is read.
     """
     p = curves[0].f.p
     keys = [c.key() for c in curves]
@@ -428,10 +393,9 @@ def count_series(
         missing = [idx for idx in due if found.get(idx) is None]
         if missing:
             fresh = count_points([curves[idx] for idx in missing], make_field(p, i))
-            for idx, value in zip(missing, fresh):
-                found[idx] = value
-                if cache is not None:
-                    cache.put(p, i, keys[idx], value)
+            found.update(zip(missing, fresh))
+            if cache is not None:
+                cache.put(p, i, {keys[idx]: value for idx, value in zip(missing, fresh)})
         for idx in due:
             counts[idx].append((i, found[idx]))
     return tuple(CountSeries(curve=c, p=p, counts=tuple(n)) for c, n in zip(curves, counts))

@@ -106,27 +106,6 @@ class CurveSpec:
 
 
 @dataclass(frozen=True)
-class BranchDatum:
-    place_index: int
-    multiplicity: int
-    branches: int  # gcd(a, m): geometric branches above each root
-    ram_index: int  # a / branches
-
-    def __post_init__(self) -> None:
-        if self.branches * self.ram_index <= 0:
-            raise InvariantViolation("branch datum must be positive")
-
-
-def branch_data(f: FactoredForm, a: int) -> list[BranchDatum]:
-    _check_cover_order(f, a)
-    out = []
-    for idx, (_, m) in enumerate(f.places):
-        d = gcd(a, m)
-        out.append(BranchDatum(place_index=idx, multiplicity=m, branches=d, ram_index=a // d))
-    return out
-
-
-@dataclass(frozen=True)
 class EigenDims:
     """Dimensions of the deck-transformation eigenspaces of H^1 of the full
     cover, indexed by j = 1 .. exponent-1."""

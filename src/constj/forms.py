@@ -258,15 +258,6 @@ def abstract_pattern(jcase: JCase, mults: Sequence[int]) -> FactoredForm:
     return form_from_roots(jcase, list(mults), [f"r{i}" for i in range(len(mults))], p=None)
 
 
-def radical(f: FactoredForm) -> tuple[Place, ...]:
-    """The distinct places of f (each with multiplicity one); degree = k."""
-    return tuple(pl for pl, _ in f.places)
-
-
-def complement(f: FactoredForm) -> FactoredForm:
-    return f.complement()
-
-
 def place_value(pl: Place, point: ProjPoint, ctx: FieldContext) -> FieldElement:
     """Value of the place's form at a canonical representative.
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .count import CountCache, CountSeries, count_series
+from .count import _MAX_FIELD_Q, CountCache, CountSeries, count_series
 from .curve import CurveSpec, eigenspace_dims
 from .errors import (
     BranchInconsistencyError,
@@ -244,9 +244,6 @@ def required_level(curve: CurveSpec) -> int:
     return g_tot + 1 if 0 < g_tot <= 4 else g_tot
 
 
-_MAX_FIELD_Q = 2**27  # largest field a count may sweep: a power-class table of q bytes
-
-
 @dataclass(frozen=True)
 class ZetaBundle:
     """All counting and zeta data for one form at one prime."""
@@ -257,12 +254,6 @@ class ZetaBundle:
     series: tuple[CountSeries, ...]
     lpolys: tuple[LPolynomial, ...]
     new_factor: LPolynomial
-
-    def curve_by_order(self, a: int) -> int:
-        for idx, curve in enumerate(self.curves):
-            if curve.a == a:
-                return idx
-        raise KeyError(a)
 
 
 def zeta_bundle(

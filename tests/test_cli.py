@@ -190,6 +190,14 @@ def test_warm_cache_report_byte_identical_without_counting(capsys, tmp_path, mon
     assert warm == cold
 
 
+def test_report_does_not_depend_on_the_cache_dir(capsys, tmp_path):
+    argv = ["verify", "--p", "7", "--pattern", "5,5,5,3", "--format", "json"]
+    code_a, out_a, _ = run_cli(capsys, [*argv, "--cache-dir", str(tmp_path / "a")])
+    code_b, out_b, _ = run_cli(capsys, [*argv, "--cache-dir", str(tmp_path / "b")])
+    assert code_a == code_b == 0
+    assert out_a == out_b
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,6 @@
 """Point counting: brute-force oracles, partner equality, cache, chunking,
-the power-class table with its code multiplier, and the joint count of all
-covers of a form against the smooth-model oracle."""
+the power-class table with its multiply-by-h step, and the joint count of
+all covers of a form against the smooth-model oracle."""
 
 import warnings
 from pathlib import Path
@@ -236,14 +236,33 @@ def test_cache_ignores_records_of_another_version(tmp_path, f5553):
 def test_two_writers_interleave_and_the_last_record_wins(tmp_path, f5553):
     key6, key2 = CurveSpec(f5553, 6).key(), CurveSpec(f5553, 2).key()
     first, second = CountCache(tmp_path / "new", f5553), CountCache(tmp_path / "new", f5553)
-    first.put(5, 1, key6, 10)
-    second.put(5, 1, key2, 20)
-    second.put(5, 1, key6, 11)
-    first.put(5, 2, key6, 30)
-    first.put(5, 1, key2, 21)
+    first.put(5, 1, {key6: 10})
+    second.put(5, 1, {key2: 20})
+    second.put(5, 1, {key6: 11})
+    first.put(5, 2, {key6: 30})
+    first.put(5, 1, {key2: 21})
     reader = CountCache(tmp_path / "new", f5553)
     assert reader._load() == {(5, 1, key6): 11, (5, 1, key2): 21, (5, 2, key6): 30}
     assert len(reader.path.read_text().splitlines()) == 5
+
+
+def test_cold_count_series_appends_once_per_counted_level(tmp_path, monkeypatch):
+    f = concrete_form(J0, (5, 5, 5, 3), p=7)
+    curves = tuple(CurveSpec(f, a) for a in cover_orders(J0))
+    cache = CountCache(tmp_path, f)
+    opened = []
+    real_open = Path.open
+
+    def spy_open(path, *args, **kwargs):
+        if path == cache.path:
+            opened.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", spy_open)
+    count_series(curves, (3, 2, 1), cache=cache)
+    # levels 1..3 count 3, 2 and 1 covers: one append each, no read
+    assert opened == ["a", "a", "a"]
+    assert len(cache.path.read_text().splitlines()) == 6
 
 
 def test_warm_read_opens_only_its_own_forms_file(tmp_path, monkeypatch, f5553):
@@ -313,9 +332,8 @@ def test_small_q_infinity_handling():
 # ---------------------------------------------------------------------------
 # power-class table
 
-# lane widths b = bit_length(2(p-1)): p = 5 fills its 4-bit lanes to 8 of 15,
-# p = 17 needs 6 bits for 32, p = 257 needs 10 bits for 512; degree 1 has no
-# high digit half
+# degree 1 is a 1 x 1 matrix; p = 257 puts sums of digit products near
+# deg (p-1)^2; degrees 2..5 reduce h X^j through their moduli
 MULTIPLIER_FIELDS = [(5, 1), (5, 2), (5, 5), (7, 4), (17, 1), (17, 3), (257, 1), (257, 2), (13, 3)]
 
 
@@ -325,9 +343,8 @@ def test_code_multiplier_matches_field_mul(field, data):
     ctx = make_field(*field)
     h_code = data.draw(st.integers(0, ctx.q - 1), label="h")
     xs = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=40), label="x")
-    mul = count_mod._CodeMultiplier(ctx)
-    got = mul(ctx.from_code(h_code), mul.halves(np.array(xs, dtype=np.int64)))
     h = ctx.from_code(h_code)
+    got = count_mod._times(h, count_mod._digits(np.array(xs, dtype=np.int64), ctx), ctx)
     assert got.tolist() == [ctx.code(ctx.mul(h, ctx.from_code(x))) for x in xs]
 
 
@@ -374,10 +391,16 @@ def test_power_class_table_large_p_no_overflow(p, i):
     assert sizes[:d_cls].tolist() == [(ctx.q - 1) // d_cls] * d_cls
 
 
-def test_power_class_table_refuses_lanes_past_int64():
-    # 16 digits of 4-bit lanes need 64 bits; refused before any allocation
-    with pytest.raises(ValidationError, match="too large"):
-        count_mod.power_class_table(make_field(5, 16))
+def test_power_class_table_refuses_fields_past_the_limit(monkeypatch):
+    # q = 5^12 and 5^16 are above 2^27: refused before the generator search
+    # or any allocation
+    def no_work(ctx):
+        raise AssertionError("work started on a field above the limit")
+
+    monkeypatch.setattr(count_mod, "find_generator", no_work)
+    for i in (12, 16):
+        with pytest.raises(ValidationError, match="too large"):
+            count_mod.power_class_table(make_field(5, i))
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +430,28 @@ def test_joint_count_matches_smooth_model_oracle(data):
     joint = count_points(curves, ctx)
     assert joint == smooth_model_counts(f, [c.a for c in curves], ctx)
     assert joint == tuple(count_points((c,), ctx)[0] for c in curves)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_partner_count_equality_at_random_roots(data):
+    # u -> h^(N/a)/u maps the smooth model of u^a = f birationally onto that
+    # of v^a = h^N/f, so every cover of the partner has the same count
+    jcase, pattern = data.draw(st.sampled_from(CATALOG_PATTERNS), label="pattern")
+    p = data.draw(st.sampled_from(sorted(SMALL_LEVELS)), label="p")
+    pool = [str(r) for r in range(p)] + ["inf"]
+    roots = data.draw(
+        st.lists(st.sampled_from(pool), min_size=len(pattern), max_size=len(pattern), unique=True),
+        label="roots",
+    )
+    level = data.draw(st.integers(1, SMALL_LEVELS[p]), label="level")
+    f = form_from_roots(jcase, list(pattern), roots, p=p)
+    g = f.complement()
+    ctx = make_field(p, level)
+    orders = cover_orders(jcase)
+    assert count_points(tuple(CurveSpec(f, a) for a in orders), ctx) == count_points(
+        tuple(CurveSpec(g, a) for a in orders), ctx
+    )
 
 
 def test_flagship_bundle_sweeps_once_and_builds_one_table_per_field(monkeypatch):

@@ -7,14 +7,13 @@ import pytest
 from constj.curve import (
     CurveSpec,
     branch_correction,
-    branch_data,
     chi_singular,
     eigenspace_dims,
     genus,
     geometric_components,
     h1_dim,
 )
-from constj.forms import J0, J1728, abstract_pattern, complement
+from constj.forms import J0, J1728, abstract_pattern
 from constj.taxonomy import enumerate_patterns
 
 from conftest import concrete_form
@@ -88,7 +87,7 @@ def test_partner_has_equal_genus(jcase):
     n_exp = jcase.exponent
     for pattern in enumerate_patterns(jcase):
         f = abstract_pattern(jcase, pattern)
-        g = complement(f)
+        g = f.complement()
         assert genus(f, n_exp) == genus(g, n_exp)
         assert geometric_components(f, n_exp) == geometric_components(g, n_exp)
 
@@ -134,16 +133,6 @@ def test_eigenspace_dims_symmetric_and_consistent(jcase):
             assert dims[j] == dims[n_exp - j]
         assert dims[1] == f.k - 2
         assert dims.total == h1_dim(f, n_exp)
-
-
-def test_branch_data(f5553):
-    data = branch_data(f5553, 6)
-    assert sorted((bd.multiplicity, bd.branches, bd.ram_index) for bd in data) == [
-        (3, 3, 2),
-        (5, 1, 6),
-        (5, 1, 6),
-        (5, 1, 6),
-    ]
 
 
 def test_curvespec_derived_values(f5553):

@@ -1,4 +1,4 @@
-"""Factored forms: parsing, radical/complement, evaluation, local units."""
+"""Factored forms: parsing, complement, evaluation, local units."""
 
 import pytest
 
@@ -9,13 +9,11 @@ from constj.forms import (
     J1728,
     Place,
     abstract_pattern,
-    complement,
     evaluate,
     form_from_roots,
     local_unit,
     parse_form,
     place_value,
-    radical,
 )
 from constj.gf import ProjPoint, enumerate_p1, make_field, nth_power_count
 from constj.taxonomy import catalog, enumerate_patterns
@@ -60,37 +58,29 @@ def test_parse_rejects_duplicate_roots():
         form_from_roots(J0, [5, 5, 5, 3], ["0", "1", "inf", "1"], p=5)
 
 
-def test_radical_degrees(f5553):
-    rad = radical(f5553)
-    assert sum(pl.degree for pl in rad) == f5553.k == 4
-    assert all(True for pl in rad)
-    f51 = concrete_form(J0, (5, 1))
-    assert sum(pl.degree for pl in radical(f51)) == 2
-
-
 def test_complement_examples(f5553):
-    g = complement(f5553)
+    g = f5553.complement()
     assert g.pattern == (3, 1, 1, 1)
     assert g.degree == 6
     full = concrete_form(J0, (5, 5, 5, 5, 5, 5))
-    assert complement(full).pattern == (1, 1, 1, 1, 1, 1)
+    assert full.complement().pattern == (1, 1, 1, 1, 1, 1)
     j = form_from_roots(J1728, [3, 3, 2], ["0", "1", "inf"], p=7)
-    assert complement(j).pattern == (2, 1, 1)
+    assert j.complement().pattern == (2, 1, 1)
 
 
 @pytest.mark.parametrize("jcase", [J0, J1728])
 def test_complement_is_an_involution(jcase):
     for pattern in enumerate_patterns(jcase):
         f = abstract_pattern(jcase, pattern)
-        assert complement(complement(f)).places == f.places
-        assert f.degree + complement(f).degree == jcase.exponent * f.k
+        assert f.complement().complement().places == f.places
+        assert f.degree + f.complement().degree == jcase.exponent * f.k
 
 
 @pytest.mark.parametrize("jcase", [J0, J1728])
 def test_partner_n_on_catalog_patterns(jcase):
     for row in catalog(jcase):
         f = abstract_pattern(jcase, row.pattern)
-        assert complement(f).n == f.k - f.n
+        assert f.complement().n == f.k - f.n
 
 
 def test_evaluate_vanishes_on_linear_place(f5553):

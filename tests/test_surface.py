@@ -3,7 +3,7 @@
 import pytest
 
 from constj.curve import eigenspace_dims
-from constj.forms import J0, J1728, abstract_pattern, complement
+from constj.forms import J0, J1728, abstract_pattern
 from constj.surface import fiber_types, invariants, mw_rank_char0, ns_perp_check
 from constj.taxonomy import catalog, enumerate_patterns
 
@@ -53,7 +53,7 @@ def test_mw_ranks_examples():
 def test_shioda_tate_on_every_catalog_pattern(jcase):
     for row in catalog(jcase):
         f = abstract_pattern(jcase, row.pattern)
-        g = complement(f)
+        g = f.complement()
         assert mw_rank_char0(f) == 0, row.pattern
         assert mw_rank_char0(g) == 2 * (f.n - 1), row.pattern
         assert invariants(f).euler == 12 * f.n
