@@ -10,9 +10,13 @@ the residue of f(P), and each cover reads its count off the histogram.  The
 table is built by walking the cyclic group F_q* once on integer element
 codes, where multiplying a block of codes by a fixed element h is one
 deg x deg matrix product over F_p on their digits: multiplication by h is
-F_p-linear.  Zeroes of f are detected inline (a place value hits 0) and
-receive the branch-corrected local count #{Y : Y^gcd(a,m) = local unit},
-read off the same table.
+F_p-linear, which also lets the generator search test a batch of candidates
+at once.  Zeroes of f are detected inline (a place value hits 0) and
+receive the branch-corrected local count #{Y : Y^gcd(a,m) = local unit}.
+The sweep already sums every place's class at every point, so at a zero of
+one place the other places' sum is the unit's class up to an m-th power,
+which a gcd(a, m, q-1)-th power test cannot see: the zeroes need no field
+arithmetic of their own.
 """
 
 from __future__ import annotations
@@ -29,10 +33,11 @@ import numpy as np
 from . import __version__ as TOOL_VERSION
 from .curve import CurveSpec
 from .errors import InvariantViolation, ValidationError
-from .forms import FactoredForm, ProjPoint, local_unit
+from .forms import FactoredForm
 from .gf import FieldContext, FieldElement, make_field
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 20  # points per sweep step
+_WALK_BLOCK = 1 << 16  # powers per table-walk block: the walk holds deg int64 digits of each
 _MAX_FIELD_Q = 2**27  # largest field a count may sweep: a power-class table of q bytes
 _CLASS_MODULUS = 12  # lcm of the family exponents 6 and 4: every cover order divides it
 
@@ -98,17 +103,22 @@ def _codes_of(block: np.ndarray, ctx: FieldContext) -> np.ndarray:
     return out
 
 
-def _times(h: FieldElement, digits: np.ndarray, ctx: FieldContext) -> np.ndarray:
-    """Codes of h*x for the elements x given by their (deg, M) digits.
+def _matrix(h: FieldElement, ctx: FieldContext) -> np.ndarray:
+    """The deg x deg matrix over F_p of multiplication by h: column j = h X^j.
 
-    Multiplication by h is F_p-linear: its matrix has column j = h X^j, so
-    one matrix product multiplies the whole block.  Below _MAX_FIELD_Q no
-    sum of deg products of digits, deg (p-1)^2, reaches 2^63.
+    Multiplication by h is F_p-linear, so one product with this matrix
+    multiplies a whole (deg, M) block of digits.  Below _MAX_FIELD_Q no sum
+    of deg products of digits, deg (p-1)^2, reaches 2^63.
     """
     cols = [h]
     for _ in range(1, ctx.degree):
         cols.append(ctx.mul(cols[-1], ctx.from_code(ctx.p)))  # times X
-    prod = np.array([c.coeffs for c in cols], dtype=np.int64).T @ digits
+    return np.array([c.coeffs for c in cols], dtype=np.int64).T
+
+
+def _times(h: FieldElement, digits: np.ndarray, ctx: FieldContext) -> np.ndarray:
+    """Codes of h*x for the elements x given by their (deg, M) digits."""
+    prod = _matrix(h, ctx) @ digits
     prod %= ctx.p
     return _codes_of(prod, ctx)
 
@@ -131,15 +141,40 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def find_generator(ctx: FieldContext) -> FieldElement:
-    """Smallest-code generator of F_q*; deterministic."""
+    """Smallest-code generator of F_q*; deterministic.
+
+    Multiplication by c is F_p-linear, so c^e = 1 exactly when M_c^e = I,
+    M_c being the deg x deg matrix with column j = c X^j.  Candidates are
+    tested a batch at a time on the (B, deg, deg) stack of their matrices:
+    the squarings M^(2^k) are formed once and shared by every cofactor
+    (q-1)/ell, and each cofactor power is applied to the vector of 1.  The
+    batches start at 8 codes and double, as a generator is usually among
+    the first few candidates.
+    """
     order = ctx.q - 1
     cofactors = [order // ell for ell in _prime_factors(order)]
-    one = ctx.one()
-    start = 2 if ctx.degree == 1 else ctx.p  # constants never generate an extension
-    for code in range(start, ctx.q):
-        cand = ctx.from_code(code)
-        if all(ctx.pow(cand, cf) != one for cf in cofactors):
-            return cand
+    deg, p = ctx.degree, ctx.p
+    x_mats = np.stack([_matrix(ctx.from_code(p**k), ctx) for k in range(deg)])  # X^k: code p^k
+    one = np.eye(deg, 1, dtype=np.int64)  # the digits of 1, as a column
+    lo = 2 if deg == 1 else p  # constants never generate an extension
+    size = 8
+    while lo < ctx.q:
+        codes = np.arange(lo, min(lo + size, ctx.q), dtype=np.int64)
+        # M_c = sum of c_k M_(X^k) over the digits c_k of each candidate c
+        squares = [np.tensordot(_digits(codes, ctx).T, x_mats, axes=1) % p]  # M^(2^k)
+        for _ in range(1, max(cofactors).bit_length()):
+            squares.append(squares[-1] @ squares[-1] % p)
+        generates = np.ones(codes.size, dtype=bool)
+        for cf in cofactors:
+            power = one
+            for k in range(cf.bit_length()):
+                if cf >> k & 1:
+                    power = squares[k] @ power % p
+            generates &= (power != one).any(axis=(1, 2))
+        if generates.any():
+            return ctx.from_code(int(codes[generates.argmax()]))
+        lo += size
+        size *= 2
     raise InvariantViolation("no generator found; field construction is broken")
 
 
@@ -149,7 +184,7 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
 
     T[0] (the zero element) is the sentinel 255.  Built once per field by
     walking the powers of a generator on integer codes: a block of the first
-    min(q-1, 2^20) powers is grown by doubling, then shifted along the group
+    min(q-1, 2^16) powers is grown by doubling, then shifted along the group
     by multiplying with g^(block size), each step one matrix product on the
     block's digits.  A field above _MAX_FIELD_Q is refused before any work.
     The table is shared by every caller and read-only.
@@ -163,24 +198,25 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
     d_cls = gcd(_CLASS_MODULUS, q - 1)
     g = find_generator(ctx)
 
-    block_cap = min(q - 1, _CHUNK)
-    block = np.ones(1, dtype=np.int64)
-    step = g  # g^(block size); the block doubles, so the step squares
-    while block.size < block_cap:
-        head = _times(step, _digits(block[: block_cap - block.size], ctx), ctx)
-        block = np.concatenate([block, head])
-        step = ctx.mul(step, step)
-    digits = _digits(block, ctx)
+    block_cap = min(q - 1, _WALK_BLOCK)
+    digits = np.eye(ctx.degree, 1, dtype=np.int64)  # the block g^0, g^1, ... as digit columns
+    step = _matrix(g, ctx)  # times g^(block size); the block doubles, so the step squares
+    while digits.shape[1] < block_cap:
+        head = step @ digits[:, : block_cap - digits.shape[1]] % ctx.p
+        digits = np.concatenate([digits, head], axis=1)
+        step = step @ step % ctx.p
+    block = _codes_of(digits, ctx)
 
     cls = np.full(q, 255, dtype=np.uint8)
     phase = (np.arange(block_cap) % d_cls).astype(np.uint8)
-    h = ctx.one()
-    g_blk = ctx.pow(g, block_cap)
-    for idx in range(0, q - 1, block_cap):
-        length = min(block_cap, q - 1 - idx)
-        seg = block[:length] if idx == 0 else _times(h, digits[:, :length], ctx)
-        cls[seg] = (phase[:length] + idx % d_cls) % d_cls
-        h = ctx.mul(h, g_blk)
+    cls[block] = phase
+    if block_cap < q - 1:
+        g_blk = ctx.mul(ctx.from_code(int(block[-1])), g)  # g^(block size)
+        h = g_blk
+        for idx in range(block_cap, q - 1, block_cap):
+            length = min(block_cap, q - 1 - idx)
+            cls[_times(h, digits[:, :length], ctx)] = (phase[:length] + idx % d_cls) % d_cls
+            h = ctx.mul(h, g_blk)
     if int(np.count_nonzero(cls == 255)) != 1:
         raise InvariantViolation("power-class table incomplete; generator order is wrong")
     cls.flags.writeable = False
@@ -190,12 +226,15 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 # the sweep
 
-def _place_value_codes(pl, codes: np.ndarray, ctx: FieldContext, red: np.ndarray) -> np.ndarray:
-    """Codes of the place values at the finite points given by codes."""
+def _place_value_codes(
+    pl, codes: np.ndarray, digit0: np.ndarray, ctx: FieldContext, red: np.ndarray
+) -> np.ndarray:
+    """Codes of the place values at the finite points given by codes, whose
+    lowest base-p digits are digit0."""
     if pl.degree == 1 and not pl.at_infinity:
+        # x + c0 adds c0 to the lowest digit mod p, with no division
         c0 = pl.poly[0]
-        digit0 = codes % ctx.p
-        return codes - digit0 + (digit0 + c0) % ctx.p
+        return codes + np.where(digit0 >= ctx.p - c0, c0 - ctx.p, c0)
     # general place: Horner with full block products
     x_blk = _digits(codes, ctx)
     acc = np.zeros_like(x_blk)
@@ -209,23 +248,35 @@ def _place_value_codes(pl, codes: np.ndarray, ctx: FieldContext, red: np.ndarray
 
 def _sweep_chunk(
     lo: int, hi: int, places, ctx: FieldContext, cls: np.ndarray, d_cls: int, red: np.ndarray
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """Histogram of dlog f mod D over the points of [lo, hi) where f does
-    not vanish, plus the zeroes of f seen there."""
+    not vanish, plus the zeroes of f seen there: per place, the class mod D
+    of the other places' product at each of its roots."""
     codes = np.arange(lo, hi, dtype=np.int64)
     acc = np.zeros(hi - lo, dtype=np.int32)
     vanish = np.zeros(hi - lo, dtype=bool)
-    zeros: list[tuple[int, int]] = []
+    hits: list[tuple[int, int, np.ndarray]] = []
+    digit0 = codes % ctx.p
     for place_idx, (pl, m) in enumerate(places):
         if pl.at_infinity:
             continue  # value 1 at every finite point
-        vals = _place_value_codes(pl, codes, ctx, red)
+        vals = _place_value_codes(pl, codes, digit0, ctx, red)
         z = vals == 0
         if z.any():
+            if (vanish & z).any():
+                raise InvariantViolation(
+                    f"place {pl.describe()} shares a root with another place in F_{ctx.q}"
+                )
             vanish |= z
-            zeros.extend((place_idx, int(c)) for c in codes[z])
+            hits.append((place_idx, m, np.flatnonzero(z)))
         acc += m * cls[vals].astype(np.int32)
-    return np.bincount(acc[~vanish] % d_cls, minlength=d_cls), zeros
+    # at its own zeroes a place added m times the sentinel cls[0]: take it out
+    zeros = [(place_idx, (acc[at] - m * int(cls[0])) % d_cls) for place_idx, m, at in hits]
+    # away from the zeroes acc < D * (sum of m): fold its histogram mod D,
+    # with no division per point
+    span = d_cls * (1 + sum(m for pl, m in places if not pl.at_infinity))
+    hist = np.bincount(acc[~vanish], minlength=span).reshape(-1, d_cls).sum(axis=0)
+    return hist, zeros
 
 
 def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, ...]:
@@ -245,11 +296,12 @@ def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, .
     cls, d_cls = power_class_table(ctx)
     red = _reduction_rows(ctx)
     hist = np.zeros(d_cls, dtype=np.int64)
-    zero_list: list[tuple[int, int]] = []
+    by_place: dict[int, list[np.ndarray]] = {}
     for lo in range(0, q, _CHUNK):
         part, zeros = _sweep_chunk(lo, min(lo + _CHUNK, q), f.places, ctx, cls, d_cls, red)
         hist += part
-        zero_list.extend(zeros)
+        for place_idx, others in zeros:
+            by_place.setdefault(place_idx, []).append(others)
 
     inf_mult = next((m for pl, m in f.places if pl.at_infinity), 0)  # 0: f(1:0) = 1
     totals = []
@@ -259,25 +311,21 @@ def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, .
         d_a = gcd(curve.a, q - 1)
         totals.append(d_a * int(hist[::d_a].sum()) + gcd(curve.a, inf_mult, q - 1))
 
-    # finite zeroes, grouped per place so sibling roots are known; the unit
-    # is a d-th power exactly when its class is divisible by d
-    by_place: dict[int, list[int]] = {}
-    for place_idx, code in zero_list:
-        by_place.setdefault(place_idx, []).append(code)
-    for place_idx, codes in by_place.items():
+    # finite zeroes of a place of multiplicity m: the local unit is the other
+    # places' product times, for a place of degree > 1, the m-th power of
+    # the product of x - x' over the sibling roots x'.  An m-th power is a
+    # d-th power for every d = gcd(a, m, q-1), so the unit is a d-th power
+    # exactly when the other places' class is divisible by d.
+    for place_idx, found in by_place.items():
         pl, m = f.places[place_idx]
-        if len(codes) != pl.degree:
+        other_cls = np.concatenate(found)
+        if other_cls.size != pl.degree:
             raise InvariantViolation(
-                f"place {pl.describe()} has {len(codes)} roots in F_{q}, expected {pl.degree}"
+                f"place {pl.describe()} has {other_cls.size} roots in F_{q}, expected {pl.degree}"
             )
-        sibs = [ctx.from_code(c) for c in codes]
-        for x in sibs:
-            _, unit = local_unit(f, ProjPoint.finite(x), ctx, siblings=sibs)
-            unit_cls = int(cls[ctx.code(unit)])
-            for idx, curve in enumerate(curves):
-                d = gcd(curve.a, m, q - 1)
-                if unit_cls % d == 0:
-                    totals[idx] += d
+        for idx, curve in enumerate(curves):
+            d = gcd(curve.a, m, q - 1)
+            totals[idx] += d * int(np.count_nonzero(other_cls % d == 0))
 
     for curve, total in zip(curves, totals):
         _assert_weil(curve, ctx.p, ctx.degree, total)

@@ -299,8 +299,10 @@ def local_unit(
     c is the value of f with the one F_q-linear factor vanishing at the point
     removed m times: the product of all other places' values and, for a
     higher-degree place, of (s - s') over the place's other F_q-roots s'.
-    Those other roots can be passed in (the counting sweep collects them);
-    otherwise they are found by scanning F_q, which is only sensible at small q.
+    Those other roots can be passed in; otherwise they are found by scanning
+    F_q, which is only sensible at small q.  The counting sweep does not use
+    this function, so the smooth-model oracle of the tests, which does, is
+    an independent route to the same counts.
     """
     vanishing = None
     c = ctx.one()

@@ -14,7 +14,7 @@ from constj import __version__ as TOOL_VERSION
 from constj.count import CountCache, CountSeries, count_points, count_series
 from constj.curve import CurveSpec
 from constj.errors import InvariantViolation, ValidationError
-from constj.forms import J0, J1728, Place, form_from_roots, parse_form
+from constj.forms import J0, J1728, FactoredForm, Place, form_from_roots, parse_form
 from constj.gf import make_field
 from constj.lfunc import cover_orders, zeta_bundle
 from constj.taxonomy import catalog
@@ -365,9 +365,10 @@ def scalar_power_classes(ctx, modulus):
 @pytest.mark.parametrize("exponent", [6, 4])
 @pytest.mark.parametrize("chunk", [1 << 20, 64])
 def test_power_class_table_matches_scalar_walk(monkeypatch, p, i, exponent, chunk):
-    # a small chunk makes the walk double its block and then shift it across
-    # several segments, the last one partial
+    # a small chunk and walk block make the walk double its block and then
+    # shift it across several segments, the last one partial
     monkeypatch.setattr(count_mod, "_CHUNK", chunk)
+    monkeypatch.setattr(count_mod, "_WALK_BLOCK", chunk)
     count_mod.power_class_table.cache_clear()
     ctx = make_field(p, i)
     cls, d_cls = count_mod.power_class_table(ctx)
@@ -379,6 +380,26 @@ def test_power_class_table_matches_scalar_walk(monkeypatch, p, i, exponent, chun
     assert [c if c == 255 else c % d_e for c in cls.tolist()] == scalar_power_classes(
         ctx, exponent
     )
+
+
+def multiplicative_order(ctx, x):
+    """Order of x in F_q*, by multiplying until 1 comes back."""
+    one, power, order = ctx.one(), x, 1
+    while power != one:
+        power, order = ctx.mul(power, x), order + 1
+    return order
+
+
+@pytest.mark.parametrize(
+    "p,i", [(5, 1), (7, 1), (5, 2), (7, 2), (13, 2), (5, 3), (5, 4), (199, 2), (5, 5)]
+)
+def test_find_generator_is_the_smallest_code_of_full_order(p, i):
+    ctx = make_field(p, i)
+    smallest = next(
+        code for code in range(1, ctx.q)
+        if multiplicative_order(ctx, ctx.from_code(code)) == ctx.q - 1
+    )
+    assert ctx.code(count_mod.find_generator(ctx)) == smallest
 
 
 @pytest.mark.parametrize("p,i", [(1499, 2), (2003, 2), (50021, 1)])
@@ -452,6 +473,34 @@ def test_partner_count_equality_at_random_roots(data):
     assert count_points(tuple(CurveSpec(f, a) for a in orders), ctx) == count_points(
         tuple(CurveSpec(g, a) for a in orders), ctx
     )
+
+
+@pytest.mark.parametrize(
+    "jcase,places",
+    [
+        (J0, [(Place.infinity(), 5), (Place.linear(0, 7), 3), (Place.from_poly((1, 0, 1), 7), 2)]),
+        (J1728, [(Place.linear(0, 7), 2), (Place.from_poly((1, 0, 1), 7), 3)]),
+    ],
+    ids=["j0-t5-s3-quadratic2", "j1728-s2-quadratic3"],
+)
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_quadratic_place_with_multiplicity_matches_smooth_model(jcase, places, level):
+    # s^2 + 1 has its two roots in F_49.  The oracle's local unit at each
+    # one carries the sibling factor (x - x')^m; the sweep leaves it out, as
+    # an m-th power is a d-th power for every d = gcd(a, m, q-1)
+    f = parse_form(jcase, places, p=7)
+    ctx = make_field(7, level)
+    orders = cover_orders(jcase)
+    swept = count_points(tuple(CurveSpec(f, a) for a in orders), ctx)
+    assert swept == smooth_model_counts(f, orders, ctx)
+
+
+def test_point_on_two_places_is_an_invariant_violation():
+    # parse_form refuses a repeated place; built directly, the sweep must
+    # not count such a form
+    f = FactoredForm(J0, ((Place.linear(0, 5), 3), (Place.linear(0, 5), 3)), p=5)
+    with pytest.raises(InvariantViolation, match="shares a root"):
+        count_points((CurveSpec(f, 6),), make_field(5, 1))
 
 
 def test_flagship_bundle_sweeps_once_and_builds_one_table_per_field(monkeypatch):
