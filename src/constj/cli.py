@@ -13,7 +13,6 @@ import dataclasses
 import json
 import sys
 import time
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -62,16 +61,10 @@ def _json_safe(obj):
         return obj
     if isinstance(obj, int):
         return str(obj) if abs(obj) > _JSON_INT_LIMIT else obj
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, dict):
         return {str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if dataclasses.is_dataclass(obj):
-        return _json_safe(dataclasses.asdict(obj))
-    if isinstance(obj, taxonomy.SurfaceClass):
-        return obj.value
     return obj
 
 

@@ -8,21 +8,22 @@ mapping each element code to its discrete-log residue modulo
 D = gcd(12, q-1), serves every cover of both j-cases: the sweep histograms
 the residue of f(P), and each cover reads its count off the histogram.  The
 table is built by walking the cyclic group F_q* once on integer element
-codes, where multiplying a block of codes by a fixed element h is one
-deg x deg matrix product over F_p on their digits: multiplication by h is
-F_p-linear, which also lets the generator search test a batch of candidates
-at once.  Zeroes of f are detected inline (a place value hits 0) and
-receive the branch-corrected local count #{Y : Y^gcd(a,m) = local unit}.
-The sweep already sums every place's class at every point, so at a zero of
-one place the other places' sum is the unit's class up to an m-th power,
-which a gcd(a, m, q-1)-th power test cannot see: the zeroes need no field
-arithmetic of their own.
+codes.  Every field product on this path is a deg x deg matrix over F_p
+applied to blocks of digits: the matrix of c is sum of c_k X^k over its
+digits, X being the companion matrix of the modulus.  Such products test
+a batch of generator candidates at once, shift the table walk, and run
+Horner's rule for places of degree > 1.  Zeroes of f are detected inline
+(a place value hits 0) and receive the branch-corrected local count
+#{Y : Y^gcd(a,m) = local unit}.  The sweep already sums every place's
+class at every point, so at a zero of one place the other places' sum is
+the unit's class up to an m-th power, which a gcd(a, m, q-1)-th power
+test cannot see: the zeroes need no field arithmetic of their own.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
@@ -43,48 +44,8 @@ _CLASS_MODULUS = 12  # lcm of the family exponents 6 and 4: every cover order di
 
 
 # ---------------------------------------------------------------------------
-# vectorized arithmetic on blocks of field elements: coefficient columns
-# (deg, M) for general products, a matrix for products by a fixed element
-
-def _reduction_rows(ctx: FieldContext) -> np.ndarray:
-    """Coefficients of x^(deg+t) mod modulus, for t = 0 .. deg-2."""
-    deg, p = ctx.degree, ctx.p
-    rows = np.zeros((max(deg - 1, 1), deg), dtype=np.int32)
-    if deg == 1:
-        return rows
-    cur = [(-c) % p for c in ctx.modulus[:deg]]  # x^deg
-    rows[0] = cur
-    for t in range(1, deg - 1):
-        shifted = [0] + cur[:-1]
-        lead = cur[-1]
-        if lead:
-            for j in range(deg):
-                shifted[j] = (shifted[j] + lead * rows[0][j]) % p
-        cur = [c % p for c in shifted]
-        rows[t] = cur
-    return rows
-
-
-def _mul_blocks(a: np.ndarray, b: np.ndarray, ctx: FieldContext, red: np.ndarray) -> np.ndarray:
-    """Columnwise product of two (deg, M) coefficient blocks.
-
-    Either block may be a single column, which is broadcast across the
-    other.  Works in int64 and reduces mod p after every product term and
-    every reduction term, so no entry exceeds p + (p-1)^2.
-    """
-    deg, p = ctx.degree, ctx.p
-    m_cols = max(a.shape[1], b.shape[1])
-    work = np.zeros((2 * deg - 1, m_cols), dtype=np.int64)
-    for j in range(deg):
-        work[j:j + deg] = (work[j:j + deg] + a[j] * b) % p
-    for t in range(2 * deg - 2, deg - 1, -1):
-        w = work[t]
-        for jj in range(deg):
-            rj = int(red[t - deg, jj])
-            if rj:
-                work[jj] = (work[jj] + rj * w) % p
-    return work[:deg]
-
+# vectorized arithmetic: a block of field elements is a (deg, M) array of
+# their base-p digits, and multiplying by an element is a matrix over F_p
 
 def _digits(codes: np.ndarray, ctx: FieldContext) -> np.ndarray:
     out = np.empty((ctx.degree, codes.shape[0]), dtype=np.int64)
@@ -103,24 +64,31 @@ def _codes_of(block: np.ndarray, ctx: FieldContext) -> np.ndarray:
     return out
 
 
-def _matrix(h: FieldElement, ctx: FieldContext) -> np.ndarray:
-    """The deg x deg matrix over F_p of multiplication by h: column j = h X^j.
+@lru_cache(maxsize=None)
+def _x_powers(ctx: FieldContext) -> np.ndarray:
+    """The matrices over F_p of multiplication by X^k, k < deg, as one
+    read-only stack, built once per field; X is the companion matrix:
+    X^(deg-1) goes to X^deg = -sum c_k X^k."""
+    deg, p = ctx.degree, ctx.p
+    companion = np.eye(deg, k=-1, dtype=np.int64)
+    companion[:, -1] = [(-c) % p for c in ctx.modulus[:deg]]
+    mats = [np.eye(deg, dtype=np.int64)]
+    for _ in range(1, deg):
+        mats.append(companion @ mats[-1] % p)
+    stack = np.stack(mats)
+    stack.flags.writeable = False
+    return stack
 
-    Multiplication by h is F_p-linear, so one product with this matrix
-    multiplies a whole (deg, M) block of digits.  Below _MAX_FIELD_Q no sum
-    of deg products of digits, deg (p-1)^2, reaches 2^63.
+
+def _matrices(codes: np.ndarray, ctx: FieldContext) -> np.ndarray:
+    """The (M, deg, deg) stack of the matrices of multiplication by the
+    elements with the given codes: sum of c_k X^k over their digits c_k.
+
+    Multiplication by c is F_p-linear, so one product with its matrix
+    multiplies a whole (deg, M) block of digits by c.  Below _MAX_FIELD_Q no
+    sum of deg products of digits, deg (p-1)^2, reaches 2^63.
     """
-    cols = [h]
-    for _ in range(1, ctx.degree):
-        cols.append(ctx.mul(cols[-1], ctx.from_code(ctx.p)))  # times X
-    return np.array([c.coeffs for c in cols], dtype=np.int64).T
-
-
-def _times(h: FieldElement, digits: np.ndarray, ctx: FieldContext) -> np.ndarray:
-    """Codes of h*x for the elements x given by their (deg, M) digits."""
-    prod = _matrix(h, ctx) @ digits
-    prod %= ctx.p
-    return _codes_of(prod, ctx)
+    return np.tensordot(_digits(codes, ctx).T, _x_powers(ctx), axes=1) % ctx.p
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +112,9 @@ def find_generator(ctx: FieldContext) -> FieldElement:
     """Smallest-code generator of F_q*; deterministic.
 
     Multiplication by c is F_p-linear, so c^e = 1 exactly when M_c^e = I,
-    M_c being the deg x deg matrix with column j = c X^j.  Candidates are
-    tested a batch at a time on the (B, deg, deg) stack of their matrices:
-    the squarings M^(2^k) are formed once and shared by every cofactor
+    M_c being its matrix (see _matrices).  Candidates are tested a batch at
+    a time on the (B, deg, deg) stack of their matrices, built from the
+    field's X^k stack: the squarings M^(2^k) are shared by every cofactor
     (q-1)/ell, and each cofactor power is applied to the vector of 1.  The
     batches start at 8 codes and double, as a generator is usually among
     the first few candidates.
@@ -154,14 +122,12 @@ def find_generator(ctx: FieldContext) -> FieldElement:
     order = ctx.q - 1
     cofactors = [order // ell for ell in _prime_factors(order)]
     deg, p = ctx.degree, ctx.p
-    x_mats = np.stack([_matrix(ctx.from_code(p**k), ctx) for k in range(deg)])  # X^k: code p^k
     one = np.eye(deg, 1, dtype=np.int64)  # the digits of 1, as a column
     lo = 2 if deg == 1 else p  # constants never generate an extension
     size = 8
     while lo < ctx.q:
         codes = np.arange(lo, min(lo + size, ctx.q), dtype=np.int64)
-        # M_c = sum of c_k M_(X^k) over the digits c_k of each candidate c
-        squares = [np.tensordot(_digits(codes, ctx).T, x_mats, axes=1) % p]  # M^(2^k)
+        squares = [_matrices(codes, ctx)]  # M^(2^k)
         for _ in range(1, max(cofactors).bit_length()):
             squares.append(squares[-1] @ squares[-1] % p)
         generates = np.ones(codes.size, dtype=bool)
@@ -197,10 +163,11 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
         )
     d_cls = gcd(_CLASS_MODULUS, q - 1)
     g = find_generator(ctx)
+    g_mat = _matrices(np.array([ctx.code(g)]), ctx)[0]
 
     block_cap = min(q - 1, _WALK_BLOCK)
     digits = np.eye(ctx.degree, 1, dtype=np.int64)  # the block g^0, g^1, ... as digit columns
-    step = _matrix(g, ctx)  # times g^(block size); the block doubles, so the step squares
+    step = g_mat  # times g^(block size); the block doubles, so the step squares
     while digits.shape[1] < block_cap:
         head = step @ digits[:, : block_cap - digits.shape[1]] % ctx.p
         digits = np.concatenate([digits, head], axis=1)
@@ -210,13 +177,14 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
     cls = np.full(q, 255, dtype=np.uint8)
     phase = (np.arange(block_cap) % d_cls).astype(np.uint8)
     cls[block] = phase
-    if block_cap < q - 1:
-        g_blk = ctx.mul(ctx.from_code(int(block[-1])), g)  # g^(block size)
-        h = g_blk
-        for idx in range(block_cap, q - 1, block_cap):
-            length = min(block_cap, q - 1 - idx)
-            cls[_times(h, digits[:, :length], ctx)] = (phase[:length] + idx % d_cls) % d_cls
-            h = ctx.mul(h, g_blk)
+    # g^(block size) is g times the block's last power: the block size need
+    # not be a power of 2, so it is not the last doubling step
+    shift = _matrices(block[-1:], ctx)[0] @ g_mat % ctx.p
+    for idx in range(block_cap, q - 1, block_cap):
+        digits = shift @ digits
+        digits %= ctx.p  # in place: a second temporary per segment costs ~0.5 s on F_{5^10}
+        length = min(block_cap, q - 1 - idx)
+        cls[_codes_of(digits[:, :length], ctx)] = (phase[:length] + idx % d_cls) % d_cls
     if int(np.count_nonzero(cls == 255)) != 1:
         raise InvariantViolation("power-class table incomplete; generator order is wrong")
     cls.flags.writeable = False
@@ -226,28 +194,32 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 # the sweep
 
-def _place_value_codes(
-    pl, codes: np.ndarray, digit0: np.ndarray, ctx: FieldContext, red: np.ndarray
-) -> np.ndarray:
+def _place_value_codes(pl, codes: np.ndarray, digit0: np.ndarray, ctx: FieldContext) -> np.ndarray:
     """Codes of the place values at the finite points given by codes, whose
     lowest base-p digits are digit0."""
     if pl.degree == 1 and not pl.at_infinity:
         # x + c0 adds c0 to the lowest digit mod p, with no division
         c0 = pl.poly[0]
         return codes + np.where(digit0 >= ctx.p - c0, c0 - ctx.p, c0)
-    # general place: Horner with full block products
+    # general place: Horner, acc x = sum of x_k (X^k acc) over the digits of
+    # x, with X^k acc reduced before it is scaled: entries stay below deg p^2
     x_blk = _digits(codes, ctx)
-    acc = np.zeros_like(x_blk)
-    acc[0] = 1
-    for c in reversed(pl.poly[:-1]):
-        acc = _mul_blocks(acc, x_blk, ctx, red)
-        if c:
-            acc[0] = (acc[0] + c) % ctx.p
+    acc = x_blk.copy()  # the place is monic: its first Horner step is 1 x
+    for c in reversed(pl.poly[1:-1]):
+        acc[0] = (acc[0] + c) % ctx.p
+        prod = np.zeros_like(acc)
+        for x_k, x_pow in zip(x_blk, _x_powers(ctx)):
+            term = x_pow @ acc
+            term %= ctx.p
+            term *= x_k
+            prod += term
+        acc = prod % ctx.p
+    acc[0] = (acc[0] + pl.poly[0]) % ctx.p
     return _codes_of(acc, ctx)
 
 
 def _sweep_chunk(
-    lo: int, hi: int, places, ctx: FieldContext, cls: np.ndarray, d_cls: int, red: np.ndarray
+    lo: int, hi: int, places, ctx: FieldContext, cls: np.ndarray, d_cls: int
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """Histogram of dlog f mod D over the points of [lo, hi) where f does
     not vanish, plus the zeroes of f seen there: per place, the class mod D
@@ -260,7 +232,7 @@ def _sweep_chunk(
     for place_idx, (pl, m) in enumerate(places):
         if pl.at_infinity:
             continue  # value 1 at every finite point
-        vals = _place_value_codes(pl, codes, digit0, ctx, red)
+        vals = _place_value_codes(pl, codes, digit0, ctx)
         z = vals == 0
         if z.any():
             if (vanish & z).any():
@@ -294,11 +266,10 @@ def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, .
         raise ValidationError("cover order divisible by the characteristic")
     q = ctx.q
     cls, d_cls = power_class_table(ctx)
-    red = _reduction_rows(ctx)
     hist = np.zeros(d_cls, dtype=np.int64)
     by_place: dict[int, list[np.ndarray]] = {}
     for lo in range(0, q, _CHUNK):
-        part, zeros = _sweep_chunk(lo, min(lo + _CHUNK, q), f.places, ctx, cls, d_cls, red)
+        part, zeros = _sweep_chunk(lo, min(lo + _CHUNK, q), f.places, ctx, cls, d_cls)
         hist += part
         for place_idx, others in zeros:
             by_place.setdefault(place_idx, []).append(others)
@@ -326,9 +297,6 @@ def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, .
         for idx, curve in enumerate(curves):
             d = gcd(curve.a, m, q - 1)
             totals[idx] += d * int(np.count_nonzero(other_cls % d == 0))
-
-    for curve, total in zip(curves, totals):
-        _assert_weil(curve, ctx.p, ctx.degree, total)
     return tuple(totals)
 
 
@@ -357,9 +325,10 @@ class CountSeries:
     curve: CurveSpec
     p: int
     counts: tuple[tuple[int, int], ...]  # (level i, N(p^i)), ascending i
+    checked: InitVar[int] = 0  # leading counts already checked against the Weil bound
 
-    def __post_init__(self) -> None:
-        for i, n_pts in self.counts:
+    def __post_init__(self, checked: int) -> None:
+        for i, n_pts in self.counts[checked:]:
             _assert_weil(self.curve, self.p, i, n_pts)
 
     @property
@@ -426,8 +395,9 @@ def count_series(
 
     Walks the levels in turn: at each one, the covers the cache (the form's
     count file) does not hold there are counted together in one sweep and
-    their counts appended to the cache in one write.  A cached count is
-    checked against the Weil bound as it is read.
+    their counts appended to the cache in one write.  Every count is
+    checked against the Weil bound once, as it is read or counted: a fresh
+    count before it is written, so the cache never holds one out of bounds.
     """
     p = curves[0].f.p
     keys = [c.key() for c in curves]
@@ -435,15 +405,16 @@ def count_series(
     for i in range(1, max(levels, default=0) + 1):
         due = [idx for idx, n in enumerate(levels) if i <= n]
         found = {idx: cache.get(p, i, keys[idx]) for idx in due} if cache is not None else {}
-        for idx, value in found.items():
-            if value is not None:
-                _assert_weil(curves[idx], p, i, value, cache.path)
         missing = [idx for idx in due if found.get(idx) is None]
         if missing:
             fresh = count_points([curves[idx] for idx in missing], make_field(p, i))
             found.update(zip(missing, fresh))
-            if cache is not None:
-                cache.put(p, i, {keys[idx]: value for idx, value in zip(missing, fresh)})
         for idx in due:
+            source = cache.path if idx not in missing else None  # only a cached count has a file
+            _assert_weil(curves[idx], p, i, found[idx], source)
             counts[idx].append((i, found[idx]))
-    return tuple(CountSeries(curve=c, p=p, counts=tuple(n)) for c, n in zip(curves, counts))
+        if missing and cache is not None:
+            cache.put(p, i, {keys[idx]: found[idx] for idx in missing})
+    return tuple(
+        CountSeries(curve=c, p=p, counts=tuple(n), checked=len(n)) for c, n in zip(curves, counts)
+    )

@@ -306,7 +306,9 @@ def zeta_bundle(
         (i, predicted_count(full_lpoly, full.components, i))
         for i in range(counted[0] + 1, needed[0] + 1)
     )
-    full_series = CountSeries(curve=full, p=p, counts=full_series.counts + predicted)
+    full_series = CountSeries(
+        curve=full, p=p, counts=full_series.counts + predicted, checked=len(full_series.counts)
+    )
     return ZetaBundle(
         f=f,
         p=p,

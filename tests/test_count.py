@@ -14,8 +14,8 @@ from constj import __version__ as TOOL_VERSION
 from constj.count import CountCache, CountSeries, count_points, count_series
 from constj.curve import CurveSpec
 from constj.errors import InvariantViolation, ValidationError
-from constj.forms import J0, J1728, FactoredForm, Place, form_from_roots, parse_form
-from constj.gf import make_field
+from constj.forms import J0, J1728, FactoredForm, Place, form_from_roots, parse_form, place_value
+from constj.gf import ProjPoint, make_field
 from constj.lfunc import cover_orders, zeta_bundle
 from constj.taxonomy import catalog
 
@@ -160,10 +160,13 @@ def test_weil_bound_enforced(f5553):
     bad = tuple((i, n + 10_000) for i, n in series.counts)
     with pytest.raises(InvariantViolation, match="Weil"):
         CountSeries(curve=series.curve, p=5, counts=bad)
+    # counts past the ones marked checked are still checked
+    with pytest.raises(InvariantViolation, match="Weil bound violated at level 2"):
+        CountSeries(curve=series.curve, p=5, counts=series.counts[:1] + bad[1:], checked=1)
 
 
 def test_weil_check_names_level_and_counts(f5553):
-    # count_points and CountSeries share this one check
+    # CountSeries and count_series, for cached and fresh counts, share this one check
     curve = CurveSpec(f5553, 6)
     count_mod._assert_weil(curve, 5, 2, 26 + 2 * 4 * 5)  # on the bound
     with pytest.raises(InvariantViolation, match="Weil bound violated at level 2: N=10000, q=25"):
@@ -199,6 +202,25 @@ def test_count_series_and_cache(tmp_path, f5553):
     finally:
         count_mod.count_points = monkey_target
     assert again.counts == series.counts
+
+
+def test_fresh_count_past_the_weil_bound_is_never_cached(tmp_path, monkeypatch, f5553):
+    # a fresh count is checked before it is written: a bad count fails its
+    # run as a count, not as a cache read, and no later run can read it back
+    real_count_points = count_mod.count_points
+
+    def bad_at_level_2(curves, ctx):
+        counts = real_count_points(curves, ctx)
+        return counts if ctx.degree == 1 else tuple(n + 10_000 for n in counts)
+
+    monkeypatch.setattr(count_mod, "count_points", bad_at_level_2)
+    curve = CurveSpec(f5553, 6)
+    cache = CountCache(tmp_path, f5553)
+    with pytest.raises(InvariantViolation, match="Weil bound violated at level 2") as err:
+        count_series((curve,), (3,), cache=cache)
+    assert "read from" not in str(err.value)
+    assert [line.split()[1] for line in cache.path.read_text().splitlines()] == ["1"]
+    assert CountCache(tmp_path, f5553).get(5, 2, curve.key()) is None
 
 
 def test_cache_corruption_recounts_with_warning(tmp_path, f5553):
@@ -333,7 +355,7 @@ def test_small_q_infinity_handling():
 # power-class table
 
 # degree 1 is a 1 x 1 matrix; p = 257 puts sums of digit products near
-# deg (p-1)^2; degrees 2..5 reduce h X^j through their moduli
+# deg (p-1)^2; degrees 2..5 reduce X^k through their companion matrices
 MULTIPLIER_FIELDS = [(5, 1), (5, 2), (5, 5), (7, 4), (17, 1), (17, 3), (257, 1), (257, 2), (13, 3)]
 
 
@@ -344,8 +366,24 @@ def test_code_multiplier_matches_field_mul(field, data):
     h_code = data.draw(st.integers(0, ctx.q - 1), label="h")
     xs = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=40), label="x")
     h = ctx.from_code(h_code)
-    got = count_mod._times(h, count_mod._digits(np.array(xs, dtype=np.int64), ctx), ctx)
+    (h_mat,) = count_mod._matrices(np.array([h_code]), ctx)
+    got = count_mod._codes_of(h_mat @ count_mod._digits(np.array(xs), ctx) % ctx.p, ctx)
     assert got.tolist() == [ctx.code(ctx.mul(h, ctx.from_code(x))) for x in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(MULTIPLIER_FIELDS), data=st.data())
+def test_place_value_codes_match_field_horner(field, data):
+    # the sweep's Horner step for places of degree > 1 against forms.place_value
+    ctx = make_field(*field)
+    degree = data.draw(st.integers(2, 3), label="degree")
+    poly = data.draw(st.lists(st.integers(0, ctx.p - 1), min_size=degree, max_size=degree))
+    pl = Place.from_poly(poly + [1], ctx.p)
+    xs = np.array(data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=40)))
+    got = count_mod._place_value_codes(pl, xs, xs % ctx.p, ctx)
+    assert got.tolist() == [
+        ctx.code(place_value(pl, ProjPoint.finite(ctx.from_code(int(x))), ctx)) for x in xs
+    ]
 
 
 def scalar_power_classes(ctx, modulus):
@@ -363,10 +401,11 @@ def scalar_power_classes(ctx, modulus):
 
 @pytest.mark.parametrize("p,i", [(5, 1), (7, 1), (13, 1), (5, 2), (7, 2), (5, 3), (11, 3), (5, 4)])
 @pytest.mark.parametrize("exponent", [6, 4])
-@pytest.mark.parametrize("chunk", [1 << 20, 64])
+@pytest.mark.parametrize("chunk", [1 << 20, 64, 48])
 def test_power_class_table_matches_scalar_walk(monkeypatch, p, i, exponent, chunk):
     # a small chunk and walk block make the walk double its block and then
-    # shift it across several segments, the last one partial
+    # shift it across several segments, the last one partial; at 48 the
+    # block's last doubling step is g^64, not the shift g^48
     monkeypatch.setattr(count_mod, "_CHUNK", chunk)
     monkeypatch.setattr(count_mod, "_WALK_BLOCK", chunk)
     count_mod.power_class_table.cache_clear()
