@@ -10,4 +10,4 @@ from .errors import (  # noqa: F401
     InvariantViolation,
     ValidationError,
 )
-from .gf import FieldContext, FieldElement, ProjPoint, enumerate_p1, make_field, nth_power_count  # noqa: F401
+from .gf import FieldContext, make_field  # noqa: F401

@@ -145,10 +145,10 @@ def cmd_catalog(args) -> int:
 # verify / zeta / report
 
 def _default_roots(k: int, p: int) -> list[str]:
-    pool = ["0", "1", "inf"] + [str(v) for v in range(2, p)]
-    if k > len(pool):
+    """The first k of the points 0, 1, inf, 2, 3, ..., p-1 of P^1(F_p)."""
+    if k > max(p + 1, 3):
         raise ValidationError(f"pattern needs {k} distinct roots but P^1(F_{p}) is too small")
-    return pool[:k]
+    return ["0", "1", "inf"][:k] + [str(v) for v in range(2, k - 1)]
 
 
 def _parse_run_config(args, command: str) -> dict:

@@ -35,7 +35,7 @@ from . import __version__ as TOOL_VERSION
 from .curve import CurveSpec
 from .errors import InvariantViolation, ValidationError
 from .forms import FactoredForm
-from .gf import FieldContext, FieldElement, make_field
+from .gf import FieldContext, make_field
 
 _CHUNK = 1 << 20  # points per sweep step
 _WALK_BLOCK = 1 << 16  # powers per table-walk block: the walk holds deg int64 digits of each
@@ -108,8 +108,8 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def find_generator(ctx: FieldContext) -> FieldElement:
-    """Smallest-code generator of F_q*; deterministic.
+def find_generator(ctx: FieldContext) -> int:
+    """Code of the smallest-code generator of F_q*; deterministic.
 
     Multiplication by c is F_p-linear, so c^e = 1 exactly when M_c^e = I,
     M_c being its matrix (see _matrices).  Candidates are tested a batch at
@@ -138,7 +138,7 @@ def find_generator(ctx: FieldContext) -> FieldElement:
                     power = squares[k] @ power % p
             generates &= (power != one).any(axis=(1, 2))
         if generates.any():
-            return ctx.from_code(int(codes[generates.argmax()]))
+            return int(codes[generates.argmax()])
         lo += size
         size *= 2
     raise InvariantViolation("no generator found; field construction is broken")
@@ -162,8 +162,7 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
             f"q = {q} is above the field-size limit {_MAX_FIELD_Q}"
         )
     d_cls = gcd(_CLASS_MODULUS, q - 1)
-    g = find_generator(ctx)
-    g_mat = _matrices(np.array([ctx.code(g)]), ctx)[0]
+    g_mat = _matrices(np.array([find_generator(ctx)]), ctx)[0]
 
     block_cap = min(q - 1, _WALK_BLOCK)
     digits = np.eye(ctx.degree, 1, dtype=np.int64)  # the block g^0, g^1, ... as digit columns

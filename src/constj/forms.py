@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import ValidationError
-from .gf import FieldContext, FieldElement, ProjPoint, make_field, poly_is_irreducible
+from .gf import make_field, poly_is_irreducible
 
 
 @dataclass(frozen=True)
@@ -256,81 +256,3 @@ def form_from_roots(
 def abstract_pattern(jcase: JCase, mults: Sequence[int]) -> FactoredForm:
     """Abstract-mode form from a bare multiplicity pattern."""
     return form_from_roots(jcase, list(mults), [f"r{i}" for i in range(len(mults))], p=None)
-
-
-def place_value(pl: Place, point: ProjPoint, ctx: FieldContext) -> FieldElement:
-    """Value of the place's form at a canonical representative.
-
-    Finite points use the chart t = 1, infinity uses s = 1; places are monic
-    in s, so every finite place has value 1 at (1 : 0).
-    """
-    if pl.is_abstract:
-        raise ValidationError("cannot evaluate an abstract place")
-    if pl.at_infinity:
-        return point.t
-    if point.is_infinity:
-        return ctx.one()
-    acc = ctx.zero()
-    for c in reversed(pl.poly):
-        acc = acc * point.s + ctx.el(c)
-    return acc
-
-
-def evaluate(f: FactoredForm, point: ProjPoint, ctx: FieldContext) -> FieldElement:
-    """Value of the dehomogenized form at the canonical representative."""
-    if f.is_abstract:
-        raise ValidationError("cannot evaluate an abstract form")
-    if ctx.p != f.p:
-        raise ValidationError(f"form over F_{f.p} evaluated in characteristic {ctx.p}")
-    acc = ctx.one()
-    for pl, m in f.places:
-        acc = acc * ctx.pow(place_value(pl, point, ctx), m)
-    return acc
-
-
-def local_unit(
-    f: FactoredForm,
-    point: ProjPoint,
-    ctx: FieldContext,
-    siblings: Optional[Sequence[FieldElement]] = None,
-) -> tuple[int, FieldElement]:
-    """Multiplicity m and unit part c of f at one of its zeroes.
-
-    c is the value of f with the one F_q-linear factor vanishing at the point
-    removed m times: the product of all other places' values and, for a
-    higher-degree place, of (s - s') over the place's other F_q-roots s'.
-    Those other roots can be passed in; otherwise they are found by scanning
-    F_q, which is only sensible at small q.  The counting sweep does not use
-    this function, so the smooth-model oracle of the tests, which does, is
-    an independent route to the same counts.
-    """
-    vanishing = None
-    c = ctx.one()
-    for pl, m in f.places:
-        v = place_value(pl, point, ctx)
-        if v.is_zero():
-            if vanishing is not None:
-                raise ValidationError("point lies on two places; places must be coprime")
-            vanishing = (pl, m)
-        else:
-            c = c * ctx.pow(v, m)
-    if vanishing is None:
-        raise ValidationError("local_unit called at a point where f does not vanish")
-    pl, m = vanishing
-    if not pl.at_infinity and pl.degree > 1:
-        if siblings is None:
-            siblings = []
-            for code in range(ctx.q):
-                x = ctx.from_code(code)
-                if place_value(pl, ProjPoint.finite(x), ctx).is_zero():
-                    siblings.append(x)
-        others = [x for x in siblings if x != point.s]
-        if len(others) != pl.degree - 1:
-            raise ValidationError(
-                f"expected {pl.degree - 1} sibling roots of {pl.describe()}, got {len(others)}"
-            )
-        for x in others:
-            c = c * ctx.pow(point.s - x, m)
-    if c.is_zero():
-        raise ValidationError("local unit must be nonzero")
-    return m, c

@@ -1,10 +1,11 @@
-"""Exact arithmetic in prime fields F_p (p > 3) and their extensions F_{p^i}.
+"""The fields F_{p^i} (p > 3 prime) that the counts run in.
 
-Elements of F_{p^i} are coefficient vectors modulo a deterministic monic
-irreducible: the lexicographically smallest one of the requested degree,
-comparing coefficient tuples low-degree-first.  Every element also has an
-integer code (base-p digits = coefficients), which is what the counting
-sweeps index by.
+make_field fixes F_{p^i} by a deterministic monic irreducible modulus: the
+lexicographically smallest one of the requested degree, comparing
+coefficient tuples low-degree-first.  An element is then named by its
+integer code, whose base-p digits are its coefficients modulo that
+modulus; the counting sweeps index by codes and multiply them as matrices
+over F_p (see constj.count).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import gcd
 
 from .errors import ValidationError
 
@@ -125,105 +125,8 @@ class FieldContext:
     modulus: tuple[int, ...]  # monic, length degree+1, low degree first
     q: int
 
-    # -- element constructors ------------------------------------------------
-
-    def el(self, *coeffs: int) -> "FieldElement":
-        c = [x % self.p for x in coeffs]
-        if len(c) > self.degree:
-            raise ValidationError(f"too many coefficients for degree {self.degree}")
-        c += [0] * (self.degree - len(c))
-        return FieldElement(self, tuple(c))
-
-    def zero(self) -> "FieldElement":
-        return self.el()
-
-    def one(self) -> "FieldElement":
-        return self.el(1)
-
-    def from_code(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.q:
-            raise ValidationError(f"code {code} out of range for q={self.q}")
-        coeffs = []
-        for _ in range(self.degree):
-            coeffs.append(code % self.p)
-            code //= self.p
-        return FieldElement(self, tuple(coeffs))
-
-    def code(self, a: "FieldElement") -> int:
-        c = 0
-        for digit in reversed(a.coeffs):
-            c = c * self.p + digit
-        return c
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def add(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
-        return FieldElement(self, tuple((x + y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
-
-    def sub(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
-        return FieldElement(self, tuple((x - y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
-
-    def neg(self, a: "FieldElement") -> "FieldElement":
-        return FieldElement(self, tuple((-x) % self.p for x in a.coeffs))
-
-    def mul(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
-        out = [0] * (2 * self.degree - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    out[i + j] += ai * bj
-        red = _poly_rem([x % self.p for x in out], list(self.modulus), self.p)
-        return FieldElement(self, tuple(red))
-
-    def pow(self, a: "FieldElement", e: int) -> "FieldElement":
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = self.one()
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a: "FieldElement") -> "FieldElement":
-        if a.is_zero():
-            raise ZeroDivisionError("inverse of zero in " + repr(self))
-        return self.pow(a, self.q - 2)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"GF({self.p}^{self.degree})" if self.degree > 1 else f"GF({self.p})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    ctx: FieldContext
-    coeffs: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return self.ctx.add(self, other)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self.ctx.sub(self, other)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return self.ctx.mul(self, other)
-
-    def __neg__(self) -> "FieldElement":
-        return self.ctx.neg(self)
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return self.ctx.pow(self, e)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self.ctx.mul(self, self.ctx.inv(other))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"el{self.coeffs}"
 
 
 @lru_cache(maxsize=None)
@@ -247,57 +150,3 @@ def make_field(p: int, i: int = 1) -> FieldContext:
         if poly_is_irreducible(cand, p):
             return FieldContext(p=p, degree=i, modulus=cand, q=p**i)
     raise RuntimeError("unreachable: an irreducible of every degree exists")
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    """Point of P^1(F_q), stored by its unique canonical representative.
-
-    Canonical form: (s : 1) for finite points, (1 : 0) for the point at
-    infinity.
-    """
-
-    s: FieldElement
-    t: FieldElement
-
-    @classmethod
-    def of_pair(cls, s: FieldElement, t: FieldElement) -> "ProjPoint":
-        if t.is_zero():
-            if s.is_zero():
-                raise ValidationError("(0, 0) is not a projective point")
-            return cls(s.ctx.one(), t)
-        return cls(s / t, t.ctx.one())
-
-    @classmethod
-    def finite(cls, x: FieldElement) -> "ProjPoint":
-        return cls(x, x.ctx.one())
-
-    @classmethod
-    def infinity(cls, ctx: FieldContext) -> "ProjPoint":
-        return cls(ctx.one(), ctx.zero())
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.t.is_zero()
-
-
-def nth_power_count(ctx: FieldContext, c: FieldElement, n: int) -> int:
-    """Number of u in F_q with u^n = c.
-
-    Zero has the single root u = 0; a nonzero c has gcd(n, q-1) roots when
-    it is an n-th power and none otherwise.
-    """
-    if n < 1:
-        raise ValidationError("n must be positive")
-    if c.is_zero():
-        return 1
-    d = gcd(n, ctx.q - 1)
-    probe = ctx.pow(c, (ctx.q - 1) // d)
-    return d if probe == ctx.one() else 0
-
-
-def enumerate_p1(ctx: FieldContext):
-    """Yield the q+1 points of P^1(F_q): finite points by code, then infinity."""
-    for code in range(ctx.q):
-        yield ProjPoint.finite(ctx.from_code(code))
-    yield ProjPoint.infinity(ctx)

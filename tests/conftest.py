@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from constj.forms import FactoredForm, J0, J1728, JCase, form_from_roots
-from constj.gf import FieldContext, ProjPoint, enumerate_p1, nth_power_count
+from constj.gf import FieldContext
 from constj.lfunc import LPolynomial, _frac_divmod
-from constj import forms
+
+from oracle import ProjPoint, enumerate_p1, evaluate, local_unit, nth_power_count, scalar_field
 
 
 ROOT_POOL = ["0", "1", "inf", "2", "3", "4", "5", "6"]
@@ -29,10 +30,11 @@ def brute_force_count(f: FactoredForm, a: int, ctx: FieldContext) -> int:
     A valid smooth-model oracle whenever gcd(a, m) = 1 at every place
     (no branch needs normalization data there).
     """
+    ctx = scalar_field(ctx.p, ctx.degree)
     total = 0
     for x_code in range(ctx.q):
         point = ProjPoint.finite(ctx.from_code(x_code))
-        val = forms.evaluate(f, point, ctx)
+        val = evaluate(f, point, ctx)
         for u_code in range(ctx.q):
             if ctx.pow(ctx.from_code(u_code), a) == val:
                 total += 1
@@ -52,9 +54,10 @@ def naive_count(f: FactoredForm, a: int, ctx: FieldContext) -> int:
     Agrees with count_points whenever gcd(a, m) = 1 at every place; used as
     the squarefree-agreement oracle.
     """
+    ctx = scalar_field(ctx.p, ctx.degree)
     total = 0
     for point in enumerate_p1(ctx):
-        total += nth_power_count(ctx, forms.evaluate(f, point, ctx), a)
+        total += nth_power_count(ctx, evaluate(f, point, ctx), a)
     return total
 
 
@@ -67,11 +70,12 @@ def smooth_model_counts(f: FactoredForm, orders, ctx: FieldContext) -> tuple[int
     The point at infinity is either kind.  No table and no sweep, so it is an
     oracle for count_points at every multiplicity.
     """
+    ctx = scalar_field(ctx.p, ctx.degree)
     totals = [0] * len(orders)
     for point in enumerate_p1(ctx):
-        val = forms.evaluate(f, point, ctx)
+        val = evaluate(f, point, ctx)
         if val.is_zero():
-            m, unit = forms.local_unit(f, point, ctx)
+            m, unit = local_unit(f, point, ctx)
             counts = [nth_power_count(ctx, unit, gcd(a, m)) for a in orders]
         else:
             counts = [nth_power_count(ctx, val, a) for a in orders]

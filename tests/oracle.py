@@ -1,0 +1,256 @@
+"""Scalar arithmetic in F_{p^i}: the tests' reference for the count path.
+
+Elements are coefficient tuples modulo make_field's modulus, multiplied one
+at a time in pure Python; their integer codes (base-p digits =
+coefficients) are the count path's codes.  constj counts with matrices over
+F_p on blocks of codes and shares none of this code, so agreement between
+the two checks both.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import gcd
+from typing import Optional, Sequence
+
+from constj.errors import ValidationError
+from constj.forms import FactoredForm, Place
+from constj.gf import FieldContext, _poly_rem, make_field
+
+
+class ScalarField(FieldContext):
+    """make_field's F_{p^degree}, with element arithmetic."""
+
+    # -- element constructors ------------------------------------------------
+
+    def el(self, *coeffs: int) -> "FieldElement":
+        c = [x % self.p for x in coeffs]
+        if len(c) > self.degree:
+            raise ValidationError(f"too many coefficients for degree {self.degree}")
+        c += [0] * (self.degree - len(c))
+        return FieldElement(self, tuple(c))
+
+    def zero(self) -> "FieldElement":
+        return self.el()
+
+    def one(self) -> "FieldElement":
+        return self.el(1)
+
+    def from_code(self, code: int) -> "FieldElement":
+        if not 0 <= code < self.q:
+            raise ValidationError(f"code {code} out of range for q={self.q}")
+        coeffs = []
+        for _ in range(self.degree):
+            coeffs.append(code % self.p)
+            code //= self.p
+        return FieldElement(self, tuple(coeffs))
+
+    def code(self, a: "FieldElement") -> int:
+        c = 0
+        for digit in reversed(a.coeffs):
+            c = c * self.p + digit
+        return c
+
+    # -- arithmetic ------------------------------------------------------------
+
+    def add(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
+        return FieldElement(self, tuple((x + y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
+
+    def sub(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
+        return FieldElement(self, tuple((x - y) % self.p for x, y in zip(a.coeffs, b.coeffs)))
+
+    def neg(self, a: "FieldElement") -> "FieldElement":
+        return FieldElement(self, tuple((-x) % self.p for x in a.coeffs))
+
+    def mul(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
+        out = [0] * (2 * self.degree - 1)
+        for i, ai in enumerate(a.coeffs):
+            if ai:
+                for j, bj in enumerate(b.coeffs):
+                    out[i + j] += ai * bj
+        red = _poly_rem([x % self.p for x in out], list(self.modulus), self.p)
+        return FieldElement(self, tuple(red))
+
+    def pow(self, a: "FieldElement", e: int) -> "FieldElement":
+        if e < 0:
+            return self.pow(self.inv(a), -e)
+        result = self.one()
+        base = a
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def inv(self, a: "FieldElement") -> "FieldElement":
+        if a.is_zero():
+            raise ZeroDivisionError("inverse of zero in " + repr(self))
+        return self.pow(a, self.q - 2)
+
+
+def scalar_field(p: int, i: int = 1) -> ScalarField:
+    ctx = make_field(p, i)
+    return ScalarField(ctx.p, ctx.degree, ctx.modulus, ctx.q)
+
+
+@dataclass(frozen=True)
+class FieldElement:
+    ctx: FieldContext
+    coeffs: tuple[int, ...]
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def __add__(self, other: "FieldElement") -> "FieldElement":
+        return self.ctx.add(self, other)
+
+    def __sub__(self, other: "FieldElement") -> "FieldElement":
+        return self.ctx.sub(self, other)
+
+    def __mul__(self, other: "FieldElement") -> "FieldElement":
+        return self.ctx.mul(self, other)
+
+    def __neg__(self) -> "FieldElement":
+        return self.ctx.neg(self)
+
+    def __pow__(self, e: int) -> "FieldElement":
+        return self.ctx.pow(self, e)
+
+    def __truediv__(self, other: "FieldElement") -> "FieldElement":
+        return self.ctx.mul(self, self.ctx.inv(other))
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"el{self.coeffs}"
+
+
+@dataclass(frozen=True)
+class ProjPoint:
+    """Point of P^1(F_q), stored by its unique canonical representative.
+
+    Canonical form: (s : 1) for finite points, (1 : 0) for the point at
+    infinity.
+    """
+
+    s: FieldElement
+    t: FieldElement
+
+    @classmethod
+    def of_pair(cls, s: FieldElement, t: FieldElement) -> "ProjPoint":
+        if t.is_zero():
+            if s.is_zero():
+                raise ValidationError("(0, 0) is not a projective point")
+            return cls(s.ctx.one(), t)
+        return cls(s / t, t.ctx.one())
+
+    @classmethod
+    def finite(cls, x: FieldElement) -> "ProjPoint":
+        return cls(x, x.ctx.one())
+
+    @classmethod
+    def infinity(cls, ctx: FieldContext) -> "ProjPoint":
+        return cls(ctx.one(), ctx.zero())
+
+    @property
+    def is_infinity(self) -> bool:
+        return self.t.is_zero()
+
+
+def nth_power_count(ctx: FieldContext, c: FieldElement, n: int) -> int:
+    """Number of u in F_q with u^n = c.
+
+    Zero has the single root u = 0; a nonzero c has gcd(n, q-1) roots when
+    it is an n-th power and none otherwise.
+    """
+    if n < 1:
+        raise ValidationError("n must be positive")
+    if c.is_zero():
+        return 1
+    d = gcd(n, ctx.q - 1)
+    probe = ctx.pow(c, (ctx.q - 1) // d)
+    return d if probe == ctx.one() else 0
+
+
+def enumerate_p1(ctx: FieldContext):
+    """Yield the q+1 points of P^1(F_q): finite points by code, then infinity."""
+    for code in range(ctx.q):
+        yield ProjPoint.finite(ctx.from_code(code))
+    yield ProjPoint.infinity(ctx)
+
+
+def place_value(pl: Place, point: ProjPoint, ctx: FieldContext) -> FieldElement:
+    """Value of the place's form at a canonical representative.
+
+    Finite points use the chart t = 1, infinity uses s = 1; places are monic
+    in s, so every finite place has value 1 at (1 : 0).
+    """
+    if pl.is_abstract:
+        raise ValidationError("cannot evaluate an abstract place")
+    if pl.at_infinity:
+        return point.t
+    if point.is_infinity:
+        return ctx.one()
+    acc = ctx.zero()
+    for c in reversed(pl.poly):
+        acc = acc * point.s + ctx.el(c)
+    return acc
+
+
+def evaluate(f: FactoredForm, point: ProjPoint, ctx: FieldContext) -> FieldElement:
+    """Value of the dehomogenized form at the canonical representative."""
+    if f.is_abstract:
+        raise ValidationError("cannot evaluate an abstract form")
+    if ctx.p != f.p:
+        raise ValidationError(f"form over F_{f.p} evaluated in characteristic {ctx.p}")
+    acc = ctx.one()
+    for pl, m in f.places:
+        acc = acc * ctx.pow(place_value(pl, point, ctx), m)
+    return acc
+
+
+def local_unit(
+    f: FactoredForm,
+    point: ProjPoint,
+    ctx: FieldContext,
+    siblings: Optional[Sequence[FieldElement]] = None,
+) -> tuple[int, FieldElement]:
+    """Multiplicity m and unit part c of f at one of its zeroes.
+
+    c is the value of f with the one F_q-linear factor vanishing at the point
+    removed m times: the product of all other places' values and, for a
+    higher-degree place, of (s - s') over the place's other F_q-roots s'.
+    Those other roots can be passed in; otherwise they are found by scanning
+    F_q, which is only sensible at small q.  The counting sweep does not use
+    this function, so the smooth-model oracle of the tests, which does, is
+    an independent route to the same counts.
+    """
+    vanishing = None
+    c = ctx.one()
+    for pl, m in f.places:
+        v = place_value(pl, point, ctx)
+        if v.is_zero():
+            if vanishing is not None:
+                raise ValidationError("point lies on two places; places must be coprime")
+            vanishing = (pl, m)
+        else:
+            c = c * ctx.pow(v, m)
+    if vanishing is None:
+        raise ValidationError("local_unit called at a point where f does not vanish")
+    pl, m = vanishing
+    if not pl.at_infinity and pl.degree > 1:
+        if siblings is None:
+            siblings = []
+            for code in range(ctx.q):
+                x = ctx.from_code(code)
+                if place_value(pl, ProjPoint.finite(x), ctx).is_zero():
+                    siblings.append(x)
+        others = [x for x in siblings if x != point.s]
+        if len(others) != pl.degree - 1:
+            raise ValidationError(
+                f"expected {pl.degree - 1} sibling roots of {pl.describe()}, got {len(others)}"
+            )
+        for x in others:
+            c = c * ctx.pow(point.s - x, m)
+    if c.is_zero():
+        raise ValidationError("local unit must be nonzero")
+    return m, c

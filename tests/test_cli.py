@@ -1,13 +1,14 @@
 """Command-line behavior: rendering, determinism, exit codes."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import constj.count as count_mod
 import constj.lfunc as lfunc_mod
-from constj.cli import build_parser, main, render_json
+from constj.cli import _default_roots, build_parser, main, render_json
 from constj.errors import FalsifiedClaimError
 
 
@@ -299,6 +300,24 @@ def test_default_roots_are_canonical(capsys):
     )
     assert code == 0
     assert json.loads(out)["config"]["roots"] == ["0", "1", "inf", "2"]
+
+
+def test_default_roots_build_only_the_roots_they_return():
+    tracemalloc.start()
+    try:
+        assert _default_roots(4, 1000003) == ["0", "1", "inf", "2"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_default_roots_at_a_prime_past_the_field_size_limit_exit_one(capsys):
+    code, out, err = run_cli(
+        capsys, ["zeta", "--jcase", "1728", "--p", "134217757", "--pattern", "3,3,3,3"]
+    )
+    assert code == 1 and out == ""
+    assert "field-size limit 134217728" in err
 
 
 def test_big_integers_become_strings():

@@ -1,24 +1,17 @@
-"""Factored forms: parsing, complement, evaluation, local units."""
+"""Factored forms: parsing, complement; the oracle's evaluation and local units."""
 
 import pytest
 
 from constj.errors import ValidationError
 from constj.forms import (
-    FactoredForm,
-    J0,
-    J1728,
-    Place,
-    abstract_pattern,
-    evaluate,
-    form_from_roots,
-    local_unit,
-    parse_form,
-    place_value,
+    FactoredForm, J0, J1728, Place, abstract_pattern, form_from_roots, parse_form
 )
-from constj.gf import ProjPoint, enumerate_p1, make_field, nth_power_count
 from constj.taxonomy import catalog, enumerate_patterns
 
 from conftest import concrete_form
+from oracle import (
+    ProjPoint, enumerate_p1, evaluate, local_unit, nth_power_count, place_value, scalar_field
+)
 
 
 def test_parse_intro_row(f5553):
@@ -84,19 +77,19 @@ def test_partner_n_on_catalog_patterns(jcase):
 
 
 def test_evaluate_vanishes_on_linear_place(f5553):
-    ctx = make_field(5, 1)
+    ctx = scalar_field(5, 1)
     assert evaluate(f5553, ProjPoint.finite(ctx.el(1)), ctx).is_zero()
 
 
 def test_evaluate_toy_product():
     # f = s * t, not a valid form, but evaluation is defined pointwise
     toy = FactoredForm(jcase=J0, places=((Place.linear(0, 5), 1), (Place.infinity(), 1)), p=5)
-    ctx = make_field(5, 1)
+    ctx = scalar_field(5, 1)
     assert evaluate(toy, ProjPoint.finite(ctx.el(2)), ctx) == ctx.el(2)
 
 
 def test_evaluate_at_generic_point(f5553):
-    ctx = make_field(5, 1)
+    ctx = scalar_field(5, 1)
     value = evaluate(f5553, ProjPoint.finite(ctx.el(3)), ctx)
     # direct product: 3^5 * (3-1)^5 * 1^5 * (3-2)^3
     expected = ctx.pow(ctx.el(3), 5) * ctx.pow(ctx.el(2), 5) * ctx.pow(ctx.el(1), 3)
@@ -127,7 +120,7 @@ def test_evaluate_at_generic_point(f5553):
 )
 def test_evaluate_zero_iff_on_a_place(p, i, builder):
     f = builder()
-    ctx = make_field(p, i)
+    ctx = scalar_field(p, i)
     for point in enumerate_p1(ctx):
         vanishing = sum(
             1 for pl, _ in f.places if place_value(pl, point, ctx).is_zero()
@@ -139,7 +132,7 @@ def test_evaluate_zero_iff_on_a_place(p, i, builder):
 def test_local_unit_toy_at_infinity():
     # f = t^2 * s: at (1:0) the t-factor vanishes doubly, the unit is s(1,0) = 1
     toy = FactoredForm(jcase=J0, places=((Place.infinity(), 2), (Place.linear(0, 5), 1)), p=5)
-    ctx = make_field(5, 1)
+    ctx = scalar_field(5, 1)
     m, c = local_unit(toy, ProjPoint.infinity(ctx), ctx)
     assert m == 2 and c == ctx.one()
 
@@ -147,7 +140,7 @@ def test_local_unit_toy_at_infinity():
 def test_local_unit_direct_evaluation():
     # pattern (5,5,2) with roots {0, 1, inf}; unit at the double root (1:0)
     f = concrete_form(J0, (5, 5, 2))
-    ctx = make_field(7, 1) if f.p == 7 else make_field(5, 1)
+    ctx = scalar_field(7, 1) if f.p == 7 else scalar_field(5, 1)
     m, c = local_unit(f, ProjPoint.infinity(ctx), ctx)
     assert m == 2
     # remaining factors: s^5 (s-t)^5 at (1:0) -> 1
@@ -158,7 +151,7 @@ def test_local_unit_direct_evaluation():
 
 
 def test_local_unit_requires_a_zero(f5553):
-    ctx = make_field(5, 1)
+    ctx = scalar_field(5, 1)
     with pytest.raises(ValidationError):
         local_unit(f5553, ProjPoint.finite(ctx.el(3)), ctx)
 
@@ -170,7 +163,7 @@ def test_local_unit_siblings_of_quadratic_place():
         [(Place.infinity(), 2), (Place.linear(0, 7), 2), (Place.from_poly((1, 0, 1), 7), 1)],
         p=7,
     )
-    ctx = make_field(7, 2)
+    ctx = scalar_field(7, 2)
     quad = f.places[-1][0] if f.places[-1][0].degree == 2 else None
     roots = [
         ctx.from_code(code)
@@ -190,7 +183,7 @@ def test_local_unit_siblings_of_quadratic_place():
 def test_local_unit_class_invariant_under_chart_change():
     """Changing the representative chart scales the unit by a d-th power."""
     f = concrete_form(J0, (5, 5, 2))  # roots 0, 1, inf
-    ctx = make_field(5, 1)
+    ctx = scalar_field(5, 1)
     a = 6
     # the unit at the multiplicity-2 zero (1:0), chart s = 1
     m, c = local_unit(f, ProjPoint.infinity(ctx), ctx)
@@ -213,4 +206,4 @@ def test_serialization_is_canonical_and_stable(f5553):
 def test_abstract_mode_rejects_evaluation():
     f = abstract_pattern(J0, (5, 1))
     with pytest.raises(ValidationError):
-        evaluate(f, ProjPoint.finite(make_field(5, 1).el(0)), make_field(5, 1))
+        evaluate(f, ProjPoint.finite(scalar_field(5, 1).el(0)), scalar_field(5, 1))
