@@ -9,11 +9,10 @@ given config and tool version; wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 import time
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
@@ -56,20 +55,49 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _json_safe(obj):
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
-        return str(obj) if abs(obj) > _JSON_INT_LIMIT else obj
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    return obj
+def _write_json(obj, out, indent: str) -> None:
+    """Pass to ``out``, piece by piece, the text of json.dumps(obj, indent=2,
+    sort_keys=True) with dict keys made str and ints past 2^53 quoted."""
+    if isinstance(obj, str):
+        out(encode_basestring_ascii(obj))
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif isinstance(obj, int):
+        out(f'"{obj}"' if abs(obj) > _JSON_INT_LIMIT else int.__repr__(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        if not obj:
+            out("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = indent + "  "
+        sep = "\n" + inner
+        if isinstance(obj, dict):
+            out("{")
+            for key in sorted(obj, key=str):
+                out(sep)
+                out(encode_basestring_ascii(str(key)))
+                out(": ")
+                _write_json(obj[key], out, inner)
+                sep = ",\n" + inner
+            out("\n" + indent + "}")
+        else:
+            out("[")
+            for item in obj:
+                out(sep)
+                _write_json(item, out, inner)
+                sep = ",\n" + inner
+            out("\n" + indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
+    parts: list[str] = []
+    _write_json(payload, parts.append, "")
+    return "".join(parts) + "\n"
 
 
 def _flatten(obj, prefix: str = "") -> list[tuple[str, str]]:
@@ -87,7 +115,7 @@ def _flatten(obj, prefix: str = "") -> list[tuple[str, str]]:
 
 def render_csv(payload: dict) -> str:
     lines = ["key,value"]
-    for key, value in _flatten(_json_safe(payload)):
+    for key, value in _flatten(payload):
         value = value.replace('"', '""')
         lines.append(f'{key},"{value}"')
     return "\n".join(lines) + "\n"
@@ -97,9 +125,8 @@ def render_csv(payload: dict) -> str:
 # catalog
 
 def _catalog_payload(jcase: forms.JCase) -> dict:
-    rows = [dataclasses.asdict(row) for row in taxonomy.catalog(jcase)]
-    for row in rows:
-        row["surface_class"] = row["surface_class"].value
+    rows = [dict(vars(row), surface_class=row.surface_class.value)
+            for row in taxonomy.catalog(jcase)]
     excluded = [
         {"pattern": pat, "note": "X_f rational - excluded"}
         for pat in taxonomy.enumerate_patterns(jcase)
@@ -186,9 +213,8 @@ def _curve_section(f: forms.FactoredForm) -> dict:
 
 def _surface_section(f: forms.FactoredForm) -> dict:
     def one(g: forms.FactoredForm) -> dict:
-        inv = dataclasses.asdict(surface.invariants(g))
-        inv["fibers"] = [fb["symbol"] for fb in inv["fibers"]]
-        return inv
+        inv = surface.invariants(g)
+        return dict(vars(inv), fibers=[fb.symbol for fb in inv.fibers])
 
     return {
         "f_side": one(f),
@@ -198,14 +224,9 @@ def _surface_section(f: forms.FactoredForm) -> dict:
 
 
 def _taxonomy_section(f: forms.FactoredForm) -> dict:
-    row = next(
-        (r for r in taxonomy.catalog(f.jcase) if r.pattern == f.pattern), None
-    )
+    row = taxonomy.catalog_row(f.pattern, f.jcase)
     if row is not None:
-        data = dataclasses.asdict(row)
-        data["surface_class"] = row.surface_class.value
-        data["in_catalog"] = True
-        return data
+        return dict(vars(row), surface_class=row.surface_class.value, in_catalog=True)
     return {
         "pattern": list(f.pattern),
         "n": f.n,

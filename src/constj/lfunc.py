@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from .count import _MAX_FIELD_Q, CountCache, CountSeries, count_series

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import ValidationError
 from .forms import FactoredForm, JCase
@@ -87,23 +87,22 @@ class CatalogRow:
     supersingular_congruence: str
 
 
+def catalog_row(pattern: Pattern, jcase: JCase) -> Optional[CatalogRow]:
+    """The catalog row of a pattern, or None for a pattern the catalog lacks
+    (no rational partner, or k = 2 so that X_f itself is rational)."""
+    k = len(pattern)
+    if k < 3 or not is_partner_rational(pattern, jcase):
+        return None
+    return CatalogRow(
+        pattern=pattern,
+        n=sum(pattern) // jcase.exponent,
+        k=k,
+        surface_class=classify_Xf(pattern),
+        torelli_failure_expected=k > 3,
+        supersingular_congruence="p = 5 mod 6" if jcase.exponent == 6 else "p = 3 mod 4",
+    )
+
+
 def catalog(jcase: JCase) -> list[CatalogRow]:
     """Rows for the non-rational surfaces: all admissible patterns with k >= 3."""
-    n_exp = jcase.exponent
-    congruence = "p = 5 mod 6" if n_exp == 6 else "p = 3 mod 4"
-    rows = []
-    for pattern in enumerate_patterns(jcase):
-        k = len(pattern)
-        if k < 3:
-            continue
-        rows.append(
-            CatalogRow(
-                pattern=pattern,
-                n=sum(pattern) // n_exp,
-                k=k,
-                surface_class=classify_Xf(pattern),
-                torelli_failure_expected=k > 3,
-                supersingular_congruence=congruence,
-            )
-        )
-    return rows
+    return [row for pat in enumerate_patterns(jcase) if (row := catalog_row(pat, jcase))]

@@ -282,6 +282,14 @@ def test_reports_match_golden_files(capsys, name, args):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize("jcase", ["0", "1728"])
+def test_catalog_matches_golden_files(capsys, jcase):
+    # written by the json.dumps renderer, before render_json wrote its own text
+    code, out, _ = run_cli(capsys, ["catalog", "--jcase", jcase, "--format", "json"])
+    assert code == 0
+    assert out == (GOLDEN / f"catalog_j{jcase}.json").read_text()
+
+
 def test_one_parser_serves_every_call_in_a_process(capsys):
     assert build_parser() is build_parser()
     assert run_cli(capsys, ["verify", "--p", "5"])[0] == 1
