@@ -198,28 +198,27 @@ def _parse_run_config(args, command: str) -> dict:
     }
 
 
-def _curve_section(f: forms.FactoredForm) -> dict:
-    orders = lfunc.cover_orders(f.jcase)
-    dims = curve.eigenspace_dims(f)
+def _curve_section(bundle: lfunc.ZetaBundle) -> dict:
+    f, covers = bundle.f, bundle.curves
     return {
-        "genus": {str(a): curve.genus(f, a) for a in orders},
-        "components": {str(a): curve.geometric_components(f, a) for a in orders},
-        "h1_dim": {str(a): curve.h1_dim(f, a) for a in orders},
-        "chi_singular": {str(a): curve.chi_singular(f, a) for a in orders},
-        "branch_correction": {str(a): curve.branch_correction(f, a) for a in orders},
-        "eigenspace_dims": list(dims.dims),
+        "genus": {str(c.a): c.genus for c in covers},
+        "components": {str(c.a): c.components for c in covers},
+        "h1_dim": {str(c.a): c.h1_dim for c in covers},
+        "chi_singular": {str(c.a): curve.chi_singular(f, c.a) for c in covers},
+        "branch_correction": {str(c.a): curve.branch_correction(f, c.a) for c in covers},
+        "eigenspace_dims": list(bundle.dims.dims),
     }
 
 
-def _surface_section(f: forms.FactoredForm) -> dict:
-    def one(g: forms.FactoredForm) -> dict:
-        inv = surface.invariants(g)
+def _surface_section(f: forms.FactoredForm, dims: curve.EigenDims) -> dict:
+    def one(inv: surface.SurfaceInvariants) -> dict:
         return dict(vars(inv), fibers=[fb.symbol for fb in inv.fibers])
 
+    f_side = surface.invariants(f)
     return {
-        "f_side": one(f),
-        "partner": one(f.complement()),
-        "ns_perp_check": surface.ns_perp_check(f),
+        "f_side": one(f_side),
+        "partner": one(surface.invariants(f.complement())),
+        "ns_perp_check": surface.ns_perp_check(f, f_side, dims),
     }
 
 
@@ -264,10 +263,9 @@ def run_pipeline(
         "new_factor": list(bundle.new_factor.coeffs),
         "new_factor_degree": bundle.new_factor.degree,
         "newton_polygons": {
-            str(c.a): _polygon_json(lfunc.newton_polygon(lp, cfg["p"]))
-            for c, lp in zip(bundle.curves, bundle.lpolys)
+            str(c.a): _polygon_json(poly) for c, poly in zip(bundle.curves, bundle.polygons)
         },
-        "new_factor_polygon": _polygon_json(lfunc.newton_polygon(bundle.new_factor, cfg["p"])),
+        "new_factor_polygon": _polygon_json(bundle.polygons[-1]),
     }
 
     verdict_section = None
@@ -283,8 +281,8 @@ def run_pipeline(
     report = {
         "config": cfg,
         "taxonomy": _taxonomy_section(f),
-        "curve": _curve_section(f),
-        "surface": _surface_section(f),
+        "curve": _curve_section(bundle),
+        "surface": _surface_section(f, bundle.dims),
         "counts": counts_section,
         "lfunctions": lf_section,
         "verdict": verdict_section,

@@ -354,21 +354,24 @@ class CountCache:
 
     def _load(self) -> dict[tuple[int, int, str], int]:
         if self._records is None:
+            try:
+                text = self.path.read_text() if self.path.exists() else ""
+            except OSError as exc:
+                raise ValidationError(f"count cache {self.path} is not readable: {exc}") from exc
             self._records = {}
-            if self.path.exists():
-                for lineno, line in enumerate(self.path.read_text().splitlines(), 1):
-                    if not line.strip():
-                        continue
-                    fields = line.split()
-                    try:
-                        p, i, key, value = int(fields[0]), int(fields[1]), fields[2], int(fields[3])
-                        if len(fields) != 5:
-                            raise ValueError
-                    except (ValueError, IndexError):
-                        warnings.warn(f"{self.path}:{lineno}: corrupt cache record; recounting")
-                        continue
-                    if fields[4] == TOOL_VERSION:
-                        self._records[(p, i, key)] = value
+            for lineno, line in enumerate(text.splitlines(), 1):
+                if not line.strip():
+                    continue
+                fields = line.split()
+                try:
+                    p, i, key, value = int(fields[0]), int(fields[1]), fields[2], int(fields[3])
+                    if len(fields) != 5:
+                        raise ValueError
+                except (ValueError, IndexError):
+                    warnings.warn(f"{self.path}:{lineno}: corrupt cache record; recounting")
+                    continue
+                if fields[4] == TOOL_VERSION:
+                    self._records[(p, i, key)] = value
         return self._records
 
     def get(self, p: int, i: int, key: str) -> Optional[int]:
@@ -376,12 +379,15 @@ class CountCache:
 
     def put(self, p: int, i: int, counts: dict[str, int]) -> None:
         """Append the counts at F_{p^i}, {curve key: count}, in one write."""
-        if not self._dir_made:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._dir_made = True
-        with self.path.open("a") as fh:
-            fh.write("".join(f"{p} {i} {key} {n} {TOOL_VERSION}\n" for key, n in counts.items()))
-            fh.flush()
+        try:
+            if not self._dir_made:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._dir_made = True
+            with self.path.open("a") as fh:
+                fh.write("".join(f"{p} {i} {key} {n} {TOOL_VERSION}\n" for key, n in counts.items()))
+                fh.flush()
+        except OSError as exc:
+            raise ValidationError(f"count cache {self.path} is not writable: {exc}") from exc
         self._load().update(((p, i, key), n) for key, n in counts.items())
 
 

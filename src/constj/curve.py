@@ -15,7 +15,9 @@ in every case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
+from typing import Sequence
 
 from .errors import InvariantViolation, ValidationError
 from .forms import FactoredForm, J0
@@ -62,19 +64,6 @@ def geometric_components(f: FactoredForm, a: int) -> int:
     return gcd(a, *(m for _, m in f.places))
 
 
-def h1_dim(f: FactoredForm, a: int) -> int:
-    """dim H^1 of the smooth model: 2 * (components - 1 + genus)."""
-    dim = 2 * (geometric_components(f, a) - 1 + genus(f, a))
-    if dim < 0:
-        raise InvariantViolation(f"negative H^1 dimension for a={a}")
-    return dim
-
-
-def total_genus(f: FactoredForm, a: int) -> int:
-    """Sum of the genera of the geometric components (= h1/2)."""
-    return h1_dim(f, a) // 2
-
-
 @dataclass(frozen=True)
 class CurveSpec:
     """A cyclic cover u^a = f together with its derived invariants."""
@@ -85,21 +74,27 @@ class CurveSpec:
     def __post_init__(self) -> None:
         _check_cover_order(self.f, self.a)
 
-    @property
+    # each number is summed once per cover, however often a run reads it
+    @cached_property
     def genus(self) -> int:
         return genus(self.f, self.a)
 
-    @property
+    @cached_property
     def components(self) -> int:
         return geometric_components(self.f, self.a)
 
-    @property
-    def total_genus(self) -> int:
-        return total_genus(self.f, self.a)
-
-    @property
+    @cached_property
     def h1_dim(self) -> int:
-        return h1_dim(self.f, self.a)
+        """dim H^1 of the smooth model: 2 * (components - 1 + genus)."""
+        dim = 2 * (self.components - 1 + self.genus)
+        if dim < 0:
+            raise InvariantViolation(f"negative H^1 dimension for a={self.a}")
+        return dim
+
+    @cached_property
+    def total_genus(self) -> int:
+        """Sum of the genera of the geometric components (= h1/2)."""
+        return self.h1_dim // 2
 
     def key(self) -> str:
         return f"{self.f.key()}:a={self.a}"
@@ -123,35 +118,29 @@ class EigenDims:
         return sum(self.dims)
 
 
-def eigenspace_dims(f: FactoredForm) -> EigenDims:
+def eigenspace_dims(f: FactoredForm, covers: Sequence[CurveSpec] = ()) -> EigenDims:
     """Eigenspace dimensions from subcover H^1 dimensions.
 
     The fixed spaces of the subgroups are the H^1 of the subcovers, so the
     primitive part has dimension h1(full) - sum of the subcover h1's, split
     evenly between the two primitive eigenvalues; it always equals k - 2 on
-    each.
+    each.  The covers of f in ``covers`` are read, not built again.
     """
     n_exp = f.jcase.exponent
     k = f.k
-    if f.jcase == J0:
-        h2, h3, h6 = h1_dim(f, 2), h1_dim(f, 3), h1_dim(f, 6)
-        primitive2 = h6 - h2 - h3
-        if primitive2 < 0 or primitive2 % 2 != 0:
-            raise InvariantViolation("primitive eigenspace dimension must be a nonnegative even integer")
-        d1 = primitive2 // 2
-        dims = (d1, h3 // 2, h2, h3 // 2, d1)
-    else:
-        h2, h4 = h1_dim(f, 2), h1_dim(f, 4)
-        primitive2 = h4 - h2
-        if primitive2 < 0 or primitive2 % 2 != 0:
-            raise InvariantViolation("primitive eigenspace dimension must be a nonnegative even integer")
-        d1 = primitive2 // 2
-        dims = (d1, h2, d1)
+    built = {c.a: c for c in covers}
+    orders = [a for a in range(2, n_exp + 1) if n_exp % a == 0]
+    h1 = {a: (built[a] if a in built else CurveSpec(f, a)).h1_dim for a in orders}
+    primitive2 = h1[n_exp] - sum(dim for a, dim in h1.items() if a != n_exp)
+    if primitive2 < 0 or primitive2 % 2 != 0:
+        raise InvariantViolation("primitive eigenspace dimension must be a nonnegative even integer")
+    d1 = primitive2 // 2
+    dims = (d1, h1[3] // 2, h1[2], h1[3] // 2, d1) if f.jcase == J0 else (d1, h1[2], d1)
     if d1 != k - 2:
         raise InvariantViolation(
             f"primitive eigenspace dimension {d1} != k - 2 = {k - 2} for pattern {f.pattern}"
         )
     ed = EigenDims(exponent=n_exp, dims=dims)
-    if ed.total != h1_dim(f, n_exp):
+    if ed.total != h1[n_exp]:
         raise InvariantViolation("eigenspace dimensions do not sum to dim H^1")
     return ed

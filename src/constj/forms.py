@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import ValidationError
@@ -172,6 +173,10 @@ class FactoredForm:
         return ";".join(parts)
 
     def key(self) -> str:
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:  # hashed once per form: the cache and every cover key read it
         return hashlib.sha256(self.serialize().encode()).hexdigest()[:16]
 
 
@@ -246,7 +251,10 @@ def form_from_roots(
         elif isinstance(r, str) and r.lower() in ("inf", "oo", "infinity"):
             places.append((Place.infinity(), m))
         else:
-            r_int = int(r)
+            try:
+                r_int = int(r)
+            except ValueError:
+                raise ValidationError(f"root {r!r} is not an element of F_{p} or inf") from None
             if not 0 <= r_int < p:
                 raise ValidationError(f"root {r} out of range for F_{p}")
             places.append((Place.linear(r_int, p), m))

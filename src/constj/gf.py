@@ -17,16 +17,25 @@ from itertools import product
 from .errors import ValidationError
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base in _PRIME_BASES (Sorenson and Webster, 2015)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+    """Deterministic Miller-Rabin test to the prime bases 2..41, exact for
+    n below _PRIME_TEST_LIMIT (about 3.3e24); a larger n is refused."""
+    if n >= _PRIME_TEST_LIMIT:
+        raise ValidationError(f"{n} is too large: primality is decided below {_PRIME_TEST_LIMIT}")
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    if n < 43 * 43:  # no prime factor up to 41, so none up to sqrt(n)
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for b in _PRIME_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << r, n) for r in range(s)):
+            return False  # b witnesses that n is composite
     return True
 
 

@@ -6,7 +6,7 @@ power sums s_i = r(q^i + 1) - N(q^i) via Newton's identities, with the
 upper half filled in by the functional equation c_{2g-i} = q^{g-i} c_i.
 Every division must be exact; a non-integral coefficient means the counts
 are wrong and is reported as such.  Each rebuilt factor is checked to be a
-Weil polynomial by an integer Sturm count, with no floating point.
+Weil polynomial by a Sturm count on integers alone: no float, no Fraction.
 
 The interesting part of H^1 of the full cover is the primitive eigenspace
 factor: the full numerator is that factor times the subcover numerators.
@@ -20,10 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd
 from typing import Optional
 
 from .count import _MAX_FIELD_Q, CountCache, CountSeries, count_series
-from .curve import CurveSpec, eigenspace_dims
+from .curve import CurveSpec, EigenDims, eigenspace_dims
 from .errors import (
     BranchInconsistencyError,
     CountDataError,
@@ -50,14 +52,29 @@ def _frac_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fractio
     return quot, num
 
 
-def _value(poly: list[Fraction], x: int) -> Fraction:
-    return sum((c * x**i for i, c in enumerate(poly)), Fraction(0))
+def _value(poly: list[int], x: int) -> int:
+    return sum(c * x**i for i, c in enumerate(poly))
 
 
-def _sign_changes(chain: list[list[Fraction]], x: int) -> int:
+def _sign_changes(chain: list[list[int]], x: int) -> int:
     """Sign changes at x along a polynomial sequence, zeroes skipped."""
     signs = [v > 0 for v in (_value(poly, x) for poly in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _sturm_remainder(num: list[int], den: list[int]) -> list[int]:
+    """num mod den times a positive integer, content divided out: each step
+    scales num by |lc(den)| and cancels its top term, so no sign flips."""
+    lead, deg_d = den[-1], len(den) - 1
+    while len(num) > deg_d:
+        top, shift = num[-1] * (1 if lead > 0 else -1), len(num) - 1 - deg_d
+        num = [abs(lead) * v for v in num[:-1]]
+        for j in range(deg_d):
+            num[shift + j] -= top * den[j]
+    while len(num) > 1 and num[-1] == 0:
+        num = num[:-1]
+    content = gcd(*num) or 1
+    return [v // content for v in num]
 
 
 @dataclass(frozen=True)
@@ -87,7 +104,7 @@ class LPolynomial:
                 raise InvariantViolation(f"functional equation fails at i={i}")
 
     def check_root_moduli(self) -> None:
-        """All reciprocal roots have |alpha| = sqrt(q), in exact arithmetic.
+        """All reciprocal roots have |alpha| = sqrt(q), in integer arithmetic.
 
         With the functional equation, L(T) = T^g R(qT + 1/T), and alpha is
         on the sqrt(q) circle exactly when beta = alpha + q/alpha is real
@@ -96,6 +113,9 @@ class LPolynomial:
         g roots of S lie in [0, 4q]: after dividing out the roots at the
         endpoints, a Sturm count over (0, 4q) must find every distinct root
         (Kedlaya, "Search techniques for root-unitary polynomials", 2008).
+        S is a monic integer polynomial, so synthetic division keeps it
+        integral, and each later chain member is a positive multiple of the
+        rational one (_sturm_remainder): every sign count is the same.
         """
         self.check_functional_equation()
         q, g, c = self.q, self.g, self.coeffs
@@ -106,14 +126,14 @@ class LPolynomial:
                 r[j] += c[g - k] * v
             d_prev, d = d, [a - q * b for a, b in zip([0, *d], d_prev + [0, 0])]
         even = poly_mul(tuple(r), tuple((-1) ** j * v for j, v in enumerate(r)))
-        s = [Fraction((-1) ** g * v) for v in even[::2]]
+        s = [(-1) ** g * v for v in even[::2]]
         for end in (0, 4 * q):  # divide out the roots at the endpoints
             while _value(s, end) == 0:
-                s = _frac_divmod(s, [Fraction(-end), Fraction(1)])[0]
+                s = list(accumulate(reversed(s[1:]), lambda acc, c: acc * end + c))[::-1]
         if len(s) == 1:
             return
         chain = [s, [i * v for i, v in enumerate(s)][1:]]
-        while any(rem := _frac_divmod(chain[-2], chain[-1])[1]):
+        while any(rem := _sturm_remainder(chain[-2], chain[-1])):
             chain.append([-v for v in rem])
         if _sign_changes(chain, 0) - _sign_changes(chain, 4 * q) != len(s) - len(chain[-1]):
             raise InvariantViolation("reciprocal root off the sqrt(q) circle")
@@ -253,6 +273,8 @@ class ZetaBundle:
     series: tuple[CountSeries, ...]
     lpolys: tuple[LPolynomial, ...]
     new_factor: LPolynomial
+    dims: EigenDims
+    polygons: tuple[NewtonPolygon, ...]  # of the lpolys, then of the new factor
 
 
 def zeta_bundle(
@@ -280,7 +302,8 @@ def zeta_bundle(
         raise InvariantViolation(
             f"full cover genus {full.total_genus} != (k-2) + subcover genera = {g_new + g_subs}"
         )
-    if g_new != eigenspace_dims(f)[1]:
+    dims = eigenspace_dims(f, curves)
+    if g_new != dims[1]:
         raise InvariantViolation("eigenspace factor degree disagrees with eigenspace dimension")
 
     needed = [required_level(c) for c in curves]
@@ -315,6 +338,8 @@ def zeta_bundle(
         series=(full_series, *sub_series),
         lpolys=(full_lpoly, *sub_lpolys),
         new_factor=new,
+        dims=dims,
+        polygons=tuple(newton_polygon(lp, p) for lp in (full_lpoly, *sub_lpolys, new)),
     )
 
 
@@ -386,9 +411,9 @@ def newton_polygon(lpoly: LPolynomial, p: int) -> NewtonPolygon:
     return polygon
 
 
-def is_pure_half(lpoly: LPolynomial, p: int) -> bool:
-    """True when the Newton polygon is the single slope 1/2 (vacuous for L = 1)."""
-    segs = newton_polygon(lpoly, p).segments
+def is_pure_half(lpoly: LPolynomial, p: int, polygon: Optional[NewtonPolygon] = None) -> bool:
+    """True when the Newton polygon, given or computed, is slope 1/2 alone (vacuous for L = 1)."""
+    segs = (polygon or newton_polygon(lpoly, p)).segments
     return segs == () or segs == ((Fraction(1, 2), lpoly.degree),)
 
 
@@ -436,7 +461,8 @@ def congruence_holds(jcase: JCase, p: int) -> bool:
 
 def verdict_from_bundle(bundle: ZetaBundle, strict: bool = True) -> Verdict:
     f, p = bundle.f, bundle.p
-    pure = is_pure_half(bundle.new_factor, p)
+    polygon = bundle.polygons[-1]
+    pure = is_pure_half(bundle.new_factor, p, polygon)
     trace = e_curve_trace(f.jcase, p)
     e_ss = trace == 0
     applicable = congruence_holds(f.jcase, p)
@@ -450,7 +476,7 @@ def verdict_from_bundle(bundle: ZetaBundle, strict: bool = True) -> Verdict:
         surface_artin_supersingular=pure and e_ss,
         e_trace=trace,
         new_factor=bundle.new_factor,
-        new_factor_polygon=newton_polygon(bundle.new_factor, p),
+        new_factor_polygon=polygon,
     )
     if strict and applicable and not result.surface_artin_supersingular:
         raise FalsifiedClaimError(

@@ -9,8 +9,9 @@ and the Shioda-Tate Mordell-Weil rank all follow by exact arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from .curve import eigenspace_dims
+from .curve import EigenDims, eigenspace_dims
 from .errors import InvariantViolation
 from .forms import FactoredForm, J0, J1728, JCase
 
@@ -102,13 +103,15 @@ def invariants(f: FactoredForm) -> SurfaceInvariants:
     )
 
 
-def ns_perp_check(f: FactoredForm) -> bool:
+def ns_perp_check(
+    f: FactoredForm, inv: Optional[SurfaceInvariants] = None, dims: Optional[EigenDims] = None
+) -> bool:
     """Dimension form of 'the divisor classes fill all of h^{1,1}'.
 
     b2 minus the Neron-Severi dimension (2 + fiber contributions + MW rank)
     must equal 2 p_g, and that in turn must match twice the primitive
-    eigenspace dimension of the cover curve.
+    eigenspace dimension of the cover curve.  inv and dims, if given, are f's.
     """
-    inv = invariants(f)
-    dims = eigenspace_dims(f)
+    inv = invariants(f) if inv is None else inv
+    dims = eigenspace_dims(f) if dims is None else dims
     return inv.ns_perp_dim == 2 * inv.p_g == 2 * dims[1]

@@ -1,21 +1,25 @@
-"""Scalar arithmetic in F_{p^i}: the tests' reference for the count path.
+"""The tests' references: scalar arithmetic in F_{p^i} for the count path,
+and a rational Sturm chain for the Weil check.
 
 Elements are coefficient tuples modulo make_field's modulus, multiplied one
 at a time in pure Python; their integer codes (base-p digits =
 coefficients) are the count path's codes.  constj counts with matrices over
 F_p on blocks of codes and shares none of this code, so agreement between
-the two checks both.
+the two checks both.  Likewise constj's Weil check runs its Sturm chain on
+integers, and fraction_root_moduli_ok runs the same chain in Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
 from constj.errors import ValidationError
 from constj.forms import FactoredForm, Place
 from constj.gf import FieldContext, _poly_rem, make_field
+from constj.lfunc import LPolynomial, _frac_divmod, poly_mul
 
 
 class ScalarField(FieldContext):
@@ -254,3 +258,40 @@ def local_unit(
     if c.is_zero():
         raise ValidationError("local unit must be nonzero")
     return m, c
+
+
+# ---------------------------------------------------------------------------
+# the Weil check in rational arithmetic
+
+
+def _value(poly: list[Fraction], x: int) -> Fraction:
+    return sum((c * x**i for i, c in enumerate(poly)), Fraction(0))
+
+
+def _sign_changes(chain: list[list[Fraction]], x: int) -> int:
+    """Sign changes at x along a polynomial sequence, zeroes skipped."""
+    signs = [v > 0 for v in (_value(poly, x) for poly in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def fraction_root_moduli_ok(lp: LPolynomial) -> bool:
+    """LPolynomial.check_root_moduli with its Sturm chain over the
+    rationals: every member the exact remainder, nothing scaled."""
+    lp.check_functional_equation()
+    q, g, c = lp.q, lp.g, lp.coeffs
+    r, d_prev, d = [c[g]] + [0] * g, [2], [0, 1]
+    for k in range(1, g + 1):
+        for j, v in enumerate(d):
+            r[j] += c[g - k] * v
+        d_prev, d = d, [a - q * b for a, b in zip([0, *d], d_prev + [0, 0])]
+    even = poly_mul(tuple(r), tuple((-1) ** j * v for j, v in enumerate(r)))
+    s = [Fraction((-1) ** g * v) for v in even[::2]]
+    for end in (0, 4 * q):  # divide out the roots at the endpoints
+        while _value(s, end) == 0:
+            s = _frac_divmod(s, [Fraction(-end), Fraction(1)])[0]
+    if len(s) == 1:
+        return True
+    chain = [s, [i * v for i, v in enumerate(s)][1:]]
+    while any(rem := _frac_divmod(chain[-2], chain[-1])[1]):
+        chain.append([-v for v in rem])
+    return _sign_changes(chain, 0) - _sign_changes(chain, 4 * q) == len(s) - len(chain[-1])

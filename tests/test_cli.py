@@ -7,9 +7,12 @@ from pathlib import Path
 import pytest
 
 import constj.count as count_mod
+import constj.curve as curve_mod
 import constj.lfunc as lfunc_mod
+import constj.surface as surface_mod
 from constj.cli import _default_roots, build_parser, main, render_json
 from constj.errors import FalsifiedClaimError
+from constj.forms import FactoredForm
 
 
 def run_cli(capsys, argv):
@@ -105,6 +108,41 @@ def test_verify_duplicate_root_exit_one(capsys):
     )
     assert code == 1
     assert "distinct" in err
+
+
+def test_verify_non_integer_root_exit_one(capsys):
+    code, out, err = run_cli(
+        capsys, ["verify", "--p", "7", "--pattern", "5,5,5,3", "--roots", "0,1,x,inf"]
+    )
+    assert code == 1 and out == ""
+    assert "error: root 'x' is not an element of F_7 or inf" in err
+
+
+def test_unusable_cache_dir_exits_one(capsys, tmp_path):
+    argv = ["verify", "--p", "7", "--pattern", "5,5,5,3"]
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    for cache_dir in (not_a_dir, not_a_dir / "x"):
+        code, out, err = run_cli(capsys, [*argv, "--cache-dir", str(cache_dir)])
+        assert code == 1 and out == ""
+        assert f"error: count cache {cache_dir}/" in err and "is not writable" in err
+    # the form's count file is a directory: it cannot be read
+    assert run_cli(capsys, [*argv, "--cache-dir", str(tmp_path / "c")])[0] == 0
+    (count_file,) = (tmp_path / "c").iterdir()
+    count_file.unlink()
+    count_file.mkdir()
+    code, out, err = run_cli(capsys, [*argv, "--cache-dir", str(tmp_path / "c")])
+    assert code == 1 and out == ""
+    assert f"error: count cache {count_file} is not readable" in err
+
+
+def test_mersenne_prime_past_the_field_size_limit_exits_one(capsys):
+    # 2^61 - 1: its primality is decided at once, and F_p is past the limit
+    code, out, err = run_cli(
+        capsys, ["verify", "--p", str(2**61 - 1), "--pattern", "5,5,2"]
+    )
+    assert code == 1 and out == ""
+    assert "field-size limit 134217728" in err
 
 
 def test_verify_bad_prime_exit_one(capsys):
@@ -354,3 +392,45 @@ def test_cached_count_past_weil_bound_names_cover_prime_and_file(capsys, tmp_pat
         "HARD FAILURE: cover a=6 over F_7: Weil bound violated at level 1: N=1009, q=7, "
         f"components=1, total genus=4; count read from {cache_file}"
     ) in err
+
+
+@pytest.mark.parametrize(
+    "argv, covers",
+    [
+        (["--p", "7", "--pattern", "5,5,5,3"], 3),
+        (["--jcase", "1728", "--p", "7", "--pattern", "3,3,3,3", "--roots", "0,1,3,inf"], 2),
+    ],
+    ids=["j0", "j1728"],
+)
+def test_each_derived_number_is_computed_once_per_row(capsys, monkeypatch, tmp_path, argv, covers):
+    calls: dict[str, int] = {}
+
+    def count(name, *namespaces):
+        original = getattr(namespaces[0], name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        for ns in namespaces:
+            monkeypatch.setattr(ns, name, counted)
+
+    count("genus", curve_mod)  # a Riemann-Hurwitz sum
+    count("geometric_components", curve_mod)
+    count("eigenspace_dims", curve_mod, lfunc_mod, surface_mod)
+    count("invariants", surface_mod)
+    count("newton_polygon", lfunc_mod)
+    count("serialize", FactoredForm)  # hashed into the form key
+    once = {
+        "genus": covers,
+        "geometric_components": covers,
+        "eigenspace_dims": 1,
+        "invariants": 2,  # the form and its partner
+        "newton_polygon": covers + 1,  # every cover numerator and the new factor
+        "serialize": 1,
+    }
+    for run in ("cold", "warm"):
+        calls.clear()
+        argv_run = ["verify", *argv, "--cache-dir", str(tmp_path), "--format", "json"]
+        assert run_cli(capsys, argv_run)[0] == 0
+        assert calls == once, run

@@ -11,7 +11,6 @@ from constj.curve import (
     eigenspace_dims,
     genus,
     geometric_components,
-    h1_dim,
 )
 from constj.forms import J0, J1728, abstract_pattern
 from constj.taxonomy import enumerate_patterns
@@ -104,8 +103,8 @@ def test_disconnected_cover_bookkeeping():
     """(4,4,4): the order-2 subcover is two rational curves; H^1 vanishes."""
     f = abstract_pattern(J0, (4, 4, 4))
     assert genus(f, 2) == -1  # Euler-characteristic value of two P^1s
-    assert h1_dim(f, 2) == 0
-    assert h1_dim(f, 6) == 4
+    assert CurveSpec(f, 2).h1_dim == 0
+    assert CurveSpec(f, 6).h1_dim == 4
     assert eigenspace_dims(f).dims == (1, 1, 0, 1, 1)
 
 
@@ -120,7 +119,7 @@ def test_eigenspace_dims_examples(f5553):
     dims1728 = eigenspace_dims(f1728)
     assert dims1728.dims == (2, 2, 2)
     assert dims1728[2] == 2 * genus(f1728, 2)
-    assert dims1728.total == h1_dim(f1728, 4) == 6
+    assert dims1728.total == CurveSpec(f1728, 4).h1_dim == 6
 
 
 @pytest.mark.parametrize("jcase", [J0, J1728])
@@ -132,7 +131,7 @@ def test_eigenspace_dims_symmetric_and_consistent(jcase):
         for j in range(1, n_exp):
             assert dims[j] == dims[n_exp - j]
         assert dims[1] == f.k - 2
-        assert dims.total == h1_dim(f, n_exp)
+        assert dims.total == CurveSpec(f, n_exp).h1_dim
 
 
 def test_curvespec_derived_values(f5553):

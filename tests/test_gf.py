@@ -5,7 +5,7 @@ import random
 import pytest
 
 from constj.errors import ValidationError
-from constj.gf import make_field, poly_is_irreducible
+from constj.gf import _PRIME_TEST_LIMIT, is_prime, make_field, poly_is_irreducible
 
 from conftest import enumeration_power_count
 from oracle import ProjPoint, enumerate_p1, nth_power_count, scalar_field
@@ -15,6 +15,38 @@ def test_make_field_prime_fields():
     assert make_field(5, 1).q == 5
     assert make_field(7, 1).q == 7
     assert make_field(5, 1).modulus == (0, 1)
+
+
+def _trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _trial_division_is_prime(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 63973, 75361, 101101,
+     126217, 172081, 188461, 252601, 278545, 294409, 314821, 334153, 340561, 399001],
+)
+def test_is_prime_rejects_carmichael_numbers(n):
+    assert not _trial_division_is_prime(n)
+    assert not is_prime(n)
+
+
+def test_is_prime_on_large_numbers():
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1) and is_prime(134217757)
+    assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
+    # strong pseudoprimes to every prime base up to 23, and up to 37
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    # the limit itself is a strong pseudoprime to every base 2..41: refused
+    assert _PRIME_TEST_LIMIT == 1287836182261 * 2575672364521
+    with pytest.raises(ValidationError, match="too large"):
+        is_prime(_PRIME_TEST_LIMIT)
 
 
 def test_make_field_f25():

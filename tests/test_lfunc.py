@@ -1,7 +1,7 @@
 """Zeta numerators, eigenspace factor, Newton polygons, verdicts."""
 
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +20,8 @@ from constj.lfunc import (
     LPolynomial,
     NewtonPolygon,
     Verdict,
+    _frac_divmod,
+    _sturm_remainder,
     e_curve_trace,
     exact_quotient,
     is_pure_half,
@@ -35,6 +37,7 @@ from constj.lfunc import (
 from constj.taxonomy import catalog
 
 from conftest import concrete_form, float_root_moduli_ok
+from oracle import fraction_root_moduli_ok
 
 
 def test_lpolynomial_of_elliptic_curve():
@@ -312,6 +315,49 @@ def test_root_check_on_products_of_quadratics(q, data):
     bad = data.draw(st.integers(0, len(traces) - 1))
     traces[bad] = data.draw(st.sampled_from([1, -1])) * data.draw(st.integers(b + 1, b + 5))
     assert not _root_check_passes(_product_of_quadratics(traces, q))
+
+
+@st.composite
+def _weil_or_symmetric(draw) -> LPolynomial:
+    """A product of Weil quadratics, with traces at the bound +-floor(2 sqrt q)
+    and repeated factors, or a polynomial with random c_1..c_g in the Weil
+    coefficient range and the rest from the functional equation."""
+    q = draw(st.sampled_from([5, 7, 11, 13, 25, 49, 125, 5**6]))
+    b = isqrt(4 * q)
+    if draw(st.booleans()):
+        trace = st.sampled_from([b, -b]) | st.integers(-b, b)
+        traces = draw(st.lists(trace, min_size=1, max_size=6))
+        traces = (traces * 2)[: draw(st.integers(len(traces), 6))]
+        return _product_of_quadratics(traces, q)
+    g = draw(st.integers(1, 6))
+    low = [1] + [
+        draw(st.integers(-comb(2 * g, i) * isqrt(q**i), comb(2 * g, i) * isqrt(q**i)))
+        for i in range(1, g + 1)
+    ]
+    coeffs = low + [q ** (g - i) * low[i] for i in range(g - 1, -1, -1)]
+    return LPolynomial(coeffs=tuple(coeffs), q=q, g=g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(lp=_weil_or_symmetric())
+def test_integer_root_check_agrees_with_rational_and_float_oracles(lp):
+    assert _root_check_passes(lp) == fraction_root_moduli_ok(lp) == float_root_moduli_ok(lp)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    num=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9),
+    den=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6).filter(lambda d: d[-1] != 0),
+)
+def test_sturm_remainder_is_a_positive_multiple_of_the_remainder(num, den):
+    rem = _sturm_remainder(num, den)
+    exact = _frac_divmod([Fraction(c) for c in num], [Fraction(c) for c in den])[1]
+    if not any(exact):
+        assert not any(rem)
+        return
+    assert len(rem) == len(exact)
+    ratio = Fraction(rem[-1]) / exact[-1]
+    assert ratio > 0 and [ratio * c for c in exact] == rem
 
 
 def _full_genus_route_cases():

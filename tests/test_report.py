@@ -19,6 +19,7 @@ from hypothesis import given, strategies as st
 
 from constj import surface, taxonomy
 from constj.cli import _surface_section, _taxonomy_section, render_json
+from constj.curve import eigenspace_dims
 from constj.forms import J0, J1728, Place, form_from_roots, parse_form
 
 from conftest import concrete_form
@@ -142,7 +143,7 @@ def _other_forms():
 
 @pytest.mark.parametrize("f", _catalog_forms() + _other_forms(), ids=lambda f: f.serialize())
 def test_sections_equal_the_asdict_oracles(f):
-    assert _surface_section(f) == surface_section_oracle(f)
+    assert _surface_section(f, eigenspace_dims(f)) == surface_section_oracle(f)
     assert _taxonomy_section(f) == taxonomy_section_oracle(f)
     assert render_json(_taxonomy_section(f)) == render_json_oracle(taxonomy_section_oracle(f))
 
