@@ -12,8 +12,10 @@ codes.  Every field product on this path is a deg x deg matrix over F_p
 applied to blocks of digits: the matrix of c is sum of c_k X^k over its
 digits, X being the companion matrix of the modulus.  Such products test
 a batch of generator candidates at once, shift the table walk, and run
-Horner's rule for places of degree > 1.  Zeroes of f are detected inline
-(a place value hits 0) and receive the branch-corrected local count
+Horner's rule for places of degree > 1; a linear place x + c0 only
+rotates the lowest digit, so its classes are the table's with the columns
+of a (rows, p) block rotated by c0.  Zeroes of f are found where a place
+vanishes and receive the branch-corrected local count
 #{Y : Y^gcd(a,m) = local unit}.  The sweep already sums every place's
 class at every point, so at a zero of one place the other places' sum is
 the unit's class up to an m-th power, which a gcd(a, m, q-1)-th power
@@ -193,15 +195,11 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
 # ---------------------------------------------------------------------------
 # the sweep
 
-def _place_value_codes(pl, codes: np.ndarray, digit0: np.ndarray, ctx: FieldContext) -> np.ndarray:
-    """Codes of the place values at the finite points given by codes, whose
-    lowest base-p digits are digit0."""
-    if pl.degree == 1 and not pl.at_infinity:
-        # x + c0 adds c0 to the lowest digit mod p, with no division
-        c0 = pl.poly[0]
-        return codes + np.where(digit0 >= ctx.p - c0, c0 - ctx.p, c0)
-    # general place: Horner, acc x = sum of x_k (X^k acc) over the digits of
-    # x, with X^k acc reduced before it is scaled: entries stay below deg p^2
+def _place_value_codes(pl, codes: np.ndarray, ctx: FieldContext) -> np.ndarray:
+    """Codes of the values of a place of degree > 1 at the finite points
+    given by codes: Horner, acc x = sum of x_k (X^k acc) over the digits of
+    x, with X^k acc reduced before it is scaled, so entries stay below
+    deg p^2."""
     x_blk = _digits(codes, ctx)
     acc = x_blk.copy()  # the place is monic: its first Horner step is 1 x
     for c in reversed(pl.poly[1:-1]):
@@ -219,41 +217,52 @@ def _place_value_codes(pl, codes: np.ndarray, digit0: np.ndarray, ctx: FieldCont
 
 def _sweep_chunk(
     lo: int, hi: int, places, ctx: FieldContext, cls: np.ndarray, d_cls: int
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+) -> tuple[np.ndarray, list[tuple[int, list[int]]]]:
     """Histogram of dlog f mod D over the points of [lo, hi) where f does
     not vanish, plus the zeroes of f seen there: per place, the class mod D
-    of the other places' product at each of its roots."""
-    codes = np.arange(lo, hi, dtype=np.int64)
-    acc = np.zeros(hi - lo, dtype=np.int32)
-    vanish = np.zeros(hi - lo, dtype=bool)
-    hits: list[tuple[int, int, np.ndarray]] = []
-    digit0 = codes % ctx.p
+    of the other places' product at each of its roots.  lo and hi are
+    multiples of p, so the chunk's classes are a (rows, p) block whose last
+    axis is the lowest digit; x + c0 vanishes only at the constant -c0."""
+    p = ctx.p
+    block = cls[lo:hi].astype(np.int32).reshape(-1, p)
+    acc = np.zeros_like(block)
+    flat = acc.reshape(-1)  # a view: places of degree > 1 add to it by code
+    seen: set[int] = set()  # positions of the zeroes found so far
+    hits: list[tuple[int, int, list[int]]] = []
     for place_idx, (pl, m) in enumerate(places):
         if pl.at_infinity:
             continue  # value 1 at every finite point
-        vals = _place_value_codes(pl, codes, digit0, ctx)
-        z = vals == 0
-        if z.any():
-            if (vanish & z).any():
+        if pl.degree == 1:
+            c0 = pl.poly[0]
+            acc[:, : p - c0] += m * block[:, c0:]
+            acc[:, p - c0 :] += m * block[:, :c0]
+            at = [(-c0) % p] if lo == 0 else []
+        else:
+            vals = _place_value_codes(pl, np.arange(lo, hi, dtype=np.int64), ctx)
+            flat += m * cls[vals].astype(np.int32)
+            at = np.flatnonzero(vals == 0).tolist()
+        if at:
+            if seen.intersection(at):
                 raise InvariantViolation(
                     f"place {pl.describe()} shares a root with another place in F_{ctx.q}"
                 )
-            vanish |= z
-            hits.append((place_idx, m, np.flatnonzero(z)))
-        acc += m * cls[vals].astype(np.int32)
+            seen.update(at)
+            hits.append((place_idx, m, at))
     # at its own zeroes a place added m times the sentinel cls[0]: take it out
-    zeros = [(place_idx, (acc[at] - m * int(cls[0])) % d_cls) for place_idx, m, at in hits]
-    # away from the zeroes acc < D * (sum of m): fold its histogram mod D,
-    # with no division per point
+    sentinel = int(cls[0])
+    zeros = [(idx, [(int(flat[x]) - m * sentinel) % d_cls for x in at]) for idx, m, at in hits]
+    # away from the zeroes acc < D * (sum of m): drop the zeroes from the
+    # histogram and fold it mod D, with no division per point
     span = d_cls * (1 + sum(m for pl, m in places if not pl.at_infinity))
-    hist = np.bincount(acc[~vanish], minlength=span).reshape(-1, d_cls).sum(axis=0)
-    return hist, zeros
+    hist = np.bincount(flat, minlength=span)
+    np.subtract.at(hist, flat[list(seen)], 1)
+    return hist[:span].reshape(-1, d_cls).sum(axis=0), zeros
 
 
 def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, ...]:
     """F_q-point counts of the smooth projective models of covers of one
-    form, in the order given, from one sweep of P^1(F_q) in chunks of at
-    most _CHUNK points."""
+    form, in the order given, from one sweep of P^1(F_q) in chunks of
+    max(p, _CHUNK // p * p) points, whose bounds are multiples of p."""
     f = curves[0].f
     if f.is_abstract:
         raise ValidationError("cannot count points of an abstract form")
@@ -265,13 +274,15 @@ def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, .
         raise ValidationError("cover order divisible by the characteristic")
     q = ctx.q
     cls, d_cls = power_class_table(ctx)
+    step = max(ctx.p, _CHUNK // ctx.p * ctx.p)
     hist = np.zeros(d_cls, dtype=np.int64)
-    by_place: dict[int, list[np.ndarray]] = {}
-    for lo in range(0, q, _CHUNK):
-        part, zeros = _sweep_chunk(lo, min(lo + _CHUNK, q), f.places, ctx, cls, d_cls)
+    by_place: dict[int, list[int]] = {}
+    for lo in range(0, q, step):
+        part, zeros = _sweep_chunk(lo, min(lo + step, q), f.places, ctx, cls, d_cls)
         hist += part
         for place_idx, others in zeros:
-            by_place.setdefault(place_idx, []).append(others)
+            by_place.setdefault(place_idx, []).extend(others)
+    hist = hist.tolist()
 
     inf_mult = next((m for pl, m in f.places if pl.at_infinity), 0)  # 0: f(1:0) = 1
     totals = []
@@ -279,23 +290,22 @@ def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, .
         # d_a points above each finite non-zero whose value is a d_a-th
         # power, and gcd(a, m, q-1) above infinity, where the unit is 1
         d_a = gcd(curve.a, q - 1)
-        totals.append(d_a * int(hist[::d_a].sum()) + gcd(curve.a, inf_mult, q - 1))
+        totals.append(d_a * sum(hist[::d_a]) + gcd(curve.a, inf_mult, q - 1))
 
     # finite zeroes of a place of multiplicity m: the local unit is the other
     # places' product times, for a place of degree > 1, the m-th power of
     # the product of x - x' over the sibling roots x'.  An m-th power is a
     # d-th power for every d = gcd(a, m, q-1), so the unit is a d-th power
     # exactly when the other places' class is divisible by d.
-    for place_idx, found in by_place.items():
+    for place_idx, other_cls in by_place.items():
         pl, m = f.places[place_idx]
-        other_cls = np.concatenate(found)
-        if other_cls.size != pl.degree:
+        if len(other_cls) != pl.degree:
             raise InvariantViolation(
-                f"place {pl.describe()} has {other_cls.size} roots in F_{q}, expected {pl.degree}"
+                f"place {pl.describe()} has {len(other_cls)} roots in F_{q}, expected {pl.degree}"
             )
         for idx, curve in enumerate(curves):
             d = gcd(curve.a, m, q - 1)
-            totals[idx] += d * int(np.count_nonzero(other_cls % d == 0))
+            totals[idx] += d * sum(1 for c in other_cls if c % d == 0)
     return tuple(totals)
 
 
@@ -342,15 +352,16 @@ class CountSeries:
 
 
 class CountCache:
-    """Append-only count file of one form, DIR/<form key>.counts, so a run
-    reads only its own form's records.  One record per line: p, level,
-    curve key, count, tool version; the last record of a key wins.  A
-    record of another tool version is a miss, so it is counted again."""
+    """Append-only count file of one prime, DIR/p<p>.counts, shared by every
+    form counted at p.  One record per line: p, level, curve key, count,
+    tool version; the last record of a key wins.  Every curve key starts
+    with its form's key, so a run parses only the lines that name its form.
+    A record of another tool version is a miss, so it is counted again."""
 
     def __init__(self, directory: str | Path, f: FactoredForm) -> None:
-        self.path = Path(directory) / f"{f.key()}.counts"
+        self.path = Path(directory) / f"p{f.p}.counts"
+        self._tag = f.key() + ":"
         self._records: Optional[dict[tuple[int, int, str], int]] = None
-        self._dir_made = False
 
     def _load(self) -> dict[tuple[int, int, str], int]:
         if self._records is None:
@@ -360,8 +371,8 @@ class CountCache:
                 raise ValidationError(f"count cache {self.path} is not readable: {exc}") from exc
             self._records = {}
             for lineno, line in enumerate(text.splitlines(), 1):
-                if not line.strip():
-                    continue
+                if self._tag not in line:
+                    continue  # another form's record, left unparsed
                 fields = line.split()
                 try:
                     p, i, key, value = int(fields[0]), int(fields[1]), fields[2], int(fields[3])
@@ -378,13 +389,17 @@ class CountCache:
         return self._load().get((p, i, key))
 
     def put(self, p: int, i: int, counts: dict[str, int]) -> None:
-        """Append the counts at F_{p^i}, {curve key: count}, in one write."""
+        """Append the counts at F_{p^i}, {curve key: count}, in one write;
+        the directory is made only when the open finds it missing."""
+        text = "".join(f"{p} {i} {key} {n} {TOOL_VERSION}\n" for key, n in counts.items())
         try:
-            if not self._dir_made:
+            try:
+                fh = self.path.open("a")
+            except FileNotFoundError:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._dir_made = True
-            with self.path.open("a") as fh:
-                fh.write("".join(f"{p} {i} {key} {n} {TOOL_VERSION}\n" for key, n in counts.items()))
+                fh = self.path.open("a")
+            with fh:
+                fh.write(text)
                 fh.flush()
         except OSError as exc:
             raise ValidationError(f"count cache {self.path} is not writable: {exc}") from exc

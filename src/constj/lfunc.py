@@ -425,13 +425,15 @@ def e_curve_trace(jcase: JCase, p: int) -> int:
     """
     if p <= 3 or not is_prime(p):
         raise ValidationError("p must be prime > 3")
-    count = 1  # point at infinity
-    for x in range(p):
-        rhs = (x * x * x + 1) % p if jcase == J0 else (x * x * x - x) % p
-        if rhs == 0:
-            count += 1
-        elif pow(rhs, (p - 1) // 2, p) == 1:
-            count += 2
+    square = bytearray(p)  # square[r] = 1 when r is a non-zero square mod p
+    for y in range(1, (p + 1) // 2):
+        square[y * y % p] = 1
+    if jcase == J0:
+        rhs = [(x * x * x + 1) % p for x in range(p)]
+    else:
+        rhs = [(x * x * x - x) % p for x in range(p)]
+    # the point at infinity, one point where y = 0 and two per non-zero square
+    count = 1 + rhs.count(0) + 2 * sum(map(square.__getitem__, rhs))
     return p + 1 - count
 
 

@@ -6,7 +6,9 @@ at a time in pure Python; their integer codes (base-p digits =
 coefficients) are the count path's codes.  constj counts with matrices over
 F_p on blocks of codes and shares none of this code, so agreement between
 the two checks both.  Likewise constj's Weil check runs its Sturm chain on
-integers, and fraction_root_moduli_ok runs the same chain in Fractions.
+integers, and fraction_root_moduli_ok runs the same chain in Fractions;
+e_curve_trace_by_euler tests each x for a square by Euler's criterion, where
+constj reads a table of squares.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from constj.errors import ValidationError
-from constj.forms import FactoredForm, Place
+from constj.forms import J0, FactoredForm, JCase, Place
 from constj.gf import FieldContext, _poly_rem, make_field
 from constj.lfunc import LPolynomial, _frac_divmod, poly_mul
 
@@ -295,3 +297,20 @@ def fraction_root_moduli_ok(lp: LPolynomial) -> bool:
     while any(rem := _frac_divmod(chain[-2], chain[-1])[1]):
         chain.append([-v for v in rem])
     return _sign_changes(chain, 0) - _sign_changes(chain, 4 * q) == len(s) - len(chain[-1])
+
+
+# ---------------------------------------------------------------------------
+# the trace of the family's elliptic curve, one Euler criterion per x
+
+
+def e_curve_trace_by_euler(jcase: JCase, p: int) -> int:
+    """lfunc.e_curve_trace's count of y^2 = x^3 + 1 (j = 0) or x^3 - x
+    (j = 1728) over F_p, with a pow per x."""
+    count = 1  # point at infinity
+    for x in range(p):
+        rhs = (x * x * x + 1) % p if jcase == J0 else (x * x * x - x) % p
+        if rhs == 0:
+            count += 1
+        elif pow(rhs, (p - 1) // 2, p) == 1:
+            count += 2
+    return p + 1 - count

@@ -126,9 +126,10 @@ def test_unusable_cache_dir_exits_one(capsys, tmp_path):
         code, out, err = run_cli(capsys, [*argv, "--cache-dir", str(cache_dir)])
         assert code == 1 and out == ""
         assert f"error: count cache {cache_dir}/" in err and "is not writable" in err
-    # the form's count file is a directory: it cannot be read
+    # the prime's count file is a directory: it cannot be read
     assert run_cli(capsys, [*argv, "--cache-dir", str(tmp_path / "c")])[0] == 0
     (count_file,) = (tmp_path / "c").iterdir()
+    assert count_file.name == "p7.counts"
     count_file.unlink()
     count_file.mkdir()
     code, out, err = run_cli(capsys, [*argv, "--cache-dir", str(tmp_path / "c")])

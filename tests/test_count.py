@@ -4,6 +4,7 @@ all covers of a form against the smooth-model oracle."""
 
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,6 +180,72 @@ def test_many_chunk_sweep_matches_smooth_model(monkeypatch, f5553):
     assert swept == smooth_model_counts(f5553, orders, ctx)
 
 
+LINEAR_SWEEP_FIELDS = [(5, 1), (5, 2), (5, 3), (5, 4), (7, 1), (7, 2), (7, 3), (13, 2)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_linear_places_sweep_as_rotations_matches_smooth_model(data):
+    # a linear place adds the class block rotated by its constant; the
+    # chunk sizes 48 and 500 are multiples of neither 7 nor 13 (nor is 48
+    # of 5), so the sweep steps by a multiple of p below them, and every
+    # root in F_p, 0 and p-1 included, is a zero in chunk 0
+    p, level = data.draw(st.sampled_from(LINEAR_SWEEP_FIELDS), label="field")
+    chunk = data.draw(st.sampled_from([48, 500, 1 << 20]), label="chunk")
+    jcase = data.draw(st.sampled_from([J0, J1728]), label="jcase")
+    ends = [r for r in (0, p - 1) if data.draw(st.booleans(), label=f"root {r}")]
+    inner = data.draw(
+        st.lists(st.integers(1, p - 2), unique=True, min_size=1, max_size=4), label="roots"
+    )
+    places = [Place.linear(r, p) for r in ends + inner]
+    if data.draw(st.booleans(), label="infinity") or len(places) < 2:
+        places.append(Place.infinity())
+    mults = [data.draw(st.integers(1, jcase.max_mult), label="m") for _ in places]
+    # the last multiplicity makes the degree divisible by the exponent, or
+    # the last place is dropped when the others already do
+    last = -sum(mults[:-1]) % jcase.exponent
+    if last:
+        mults[-1] = last
+    else:
+        places, mults = places[:-1], mults[:-1]
+    f = parse_form(jcase, list(zip(places, mults)), p=p)
+    ctx = make_field(p, level)
+    orders = cover_orders(jcase)
+    with mock.patch.object(count_mod, "_CHUNK", chunk):
+        swept = count_points(tuple(CurveSpec(f, a) for a in orders), ctx)
+    assert swept == smooth_model_counts(f, orders, ctx)
+
+
+@pytest.mark.parametrize("chunk", [48, 500])
+@pytest.mark.parametrize("level", [1, 2, 4])
+def test_mixed_linear_and_quadratic_places_sweep_in_aligned_chunks(monkeypatch, chunk, level):
+    # s^2 + 2 is irreducible over F_5: its roots lie in F_25 and F_625,
+    # where the Horner path finds them by code, outside the linear places'
+    # rotations; at _CHUNK = 48 the sweep steps by 45, so F_625 takes 14 chunks
+    monkeypatch.setattr(count_mod, "_CHUNK", chunk)
+    places = [(Place.infinity(), 1), (Place.linear(0, 5), 5), (Place.linear(4, 5), 2),
+              (Place.from_poly((2, 0, 1), 5), 2)]
+    f = parse_form(J0, places, p=5)
+    ctx = make_field(5, level)
+    orders = cover_orders(J0)
+    swept = count_points(tuple(CurveSpec(f, a) for a in orders), ctx)
+    assert swept == smooth_model_counts(f, orders, ctx)
+
+
+def test_zero_whose_class_sum_falls_inside_the_histogram_is_left_out():
+    # D = 12 over F_13 and the multiplicities sum to 30, so the histogram
+    # spans 12 * 31 sums; at the root 8 of the m = 1 place the sentinel 255
+    # plus the other places' classes falls inside it, and only taking the
+    # zeroes out of the histogram keeps that point from counting as a unit
+    f = form_from_roots(
+        J0, [1, 4, 5, 4, 4, 4, 3, 5], ["8", "10", "12", "2", "7", "6", "5", "4"], p=13
+    )
+    ctx = make_field(13, 1)
+    orders = cover_orders(J0)
+    swept = count_points(tuple(CurveSpec(f, a) for a in orders), ctx)
+    assert swept == smooth_model_counts(f, orders, ctx) == (27, 20, 19)
+
+
 def test_count_series_and_cache(tmp_path, f5553):
     cache = CountCache(tmp_path, f5553)
     curve = CurveSpec(f5553, 6)
@@ -231,9 +298,13 @@ def test_cache_corruption_recounts_with_warning(tmp_path, f5553):
         warnings.simplefilter("always")
         (again,) = count_series((curve,), (2,), cache=fresh)
     assert again.counts == series.counts
-    assert any("corrupt" in str(w.message) for w in caught)
+    # the prime's file is shared: only a line that names the form is this
+    # run's to parse, and to warn about
+    assert [str(w.message) for w in caught if "corrupt" in str(w.message)] == [
+        f"{cache.path}:2: corrupt cache record; recounting"
+    ]
     # the recount appended valid records: a third pass is pure cache hits,
-    # and the corrupt lines left in the file still warn a later reader
+    # and the corrupt line left in the file still warns a later reader
     final = CountCache(tmp_path, f5553)
     with pytest.warns(UserWarning, match="corrupt cache record"):
         assert final.get(5, 1, curve.key()) == series.n(1)
@@ -285,15 +356,21 @@ def test_cold_count_series_appends_once_per_counted_level(tmp_path, monkeypatch)
     assert len(cache.path.read_text().splitlines()) == 6
 
 
-def test_warm_read_opens_only_its_own_forms_file(tmp_path, monkeypatch, f5553):
+def test_warm_read_opens_only_its_own_primes_file(tmp_path, monkeypatch, f5553):
     f552 = concrete_form(J0, (5, 5, 2))
+    f7 = concrete_form(J0, (5, 5, 5, 3), p=7)
     forms_and_curves = {
-        f: tuple(CurveSpec(f, a) for a in cover_orders(J0)) for f in (f5553, f552)
+        f: tuple(CurveSpec(f, a) for a in cover_orders(J0)) for f in (f5553, f552, f7)
     }
     cold = {f: count_series(curves, (2, 2, 2), cache=CountCache(tmp_path, f))
             for f, curves in forms_and_curves.items()}
-    paths = {f: CountCache(tmp_path, f).path for f in forms_and_curves}
-    assert sorted(tmp_path.iterdir()) == sorted(paths.values())
+    p5, p7 = tmp_path / "p5.counts", tmp_path / "p7.counts"
+    assert sorted(tmp_path.iterdir()) == [p5, p7]
+    assert {f: CountCache(tmp_path, f).path for f in forms_and_curves} == {
+        f5553: p5, f552: p5, f7: p7
+    }
+    # both forms at p = 5 append to one file, 3 covers x 2 levels each
+    assert len(p5.read_text().splitlines()) == 12
 
     read = []
     real_read_text = Path.read_text
@@ -310,26 +387,32 @@ def test_warm_read_opens_only_its_own_forms_file(tmp_path, monkeypatch, f5553):
     reader = CountCache(tmp_path, f5553)
     warm = count_series(forms_and_curves[f5553], (2, 2, 2), cache=reader)
     assert warm == cold[f5553]
-    assert read == [paths[f5553]]
-    # the file read holds the form's 3 covers x 2 levels and nothing else
+    assert read == [p5]
+    # of the file's 12 records, the reader holds its form's 3 covers x 2
+    # levels and nothing else
     records = reader._load()
     assert len(records) == 6
     assert {key for _, _, key in records} == {c.key() for c in forms_and_curves[f5553]}
 
 
 def test_old_layout_cache_file_is_never_read(tmp_path, f5553):
+    # neither the single counts.cache nor a per-form <form key>.counts file
+    # of earlier versions is read: wrong counts and garbage in them change
+    # nothing and raise no warning, and the counts go to the prime's file
     curve = CurveSpec(f5553, 6)
     (series,) = count_series((curve,), (2,))
     stale = "garbage line\n" + "".join(
         f"5 {i} {curve.key()} {n + 1} {TOOL_VERSION}\n" for i, n in series.counts
     )
-    (tmp_path / "counts.cache").write_text(stale)
+    old_files = [tmp_path / "counts.cache", tmp_path / f"{f5553.key()}.counts"]
+    for old in old_files:
+        old.write_text(stale)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         (again,) = count_series((curve,), (2,), cache=CountCache(tmp_path, f5553))
     assert again.counts == series.counts
-    assert (tmp_path / "counts.cache").read_text() == stale
-    assert len(CountCache(tmp_path, f5553).path.read_text().splitlines()) == 2
+    assert all(old.read_text() == stale for old in old_files)
+    assert len((tmp_path / "p5.counts").read_text().splitlines()) == 2
 
 
 def test_count_series_below_genus_is_fine_but_lfunc_rejects(f5553):
@@ -378,7 +461,7 @@ def test_place_value_codes_match_field_horner(field, data):
     poly = data.draw(st.lists(st.integers(0, ctx.p - 1), min_size=degree, max_size=degree))
     pl = Place.from_poly(poly + [1], ctx.p)
     xs = np.array(data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=40)))
-    got = count_mod._place_value_codes(pl, xs, xs % ctx.p, ctx)
+    got = count_mod._place_value_codes(pl, xs, ctx)
     assert got.tolist() == [
         ctx.code(place_value(pl, ProjPoint.finite(ctx.from_code(int(x))), ctx)) for x in xs
     ]

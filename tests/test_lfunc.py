@@ -37,7 +37,7 @@ from constj.lfunc import (
 from constj.taxonomy import catalog
 
 from conftest import concrete_form, float_root_moduli_ok
-from oracle import fraction_root_moduli_ok
+from oracle import e_curve_trace_by_euler, fraction_root_moduli_ok
 
 
 def test_lpolynomial_of_elliptic_curve():
@@ -177,6 +177,14 @@ def test_e_curve_traces():
     assert e_curve_trace(J1728, 5) == -2  # 5 = 1 mod 4: ordinary
     with pytest.raises(ValidationError):
         e_curve_trace(J0, 9)
+
+
+def test_e_curve_trace_matches_euler_criterion_below_3000():
+    primes = [p for p in range(5, 3000) if all(p % d for d in range(2, isqrt(p) + 1))]
+    for jcase in (J0, J1728):
+        assert [e_curve_trace(jcase, p) for p in primes] == [
+            e_curve_trace_by_euler(jcase, p) for p in primes
+        ]
 
 
 def test_verdict_small_case(f5553):
