@@ -12,7 +12,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .errors import (  # noqa: F401
     BranchInconsistencyError,
     CountDataError,
-    FalsifiedClaimError,
     InvariantViolation,
     ValidationError,
 )

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
 from . import count, curve, forms, lfunc, surface, taxonomy
-from .errors import FalsifiedClaimError, InvariantViolation, ValidationError
+from .errors import InvariantViolation, ValidationError
 
 _JSON_INT_LIMIT = 1 << 53
 
@@ -246,13 +246,13 @@ def run_pipeline(
     f = forms.form_from_roots(jcase, cfg["pattern"], cfg["roots"], p=cfg["p"])
     cache = count.CountCache(cache_dir, f) if cache_dir else None
 
-    if with_verdict and not taxonomy.is_partner_rational(f):
+    if with_verdict and not taxonomy.is_partner_rational(f.pattern, jcase):
         raise ValidationError(
             f"pattern {list(f.pattern)} has no rational partner; use zeta instead"
         )
 
     bundle = lfunc.zeta_bundle(f, cfg["p"], cache=cache)
-    verdict_obj = lfunc.verdict_from_bundle(bundle, strict=False) if with_verdict else None
+    verdict_obj = lfunc.verdict_from_bundle(bundle) if with_verdict else None
 
     counts_section = {
         str(c.a): [[i, n] for i, n in s.counts]
@@ -328,9 +328,7 @@ def _report_text(report: dict) -> str:
 def cmd_run(args, command: str) -> int:
     cfg = _parse_run_config(args, command)
     started = time.perf_counter()
-    report, verdict_obj = run_pipeline(
-        cfg, args.cache_dir, with_verdict=command in ("verify", "report")
-    )
+    report, v = run_pipeline(cfg, args.cache_dir, with_verdict=command in ("verify", "report"))
     elapsed_ms = int(1000 * (time.perf_counter() - started))
     if args.format == "json":
         sys.stdout.write(render_json(report))
@@ -339,10 +337,11 @@ def cmd_run(args, command: str) -> int:
     else:
         sys.stdout.write(_report_text(report))
     print(f"# elapsed_ms={elapsed_ms}", file=sys.stderr)
-    if command == "verify" and verdict_obj is not None:
-        if verdict_obj.theorem_applicable and not verdict_obj.surface_artin_supersingular:
-            print("FAILURE: applicable verdict came out false", file=sys.stderr)
-            return 2
+    if command == "verify" and v.theorem_applicable and not v.surface_artin_supersingular:
+        print(f"FAILURE: supersingularity fails where the theorem applies: "
+              f"jcase={v.jcase.tag} pattern={','.join(map(str, v.pattern))} p={v.p} "
+              f"pure_half={v.curve_new_factor_pure} E_trace={v.e_trace}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -358,9 +357,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FalsifiedClaimError as exc:
-        print(f"FAILURE: {exc}", file=sys.stderr)
-        return 2
     except InvariantViolation as exc:
         print(f"HARD FAILURE: {exc}", file=sys.stderr)
         return 2

@@ -264,8 +264,6 @@ def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, .
     form, in the order given, from one sweep of P^1(F_q) in chunks of
     max(p, _CHUNK // p * p) points, whose bounds are multiples of p."""
     f = curves[0].f
-    if f.is_abstract:
-        raise ValidationError("cannot count points of an abstract form")
     if any(c.f != f for c in curves):
         raise ValidationError("covers counted together must share one form")
     if ctx.p != f.p:

@@ -15,7 +15,3 @@ class CountDataError(InvariantViolation):
 
 class BranchInconsistencyError(InvariantViolation):
     """The eigenspace factor division left a nonzero remainder."""
-
-
-class FalsifiedClaimError(InvariantViolation):
-    """A verdict that should hold numerically came out false."""

@@ -1,10 +1,10 @@
-"""Factored binary forms over F_p (or over an abstract root alphabet).
+"""Factored binary forms over F_p.
 
 A form is a product of pairwise coprime places raised to bounded
 multiplicities.  A place is either the point at infinity (the linear form t),
 or a monic-in-s irreducible binary form, stored dehomogenized at t = 1 as a
-monic univariate polynomial.  The abstract mode keeps only opaque root labels
-and multiplicities, which is all the classification needs.
+monic univariate polynomial.  Questions that depend on the multiplicity
+pattern alone are answered from bare tuples (see taxonomy).
 
 Conventions: points of P^1 are written (s : t) with canonical representative
 t = 1 or (1 : 0); the linear place with root r is s - r*t, so "root r" means
@@ -52,11 +52,10 @@ def jcase_from_tag(tag: Union[str, int]) -> JCase:
 
 @dataclass(frozen=True)
 class Place:
-    """One zero locus: infinity, a monic irreducible over F_p, or a label."""
+    """One zero locus: infinity or a monic irreducible over F_p."""
 
     poly: Optional[tuple[int, ...]] = None  # monic univariate, low degree first
     at_infinity: bool = False
-    label: Optional[str] = None
 
     @classmethod
     def infinity(cls) -> "Place":
@@ -73,30 +72,16 @@ class Place:
             raise ValidationError(f"place polynomial must be monic of degree >= 1: {coeffs}")
         return cls(poly=c)
 
-    @classmethod
-    def abstract(cls, label: str) -> "Place":
-        return cls(label=label)
-
     @property
     def degree(self) -> int:
         if self.poly is not None:
             return len(self.poly) - 1
-        return 1  # infinity and abstract labels are single geometric zeroes
-
-    @property
-    def is_abstract(self) -> bool:
-        return self.label is not None
+        return 1  # infinity is a single geometric zero
 
     def sort_key(self) -> tuple:
-        if self.is_abstract:
-            return (1, self.degree, (), self.label)
-        if self.at_infinity:
-            return (0, self.degree, (), "")
-        return (0, self.degree, self.poly, "")
+        return (self.degree, () if self.at_infinity else self.poly)
 
     def describe(self) -> str:
-        if self.is_abstract:
-            return str(self.label)
         if self.at_infinity:
             return "t"
         c0 = self.poly[0]
@@ -122,11 +107,7 @@ class FactoredForm:
 
     jcase: JCase
     places: tuple[tuple[Place, int], ...]
-    p: Optional[int] = None  # None = abstract mode
-
-    @property
-    def is_abstract(self) -> bool:
-        return self.p is None
+    p: int
 
     @property
     def degree(self) -> int:
@@ -161,14 +142,9 @@ class FactoredForm:
 
     def serialize(self) -> str:
         """Canonical serialization: sorted places, lowest coefficient first."""
-        parts = [self.jcase.tag, "abstract" if self.is_abstract else f"p={self.p}"]
+        parts = [self.jcase.tag, f"p={self.p}"]
         for pl, m in _sort_places(self.places):
-            if pl.is_abstract:
-                body = f"L:{pl.label}"
-            elif pl.at_infinity:
-                body = "inf"
-            else:
-                body = ",".join(str(c) for c in pl.poly)
+            body = "inf" if pl.at_infinity else ",".join(str(c) for c in pl.poly)
             parts.append(f"[{body}]^{m}")
         return ";".join(parts)
 
@@ -187,30 +163,22 @@ def _sort_places(places: Sequence[tuple[Place, int]]) -> tuple[tuple[Place, int]
 def parse_form(
     jcase: JCase,
     places: Sequence[tuple[Place, int]],
-    p: Optional[int] = None,
+    p: int,
 ) -> FactoredForm:
     """Validate and build a FactoredForm.
 
     Rejects repeated places, multiplicities outside [1, exponent-1], total
-    degree not divisible by the exponent, and (in concrete mode) reducible
-    place polynomials.
+    degree not divisible by the exponent, and reducible place polynomials.
     """
-    if p is not None:
-        make_field(p, 1)  # validates p prime > 3
+    make_field(p, 1)  # validates p prime > 3
     seen = set()
     for pl, m in places:
         where = pl.describe()
-        if pl.is_abstract:
-            if p is not None:
-                raise ValidationError(f"abstract place {where} in concrete form")
-        else:
-            if p is None and not pl.at_infinity:
-                raise ValidationError(f"concrete place {where} requires a prime p")
-            if pl.poly is not None:
-                if any(not 0 <= c < p for c in pl.poly):
-                    raise ValidationError(f"place {where}: coefficients out of range mod {p}")
-                if not poly_is_irreducible(pl.poly, p):
-                    raise ValidationError(f"place {where}: polynomial is reducible over F_{p}")
+        if pl.poly is not None:
+            if any(not 0 <= c < p for c in pl.poly):
+                raise ValidationError(f"place {where}: coefficients out of range mod {p}")
+            if not poly_is_irreducible(pl.poly, p):
+                raise ValidationError(f"place {where}: polynomial is reducible over F_{p}")
         if not 1 <= m <= jcase.max_mult:
             raise ValidationError(f"place {where}: multiplicity {m} > {jcase.max_mult}"
                                   if m > jcase.max_mult
@@ -233,12 +201,12 @@ def form_from_roots(
     jcase: JCase,
     mults: Sequence[int],
     roots: Sequence[Union[int, str]],
-    p: Optional[int] = None,
+    p: int,
 ) -> FactoredForm:
     """Build a form with linear places at the given roots of P^1.
 
     A root is an element of F_p (the place s - r*t) or the string "inf"
-    (the place t).  In abstract mode roots become opaque labels.
+    (the place t).
     """
     if len(mults) != len(roots):
         raise ValidationError(f"{len(mults)} multiplicities but {len(roots)} roots")
@@ -246,9 +214,7 @@ def form_from_roots(
         raise ValidationError(f"roots must be pairwise distinct: {list(roots)}")
     places = []
     for m, r in zip(mults, roots):
-        if p is None:
-            places.append((Place.abstract(str(r)), m))
-        elif isinstance(r, str) and r.lower() in ("inf", "oo", "infinity"):
+        if isinstance(r, str) and r.lower() in ("inf", "oo", "infinity"):
             places.append((Place.infinity(), m))
         else:
             try:
@@ -259,8 +225,3 @@ def form_from_roots(
                 raise ValidationError(f"root {r} out of range for F_{p}")
             places.append((Place.linear(r_int, p), m))
     return parse_form(jcase, places, p=p)
-
-
-def abstract_pattern(jcase: JCase, mults: Sequence[int]) -> FactoredForm:
-    """Abstract-mode form from a bare multiplicity pattern."""
-    return form_from_roots(jcase, list(mults), [f"r{i}" for i in range(len(mults))], p=None)

@@ -29,13 +29,11 @@ from .curve import CurveSpec, EigenDims, eigenspace_dims
 from .errors import (
     BranchInconsistencyError,
     CountDataError,
-    FalsifiedClaimError,
     InvariantViolation,
     ValidationError,
 )
 from .forms import FactoredForm, J0, JCase
 from .gf import is_prime
-from .taxonomy import is_partner_rational
 
 def _frac_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     num = num[:]
@@ -292,8 +290,8 @@ def zeta_bundle(
     and the levels up to the required one are filled in with predicted
     counts.
     """
-    if f.is_abstract or f.p != p:
-        raise ValidationError(f"need a concrete form over F_{p}")
+    if f.p != p:
+        raise ValidationError(f"the form is over F_{f.p} but the run is over F_{p}")
     curves = tuple(CurveSpec(f, a) for a in cover_orders(f.jcase))
     full, subs = curves[0], curves[1:]
     g_new = f.k - 2
@@ -341,15 +339,6 @@ def zeta_bundle(
         dims=dims,
         polygons=tuple(newton_polygon(lp, p) for lp in (full_lpoly, *sub_lpolys, new)),
     )
-
-
-def new_factor(
-    f: FactoredForm,
-    p: int,
-    cache: Optional[CountCache] = None,
-) -> LPolynomial:
-    """Primitive eigenspace factor of the full cover's numerator; degree 2(k-2)."""
-    return zeta_bundle(f, p, cache=cache).new_factor
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +450,14 @@ def congruence_holds(jcase: JCase, p: int) -> bool:
     return p % 6 == 5 if jcase == J0 else p % 4 == 3
 
 
-def verdict_from_bundle(bundle: ZetaBundle, strict: bool = True) -> Verdict:
+def verdict_from_bundle(bundle: ZetaBundle) -> Verdict:
     f, p = bundle.f, bundle.p
     polygon = bundle.polygons[-1]
     pure = is_pure_half(bundle.new_factor, p, polygon)
     trace = e_curve_trace(f.jcase, p)
     e_ss = trace == 0
     applicable = congruence_holds(f.jcase, p)
-    result = Verdict(
+    return Verdict(
         jcase=f.jcase,
         p=p,
         pattern=f.pattern,
@@ -480,23 +469,3 @@ def verdict_from_bundle(bundle: ZetaBundle, strict: bool = True) -> Verdict:
         new_factor=bundle.new_factor,
         new_factor_polygon=polygon,
     )
-    if strict and applicable and not result.surface_artin_supersingular:
-        raise FalsifiedClaimError(
-            f"supersingularity fails for pattern {f.pattern} at p={p} "
-            f"(pure={pure}, trace={trace}); this should be impossible"
-        )
-    return result
-
-
-def verdict(
-    f: FactoredForm,
-    p: int,
-    cache: Optional[CountCache] = None,
-    strict: bool = True,
-) -> Verdict:
-    """Supersingularity verdict for a form whose partner surface is rational."""
-    if not is_partner_rational(f):
-        raise ValidationError(
-            f"pattern {f.pattern} does not have a rational partner surface"
-        )
-    return verdict_from_bundle(zeta_bundle(f, p, cache=cache), strict=strict)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .curve import EigenDims, eigenspace_dims
 from .errors import InvariantViolation
-from .forms import FactoredForm, J0, J1728, JCase
+from .forms import FactoredForm, J0, JCase
 
 
 @dataclass(frozen=True)

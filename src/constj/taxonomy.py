@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
-from .errors import ValidationError
-from .forms import FactoredForm, JCase
+from .forms import JCase
 
 Pattern = tuple[int, ...]
 
@@ -22,12 +21,6 @@ class SurfaceClass(enum.Enum):
     RATIONAL = "rational"
     K3 = "K3"
     KODAIRA_DIM_1 = "kodaira-dimension-1"
-
-
-def _as_pattern(f: Union[FactoredForm, Sequence[int]]) -> Pattern:
-    if isinstance(f, FactoredForm):
-        return f.pattern
-    return tuple(sorted(f, reverse=True))
 
 
 def enumerate_patterns(jcase: JCase) -> list[Pattern]:
@@ -52,8 +45,8 @@ def enumerate_patterns(jcase: JCase) -> list[Pattern]:
     return sorted(found, key=lambda t: (len(t), tuple(-m for m in t)))
 
 
-def classify_Xf(pattern: Union[FactoredForm, Sequence[int]]) -> SurfaceClass:
-    k = len(_as_pattern(pattern))
+def classify_Xf(pattern: Pattern) -> SurfaceClass:
+    k = len(pattern)
     if k == 2:
         return SurfaceClass.RATIONAL
     if k == 3:
@@ -61,18 +54,11 @@ def classify_Xf(pattern: Union[FactoredForm, Sequence[int]]) -> SurfaceClass:
     return SurfaceClass.KODAIRA_DIM_1
 
 
-def is_partner_rational(f: Union[FactoredForm, Sequence[int]], jcase: JCase = None) -> bool:
+def is_partner_rational(pattern: Pattern, jcase: JCase) -> bool:
     """True when the complement form has degree N and at least two zeroes.
 
     Equivalent to k = n + 1 (with k >= 2) for valid forms.
     """
-    if isinstance(f, FactoredForm):
-        jcase = f.jcase
-        pattern = f.pattern
-    else:
-        if jcase is None:
-            raise ValidationError("is_partner_rational on a bare pattern needs a jcase")
-        pattern = _as_pattern(f)
     n_exp = jcase.exponent
     return len(pattern) >= 2 and sum(n_exp - m for m in pattern) == n_exp
 

@@ -190,8 +190,6 @@ def place_value(pl: Place, point: ProjPoint, ctx: FieldContext) -> FieldElement:
     Finite points use the chart t = 1, infinity uses s = 1; places are monic
     in s, so every finite place has value 1 at (1 : 0).
     """
-    if pl.is_abstract:
-        raise ValidationError("cannot evaluate an abstract place")
     if pl.at_infinity:
         return point.t
     if point.is_infinity:
@@ -204,8 +202,6 @@ def place_value(pl: Place, point: ProjPoint, ctx: FieldContext) -> FieldElement:
 
 def evaluate(f: FactoredForm, point: ProjPoint, ctx: FieldContext) -> FieldElement:
     """Value of the dehomogenized form at the canonical representative."""
-    if f.is_abstract:
-        raise ValidationError("cannot evaluate an abstract form")
     if ctx.p != f.p:
         raise ValidationError(f"form over F_{f.p} evaluated in characteristic {ctx.p}")
     acc = ctx.one()

@@ -13,7 +13,7 @@ import constj.count as count_mod
 from constj.cli import main
 from constj.count import count_points
 from constj.curve import CurveSpec, branch_correction, chi_singular, eigenspace_dims, genus
-from constj.forms import J0, J1728, abstract_pattern, form_from_roots
+from constj.forms import J0, J1728, form_from_roots
 from constj.lfunc import (
     e_curve_trace,
     is_pure_half,
@@ -163,7 +163,7 @@ def test_criterion_4_j1728_case():
 def test_criterion_5_eigendimension_identities():
     started = time.perf_counter()
     for pattern in enumerate_patterns(J0):
-        f = abstract_pattern(J0, pattern)
+        f = concrete_form(J0, pattern)
         k = f.k
         assert eigenspace_dims(f)[1] == k - 2, pattern
         assert genus(f, 6) == (k - 2) + genus(f, 2) + genus(f, 3), pattern
@@ -181,7 +181,7 @@ def test_criterion_6_shioda_tate_ranks():
     started = time.perf_counter()
     for jcase in (J0, J1728):
         for row in catalog(jcase):
-            f = abstract_pattern(jcase, row.pattern)
+            f = concrete_form(jcase, row.pattern)
             g = f.complement()
             assert mw_rank_char0(f) == 0, row.pattern
             assert mw_rank_char0(g) == 2 * (f.n - 1), row.pattern

@@ -11,7 +11,6 @@ import constj.curve as curve_mod
 import constj.lfunc as lfunc_mod
 import constj.surface as surface_mod
 from constj.cli import _default_roots, build_parser, main, render_json
-from constj.errors import FalsifiedClaimError
 from constj.forms import FactoredForm
 
 
@@ -194,6 +193,10 @@ def test_report_command_includes_verdict_without_gating(capsys, monkeypatch):
     assert json.loads(out)["verdict"]["curve_new_factor_pure"] is False
 
 
+def _failure_lines(err):
+    return [line for line in err.splitlines() if line.startswith("FAILURE")]
+
+
 def test_verify_exit_two_on_falsification(capsys, monkeypatch):
     monkeypatch.setattr(lfunc_mod, "is_pure_half", lambda *a, **k: False)
     code, out, err = run_cli(
@@ -201,18 +204,22 @@ def test_verify_exit_two_on_falsification(capsys, monkeypatch):
         ["verify", "--p", "5", "--pattern", "5,5,5,3", "--format", "json"],
     )
     assert code == 2
-    assert "FAILURE" in err
+    assert _failure_lines(err) == [
+        "FAILURE: supersingularity fails where the theorem applies: "
+        "jcase=j0 pattern=5,5,5,3 p=5 pure_half=False E_trace=0"
+    ]
     assert json.loads(out)["verdict"]["surface_artin_supersingular"] is False
 
 
-def test_verify_exit_two_on_strict_raise(capsys, monkeypatch):
-    def boom(*args, **kwargs):
-        raise FalsifiedClaimError("made up")
-
-    monkeypatch.setattr(lfunc_mod, "verdict_from_bundle", boom)
-    code, _, err = run_cli(capsys, ["verify", "--p", "5", "--pattern", "5,5,5,3"])
+def test_verify_failure_names_the_e_trace(capsys, monkeypatch):
+    monkeypatch.setattr(lfunc_mod, "e_curve_trace", lambda jcase, p: 3)
+    code, out, err = run_cli(capsys, ["verify", "--jcase", "1728", "--p", "7", "--pattern", "3,3,3,3"])
     assert code == 2
-    assert "FAILURE" in err
+    assert _failure_lines(err) == [
+        "FAILURE: supersingularity fails where the theorem applies: "
+        "jcase=j1728 pattern=3,3,3,3 p=7 pure_half=True E_trace=3"
+    ]
+    assert "E_trace=3 supersingular=False" in out
 
 
 def test_warm_cache_report_byte_identical_without_counting(capsys, tmp_path, monkeypatch):

@@ -12,7 +12,7 @@ from constj.curve import (
     genus,
     geometric_components,
 )
-from constj.forms import J0, J1728, abstract_pattern
+from constj.forms import J0, J1728
 from constj.taxonomy import enumerate_patterns
 
 from conftest import concrete_form
@@ -38,7 +38,7 @@ def test_genus_examples(f5553):
 @pytest.mark.parametrize("a", [2, 3, 6])
 def test_genus_matches_pointwise_riemann_hurwitz(a):
     for pattern in enumerate_patterns(J0):
-        f = abstract_pattern(J0, pattern)
+        f = concrete_form(J0, pattern)
         assert genus(f, a) == riemann_hurwitz_oracle(pattern, a, 6)
 
 
@@ -60,7 +60,7 @@ def test_branch_correction_examples(f5553):
 def test_normalization_identity(jcase, orders):
     """2 - 2*genus = chi_singular + branch_correction, exactly, everywhere."""
     for pattern in enumerate_patterns(jcase):
-        f = abstract_pattern(jcase, pattern)
+        f = concrete_form(jcase, pattern)
         for a in orders:
             assert 2 - 2 * genus(f, a) == chi_singular(f, a) + branch_correction(f, a), (
                 pattern,
@@ -70,14 +70,14 @@ def test_normalization_identity(jcase, orders):
 
 def test_genus_additivity_j0():
     for pattern in enumerate_patterns(J0):
-        f = abstract_pattern(J0, pattern)
+        f = concrete_form(J0, pattern)
         k = f.k
         assert genus(f, 6) == (k - 2) + genus(f, 2) + genus(f, 3), pattern
 
 
 def test_genus_additivity_j1728():
     for pattern in enumerate_patterns(J1728):
-        f = abstract_pattern(J1728, pattern)
+        f = concrete_form(J1728, pattern)
         assert genus(f, 4) == (f.k - 2) + genus(f, 2), pattern
 
 
@@ -85,23 +85,23 @@ def test_genus_additivity_j1728():
 def test_partner_has_equal_genus(jcase):
     n_exp = jcase.exponent
     for pattern in enumerate_patterns(jcase):
-        f = abstract_pattern(jcase, pattern)
+        f = concrete_form(jcase, pattern)
         g = f.complement()
         assert genus(f, n_exp) == genus(g, n_exp)
         assert geometric_components(f, n_exp) == geometric_components(g, n_exp)
 
 
 def test_components():
-    assert geometric_components(abstract_pattern(J0, (4, 4, 4)), 6) == 2
-    assert geometric_components(abstract_pattern(J0, (4, 4, 4)), 2) == 2
-    assert geometric_components(abstract_pattern(J0, (4, 4, 4)), 3) == 1
-    assert geometric_components(abstract_pattern(J0, (3, 3)), 3) == 3
-    assert geometric_components(abstract_pattern(J0, (5, 5, 5, 3)), 6) == 1
+    assert geometric_components(concrete_form(J0, (4, 4, 4)), 6) == 2
+    assert geometric_components(concrete_form(J0, (4, 4, 4)), 2) == 2
+    assert geometric_components(concrete_form(J0, (4, 4, 4)), 3) == 1
+    assert geometric_components(concrete_form(J0, (3, 3)), 3) == 3
+    assert geometric_components(concrete_form(J0, (5, 5, 5, 3)), 6) == 1
 
 
 def test_disconnected_cover_bookkeeping():
     """(4,4,4): the order-2 subcover is two rational curves; H^1 vanishes."""
-    f = abstract_pattern(J0, (4, 4, 4))
+    f = concrete_form(J0, (4, 4, 4))
     assert genus(f, 2) == -1  # Euler-characteristic value of two P^1s
     assert CurveSpec(f, 2).h1_dim == 0
     assert CurveSpec(f, 6).h1_dim == 4
@@ -115,7 +115,7 @@ def test_eigenspace_dims_examples(f5553):
     full = concrete_form(J0, (5, 5, 5, 5, 5, 5))
     assert eigenspace_dims(full)[1] == 4
 
-    f1728 = abstract_pattern(J1728, (3, 3, 3, 3))
+    f1728 = concrete_form(J1728, (3, 3, 3, 3))
     dims1728 = eigenspace_dims(f1728)
     assert dims1728.dims == (2, 2, 2)
     assert dims1728[2] == 2 * genus(f1728, 2)
@@ -126,7 +126,7 @@ def test_eigenspace_dims_examples(f5553):
 def test_eigenspace_dims_symmetric_and_consistent(jcase):
     n_exp = jcase.exponent
     for pattern in enumerate_patterns(jcase):
-        f = abstract_pattern(jcase, pattern)
+        f = concrete_form(jcase, pattern)
         dims = eigenspace_dims(f)
         for j in range(1, n_exp):
             assert dims[j] == dims[n_exp - j]

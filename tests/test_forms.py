@@ -4,7 +4,7 @@ import pytest
 
 from constj.errors import ValidationError
 from constj.forms import (
-    FactoredForm, J0, J1728, Place, abstract_pattern, form_from_roots, parse_form
+    FactoredForm, J0, J1728, Place, form_from_roots, parse_form
 )
 from constj.taxonomy import catalog, enumerate_patterns
 
@@ -64,7 +64,7 @@ def test_complement_examples(f5553):
 @pytest.mark.parametrize("jcase", [J0, J1728])
 def test_complement_is_an_involution(jcase):
     for pattern in enumerate_patterns(jcase):
-        f = abstract_pattern(jcase, pattern)
+        f = concrete_form(jcase, pattern)
         assert f.complement().complement().places == f.places
         assert f.degree + f.complement().degree == jcase.exponent * f.k
 
@@ -72,7 +72,7 @@ def test_complement_is_an_involution(jcase):
 @pytest.mark.parametrize("jcase", [J0, J1728])
 def test_partner_n_on_catalog_patterns(jcase):
     for row in catalog(jcase):
-        f = abstract_pattern(jcase, row.pattern)
+        f = concrete_form(jcase, row.pattern)
         assert f.complement().n == f.k - f.n
 
 
@@ -203,7 +203,13 @@ def test_serialization_is_canonical_and_stable(f5553):
     assert f5553.serialize() == "j0;p=5;[inf]^5;[0,1]^5;[3,1]^3;[4,1]^5"
 
 
-def test_abstract_mode_rejects_evaluation():
-    f = abstract_pattern(J0, (5, 1))
-    with pytest.raises(ValidationError):
-        evaluate(f, ProjPoint.finite(scalar_field(5, 1).el(0)), scalar_field(5, 1))
+def test_form_key_of_mixed_places_is_pinned():
+    """Infinity, a linear and a quadratic place: the count-cache files and the
+    reports' meta.form_key depend on this exact serialization and key."""
+    f = parse_form(
+        J0,
+        [(Place.from_poly((1, 0, 1), 7), 1), (Place.linear(0, 7), 2), (Place.infinity(), 2)],
+        p=7,
+    )
+    assert f.serialize() == "j0;p=7;[inf]^2;[0,1]^2;[1,0,1]^1"
+    assert f.key() == "fdbe77787791bb1e"

@@ -11,7 +11,6 @@ from constj.curve import CurveSpec, eigenspace_dims
 from constj.errors import (
     BranchInconsistencyError,
     CountDataError,
-    FalsifiedClaimError,
     InvariantViolation,
     ValidationError,
 )
@@ -26,12 +25,11 @@ from constj.lfunc import (
     exact_quotient,
     is_pure_half,
     lpolynomial,
-    new_factor,
     newton_polygon,
     poly_mul,
     predicted_count,
     required_level,
-    verdict,
+    verdict_from_bundle,
     zeta_bundle,
 )
 from constj.taxonomy import catalog
@@ -99,11 +97,16 @@ def test_exact_quotient_and_remainder_error():
 
 
 def test_new_factor_small_case(f5553):
-    nf = new_factor(f5553, 5)
+    nf = zeta_bundle(f5553, 5).new_factor
     assert nf.degree == 4 == 2 * (f5553.k - 2)
     assert nf.coeffs == (1, 0, 0, 0, 25)
     assert newton_polygon(nf, 5).segments == ((Fraction(1, 2), 4),)
     assert is_pure_half(nf, 5)
+
+
+def test_zeta_bundle_names_both_primes_on_a_mismatch(f5553):
+    with pytest.raises(ValidationError, match="the form is over F_5 but the run is over F_7"):
+        zeta_bundle(f5553, 7)
 
 
 def test_new_factor_squarefree_sextic_degree(f_squarefree_sextic, shared_cache):
@@ -188,7 +191,7 @@ def test_e_curve_trace_matches_euler_criterion_below_3000():
 
 
 def test_verdict_small_case(f5553):
-    v = verdict(f5553, 5)
+    v = verdict_from_bundle(zeta_bundle(f5553, 5))
     assert v.theorem_applicable
     assert v.curve_new_factor_pure
     assert v.e_supersingular and v.e_trace == 0
@@ -197,51 +200,43 @@ def test_verdict_small_case(f5553):
 
 def test_verdict_negative_control():
     f = form_from_roots(J0, [5, 5, 5, 3], ["0", "1", "inf", "2"], p=7)
-    v = verdict(f, 7)
+    v = verdict_from_bundle(zeta_bundle(f, 7))
     assert not v.theorem_applicable
     assert v.e_trace != 0 and not v.e_supersingular
     assert not v.surface_artin_supersingular
 
 
 def test_verdict_j1728(f1728_3333):
-    v = verdict(f1728_3333, 7)
+    v = verdict_from_bundle(zeta_bundle(f1728_3333, 7))
     assert v.theorem_applicable and v.surface_artin_supersingular
 
 
 def test_verdict_at_a_second_prime_each_family():
     # p = 11 = 5 mod 6: the j=0 claim must hold there too
     f = form_from_roots(J0, [5, 5, 5, 3], ["0", "1", "inf", "2"], p=11)
-    v = verdict(f, 11)
+    v = verdict_from_bundle(zeta_bundle(f, 11))
     assert v.theorem_applicable and v.surface_artin_supersingular
     # p = 11 = 3 mod 4: same for j = 1728, on the K3 row
     g = form_from_roots(J1728, [3, 3, 2], ["0", "1", "inf"], p=11)
-    w = verdict(g, 11)
+    w = verdict_from_bundle(zeta_bundle(g, 11))
     assert w.theorem_applicable and w.surface_artin_supersingular
     assert w.new_factor.degree == 2
 
 
-def test_verdict_requires_rational_partner():
-    f = form_from_roots(J0, [3, 3, 3, 3], ["0", "1", "inf", "2"], p=5)
-    with pytest.raises(ValidationError, match="rational partner"):
-        verdict(f, 5)
-
-
-def test_verdict_strict_raises_on_falsification(monkeypatch, f5553):
+def test_verdict_reports_falsification_without_raising(monkeypatch, f5553):
     import constj.lfunc as lfunc_mod
 
     bundle = zeta_bundle(f5553, 5)
     monkeypatch.setattr(lfunc_mod, "is_pure_half", lambda *a, **k: False)
-    with pytest.raises(FalsifiedClaimError):
-        lfunc_mod.verdict_from_bundle(bundle, strict=True)
-    v = lfunc_mod.verdict_from_bundle(bundle, strict=False)
-    assert not v.surface_artin_supersingular
+    v = verdict_from_bundle(bundle)
+    assert v.theorem_applicable and not v.surface_artin_supersingular
 
 
 def test_verdict_conjunction_is_validated(f5553):
     from constj.errors import InvariantViolation
 
     bundle = zeta_bundle(f5553, 5)
-    good = verdict(f5553, 5)
+    good = verdict_from_bundle(bundle)
     with pytest.raises(InvariantViolation):
         Verdict(
             jcase=good.jcase,

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from constj.forms import J0, J1728, abstract_pattern
+from constj.forms import J0, J1728
 from constj.taxonomy import (
     SurfaceClass,
     catalog,
@@ -78,8 +78,8 @@ def test_classification_rational_iff_absent_from_catalog():
 
 
 def test_is_partner_rational():
-    assert is_partner_rational(abstract_pattern(J0, (5, 5, 5, 3)))
-    assert is_partner_rational(abstract_pattern(J0, (5, 5, 5, 5, 5, 5)))
+    assert is_partner_rational((5, 5, 5, 3), J0)
+    assert is_partner_rational((5, 5, 5, 5, 5, 5), J0)
     # (5,5,5,1) is not even a form of the right degree; as a bare pattern the
     # complement-degree rule fails
     assert not is_partner_rational((5, 5, 5, 1), J0)
