@@ -20,6 +20,12 @@ vanishes and receive the branch-corrected local count
 class at every point, so at a zero of one place the other places' sum is
 the unit's class up to an m-th power, which a gcd(a, m, q-1)-th power
 test cannot see: the zeroes need no field arithmetic of their own.
+
+numpy is imported inside the functions that touch arrays (the digit and
+matrix helpers, find_generator, power_class_table, _place_value_codes,
+_sweep_chunk and count_points), so it loads on the first count that misses
+the cache: a row read from the count cache, the catalog and the usage and
+validation errors found before a count never load it.
 """
 
 from __future__ import annotations
@@ -29,15 +35,16 @@ from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
 from .curve import CurveSpec
 from .errors import InvariantViolation, ValidationError
 from .forms import FactoredForm
 from .gf import FieldContext, make_field
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK = 1 << 20  # points per sweep step
 _WALK_BLOCK = 1 << 16  # powers per table-walk block: the walk holds deg int64 digits of each
@@ -50,6 +57,8 @@ _CLASS_MODULUS = 12  # lcm of the family exponents 6 and 4: every cover order di
 # their base-p digits, and multiplying by an element is a matrix over F_p
 
 def _digits(codes: np.ndarray, ctx: FieldContext) -> np.ndarray:
+    import numpy as np
+
     out = np.empty((ctx.degree, codes.shape[0]), dtype=np.int64)
     rem = codes.copy()
     for j in range(ctx.degree):
@@ -59,6 +68,8 @@ def _digits(codes: np.ndarray, ctx: FieldContext) -> np.ndarray:
 
 
 def _codes_of(block: np.ndarray, ctx: FieldContext) -> np.ndarray:
+    import numpy as np
+
     out = np.zeros(block.shape[1], dtype=np.int64)
     for j in range(ctx.degree - 1, -1, -1):
         out *= ctx.p
@@ -71,6 +82,8 @@ def _x_powers(ctx: FieldContext) -> np.ndarray:
     """The matrices over F_p of multiplication by X^k, k < deg, as one
     read-only stack, built once per field; X is the companion matrix:
     X^(deg-1) goes to X^deg = -sum c_k X^k."""
+    import numpy as np
+
     deg, p = ctx.degree, ctx.p
     companion = np.eye(deg, k=-1, dtype=np.int64)
     companion[:, -1] = [(-c) % p for c in ctx.modulus[:deg]]
@@ -90,6 +103,8 @@ def _matrices(codes: np.ndarray, ctx: FieldContext) -> np.ndarray:
     multiplies a whole (deg, M) block of digits by c.  Below _MAX_FIELD_Q no
     sum of deg products of digits, deg (p-1)^2, reaches 2^63.
     """
+    import numpy as np
+
     return np.tensordot(_digits(codes, ctx).T, _x_powers(ctx), axes=1) % ctx.p
 
 
@@ -121,6 +136,8 @@ def find_generator(ctx: FieldContext) -> int:
     batches start at 8 codes and double, as a generator is usually among
     the first few candidates.
     """
+    import numpy as np
+
     order = ctx.q - 1
     cofactors = [order // ell for ell in _prime_factors(order)]
     deg, p = ctx.degree, ctx.p
@@ -157,6 +174,8 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
     block's digits.  A field above _MAX_FIELD_Q is refused before any work.
     The table is shared by every caller and read-only.
     """
+    import numpy as np
+
     q = ctx.q
     if q > _MAX_FIELD_Q:
         raise ValidationError(
@@ -200,6 +219,8 @@ def _place_value_codes(pl, codes: np.ndarray, ctx: FieldContext) -> np.ndarray:
     given by codes: Horner, acc x = sum of x_k (X^k acc) over the digits of
     x, with X^k acc reduced before it is scaled, so entries stay below
     deg p^2."""
+    import numpy as np
+
     x_blk = _digits(codes, ctx)
     acc = x_blk.copy()  # the place is monic: its first Horner step is 1 x
     for c in reversed(pl.poly[1:-1]):
@@ -223,6 +244,8 @@ def _sweep_chunk(
     of the other places' product at each of its roots.  lo and hi are
     multiples of p, so the chunk's classes are a (rows, p) block whose last
     axis is the lowest digit; x + c0 vanishes only at the constant -c0."""
+    import numpy as np
+
     p = ctx.p
     block = cls[lo:hi].astype(np.int32).reshape(-1, p)
     acc = np.zeros_like(block)
@@ -263,6 +286,8 @@ def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, .
     """F_q-point counts of the smooth projective models of covers of one
     form, in the order given, from one sweep of P^1(F_q) in chunks of
     max(p, _CHUNK // p * p) points, whose bounds are multiples of p."""
+    import numpy as np
+
     f = curves[0].f
     if any(c.f != f for c in curves):
         raise ValidationError("covers counted together must share one form")
@@ -363,8 +388,12 @@ class CountCache:
 
     def _load(self) -> dict[tuple[int, int, str], int]:
         if self._records is None:
+            # the probe keeps a cold row from opening the file it will append
+            # to; a file removed after it is a miss like one never written
             try:
                 text = self.path.read_text() if self.path.exists() else ""
+            except FileNotFoundError:
+                text = ""
             except OSError as exc:
                 raise ValidationError(f"count cache {self.path} is not readable: {exc}") from exc
             self._records = {}

@@ -167,12 +167,16 @@ def parse_form(
 ) -> FactoredForm:
     """Validate and build a FactoredForm.
 
-    Rejects repeated places, multiplicities outside [1, exponent-1], total
-    degree not divisible by the exponent, and reducible place polynomials.
+    Rejects a place that is neither infinity nor a polynomial (or both),
+    repeated places, multiplicities outside [1, exponent-1], total degree
+    not divisible by the exponent, and reducible place polynomials.
     """
     make_field(p, 1)  # validates p prime > 3
     seen = set()
     for pl, m in places:
+        if (pl.poly is None) != pl.at_infinity:
+            what = "both infinity and" if pl.at_infinity else "neither infinity nor"
+            raise ValidationError(f"place {pl!r} is {what} a polynomial")
         where = pl.describe()
         if pl.poly is not None:
             if any(not 0 <= c < p for c in pl.poly):

@@ -136,6 +136,19 @@ def test_unusable_cache_dir_exits_one(capsys, tmp_path):
     assert f"error: count cache {count_file} is not readable" in err
 
 
+def test_count_file_that_vanishes_after_a_probe_is_a_miss(capsys, tmp_path, monkeypatch):
+    # a file removed between an exists() probe and its read is a file that
+    # was never written: the row counts and writes it
+    count_file = tmp_path / "p7.counts"
+    real_exists = Path.exists
+    monkeypatch.setattr(Path, "exists", lambda path: path == count_file or real_exists(path))
+    argv = ["verify", "--p", "7", "--pattern", "5,5,5,3", "--cache-dir", str(tmp_path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert "5,5,5,3" in out
+    assert count_file.read_text()
+
+
 def test_mersenne_prime_past_the_field_size_limit_exits_one(capsys):
     # 2^61 - 1: its primality is decided at once, and F_p is past the limit
     code, out, err = run_cli(

@@ -25,6 +25,16 @@ def test_parse_rejects_multiplicity_above_cap():
         parse_form(J0, [(Place.infinity(), 6)], p=5)
 
 
+@pytest.mark.parametrize(
+    "place, what",
+    [(Place(), "neither infinity nor"), (Place(poly=(0, 1), at_infinity=True), "both infinity and")],
+    ids=["neither", "both"],
+)
+def test_parse_rejects_place_neither_or_both_infinity_and_polynomial(place, what):
+    with pytest.raises(ValidationError, match=f"is {what} a polynomial"):
+        parse_form(J0, [(place, 5), (Place.linear(0, 5), 1)], p=5)
+
+
 def test_parse_j1728_row():
     f = form_from_roots(J1728, [3, 3, 2], ["inf", "1", "0"], p=7)
     assert f.n == 2 and f.k == 3

@@ -1,11 +1,17 @@
-"""Package-wide checks: every definition in src/ has a caller in src/, and
-the README's library example runs and prints what it says."""
+"""Package-wide checks: every definition in src/ has a caller in src/, the
+README's library example runs and prints what it says, and numpy is loaded
+only by a count that sweeps a field."""
 
 import ast
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "constj"
@@ -57,3 +63,49 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+# runs constj.cli.main on argv in a fresh interpreter and reports, after the
+# process's own output, whether numpy was loaded (this test process has it)
+_CHILD = """
+import sys
+import constj.cli
+code = constj.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print("numpy-loaded", "numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _fresh_run(*argv: str) -> tuple[int, str, bool]:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("numpy-loaded "), proc.stderr
+    return proc.returncode, proc.stdout, last == "numpy-loaded True"
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        ((), 0),  # import constj.cli alone
+        (("catalog", "--format", "json"), 0),
+        (("verify", "--p", "8", "--pattern", "5,5,5,3"), 1),
+    ],
+    ids=["import", "catalog", "bad-prime"],
+)
+def test_numpy_is_not_loaded_without_a_sweep(argv, exit_code):
+    code, _, numpy_loaded = _fresh_run(*argv)
+    assert code == exit_code
+    assert not numpy_loaded
+
+
+def test_only_a_cold_row_loads_numpy(tmp_path):
+    argv = ("verify", "--p", "7", "--pattern", "5,5,5,3", "--format", "json",
+            "--cache-dir", str(tmp_path))
+    golden = (ROOT / "tests" / "data" / "verify_j0_5553_p7.json").read_text()
+    code, cold, numpy_loaded = _fresh_run(*argv)
+    assert (code, cold, numpy_loaded) == (0, golden, True)
+    code, warm, numpy_loaded = _fresh_run(*argv)
+    assert (code, warm, numpy_loaded) == (0, golden, False)
