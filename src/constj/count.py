@@ -31,7 +31,7 @@ validation errors found before a count never load it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
@@ -356,22 +356,7 @@ def _assert_weil(
 class CountSeries:
     curve: CurveSpec
     p: int
-    counts: tuple[tuple[int, int], ...]  # (level i, N(p^i)), ascending i
-    checked: InitVar[int] = 0  # leading counts already checked against the Weil bound
-
-    def __post_init__(self, checked: int) -> None:
-        for i, n_pts in self.counts[checked:]:
-            _assert_weil(self.curve, self.p, i, n_pts)
-
-    @property
-    def i_max(self) -> int:
-        return max((i for i, _ in self.counts), default=0)
-
-    def n(self, i: int) -> int:
-        for level, value in self.counts:
-            if level == i:
-                return value
-        raise KeyError(f"no count at level {i}")
+    counts: tuple[int, ...]  # N(p^i) at levels i = 1..n, in order
 
 
 class CountCache:
@@ -448,7 +433,7 @@ def count_series(
     """
     p = curves[0].f.p
     keys = [c.key() for c in curves]
-    counts: list[list[tuple[int, int]]] = [[] for _ in curves]
+    counts: list[list[int]] = [[] for _ in curves]
     for i in range(1, max(levels, default=0) + 1):
         due = [idx for idx, n in enumerate(levels) if i <= n]
         found = {idx: cache.get(p, i, keys[idx]) for idx in due} if cache is not None else {}
@@ -459,9 +444,7 @@ def count_series(
         for idx in due:
             source = cache.path if idx not in missing else None  # only a cached count has a file
             _assert_weil(curves[idx], p, i, found[idx], source)
-            counts[idx].append((i, found[idx]))
+            counts[idx].append(found[idx])
         if missing and cache is not None:
             cache.put(p, i, {keys[idx]: found[idx] for idx in missing})
-    return tuple(
-        CountSeries(curve=c, p=p, counts=tuple(n), checked=len(n)) for c, n in zip(curves, counts)
-    )
+    return tuple(CountSeries(curve=c, p=p, counts=tuple(n)) for c, n in zip(curves, counts))

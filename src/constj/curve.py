@@ -113,10 +113,6 @@ class EigenDims:
             raise IndexError(f"eigenspace index {j} out of range")
         return self.dims[j - 1]
 
-    @property
-    def total(self) -> int:
-        return sum(self.dims)
-
 
 def eigenspace_dims(f: FactoredForm, covers: Sequence[CurveSpec] = ()) -> EigenDims:
     """Eigenspace dimensions from subcover H^1 dimensions.
@@ -140,7 +136,4 @@ def eigenspace_dims(f: FactoredForm, covers: Sequence[CurveSpec] = ()) -> EigenD
         raise InvariantViolation(
             f"primitive eigenspace dimension {d1} != k - 2 = {k - 2} for pattern {f.pattern}"
         )
-    ed = EigenDims(exponent=n_exp, dims=dims)
-    if ed.total != h1[n_exp]:
-        raise InvariantViolation("eigenspace dimensions do not sum to dim H^1")
-    return ed
+    return EigenDims(exponent=n_exp, dims=dims)

@@ -54,12 +54,11 @@ def jcase_from_tag(tag: Union[str, int]) -> JCase:
 class Place:
     """One zero locus: infinity or a monic irreducible over F_p."""
 
-    poly: Optional[tuple[int, ...]] = None  # monic univariate, low degree first
-    at_infinity: bool = False
+    poly: Optional[tuple[int, ...]]  # monic univariate, low degree first; None at infinity
 
     @classmethod
     def infinity(cls) -> "Place":
-        return cls(at_infinity=True)
+        return cls(poly=None)
 
     @classmethod
     def linear(cls, root: int, p: int) -> "Place":
@@ -71,6 +70,10 @@ class Place:
         if len(c) < 2 or c[-1] != 1:
             raise ValidationError(f"place polynomial must be monic of degree >= 1: {coeffs}")
         return cls(poly=c)
+
+    @property
+    def at_infinity(self) -> bool:
+        return self.poly is None
 
     @property
     def degree(self) -> int:
@@ -167,16 +170,12 @@ def parse_form(
 ) -> FactoredForm:
     """Validate and build a FactoredForm.
 
-    Rejects a place that is neither infinity nor a polynomial (or both),
-    repeated places, multiplicities outside [1, exponent-1], total degree
+    Rejects repeated places, multiplicities outside [1, exponent-1], total degree
     not divisible by the exponent, and reducible place polynomials.
     """
     make_field(p, 1)  # validates p prime > 3
     seen = set()
     for pl, m in places:
-        if (pl.poly is None) != pl.at_infinity:
-            what = "both infinity and" if pl.at_infinity else "neither infinity nor"
-            raise ValidationError(f"place {pl!r} is {what} a polynomial")
         where = pl.describe()
         if pl.poly is not None:
             if any(not 0 <= c < p for c in pl.poly):

@@ -7,6 +7,9 @@ upper half filled in by the functional equation c_{2g-i} = q^{g-i} c_i.
 Every division must be exact; a non-integral coefficient means the counts
 are wrong and is reported as such.  Each rebuilt factor is checked to be a
 Weil polynomial by a Sturm count on integers alone: no float, no Fraction.
+Integer polynomials are divided by one helper, _pseudo_divmod: the Sturm
+chain takes its remainders, and the roots at the ends of [0, 4q] and
+exact_quotient, on reversed polynomials, its quotients by monic divisors.
 
 The interesting part of H^1 of the full cover is the primitive eigenspace
 factor: the full numerator is that factor times the subcover numerators.
@@ -20,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd
-from typing import Optional
+from typing import Optional, Sequence
 
 from .count import _MAX_FIELD_Q, CountCache, CountSeries, count_series
 from .curve import CurveSpec, EigenDims, eigenspace_dims
@@ -35,21 +37,6 @@ from .errors import (
 from .forms import FactoredForm, J0, JCase
 from .gf import is_prime
 
-def _frac_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = num[:]
-    deg_d = len(den) - 1
-    quot = [Fraction(0)] * max(len(num) - deg_d, 1)
-    for i in range(len(num) - 1 - deg_d, -1, -1):
-        c = num[i + deg_d] / den[-1]
-        quot[i] = c
-        if c:
-            for j in range(deg_d + 1):
-                num[i + j] -= c * den[j]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
 def _value(poly: list[int], x: int) -> int:
     return sum(c * x**i for i, c in enumerate(poly))
 
@@ -60,19 +47,31 @@ def _sign_changes(chain: list[list[int]], x: int) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _sturm_remainder(num: list[int], den: list[int]) -> list[int]:
-    """num mod den times a positive integer, content divided out: each step
-    scales num by |lc(den)| and cancels its top term, so no sign flips."""
+def _pseudo_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(quot, rem) with c num = quot den + rem, deg rem < deg den and
+    c = |lc(den)|^steps > 0: each step scales by |lc(den)| and cancels the
+    top term, so no sign flips, and for a monic den the division is exact."""
     lead, deg_d = den[-1], len(den) - 1
-    while len(num) > deg_d:
-        top, shift = num[-1] * (1 if lead > 0 else -1), len(num) - 1 - deg_d
-        num = [abs(lead) * v for v in num[:-1]]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    rem = list(num)
+    quot = [0] * max(len(rem) - deg_d, 1)
+    for shift in range(len(rem) - 1 - deg_d, -1, -1):
+        top = rem.pop() * sign
+        rem = [scale * v for v in rem]
+        quot = [scale * v for v in quot]
+        quot[shift] = top
         for j in range(deg_d):
-            num[shift + j] -= top * den[j]
-    while len(num) > 1 and num[-1] == 0:
-        num = num[:-1]
-    content = gcd(*num) or 1
-    return [v // content for v in num]
+            rem[shift + j] -= top * den[j]
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def _sturm_remainder(num: list[int], den: list[int]) -> list[int]:
+    """num mod den times a positive integer, content divided out."""
+    rem = _pseudo_divmod(num, den)[1]
+    content = gcd(*rem) or 1
+    return [v // content for v in rem]
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ class LPolynomial:
         g roots of S lie in [0, 4q]: after dividing out the roots at the
         endpoints, a Sturm count over (0, 4q) must find every distinct root
         (Kedlaya, "Search techniques for root-unitary polynomials", 2008).
-        S is a monic integer polynomial, so synthetic division keeps it
+        S is a monic integer polynomial, so dividing by z - end keeps it
         integral, and each later chain member is a positive multiple of the
         rational one (_sturm_remainder): every sign count is the same.
         """
@@ -127,7 +126,7 @@ class LPolynomial:
         s = [(-1) ** g * v for v in even[::2]]
         for end in (0, 4 * q):  # divide out the roots at the endpoints
             while _value(s, end) == 0:
-                s = list(accumulate(reversed(s[1:]), lambda acc, c: acc * end + c))[::-1]
+                s = _pseudo_divmod(s, [-end, 1])[0]
         if len(s) == 1:
             return
         chain = [s, [i * v for i, v in enumerate(s)][1:]]
@@ -182,12 +181,12 @@ def _reconstruct(
         )
     known = known or LPolynomial(coeffs=(1,), q=q, g=0)
     g_new = g_tot - known.g
-    if series.i_max < g_new:
-        raise ValidationError(f"need counts up to level {g_new}, have {series.i_max}")
+    if len(series.counts) < g_new:
+        raise ValidationError(f"need counts up to level {g_new}, have {len(series.counts)}")
     where = f"count data inconsistent for cover a={curve.a} over F_{q}"
 
     sums = [
-        r * (q**i + 1) - series.n(i) - known.power_sum(i) for i in range(1, g_new + 1)
+        r * (q**i + 1) - n - known.power_sum(i) for i, n in enumerate(series.counts[:g_new], 1)
     ]
     coeffs = [1]
     for j in range(1, g_new + 1):
@@ -206,14 +205,13 @@ def _reconstruct(
     lpoly = new
     if known.g:  # a product of Weil polynomials is one
         lpoly = LPolynomial(coeffs=poly_mul(new.coeffs, known.coeffs), q=q, g=g_tot)
-    for i, n_actual in series.counts:
-        if i > g_new:
-            predicted = predicted_count(lpoly, r, i)
-            if predicted != n_actual:
-                raise CountDataError(
-                    f"{where}: level {i} has {n_actual}, "
-                    f"the numerator from levels 1..{g_new} predicts {predicted}"
-                )
+    for i, n_actual in enumerate(series.counts[g_new:], g_new + 1):
+        predicted = predicted_count(lpoly, r, i)
+        if predicted != n_actual:
+            raise CountDataError(
+                f"{where}: level {i} has {n_actual}, "
+                f"the numerator from levels 1..{g_new} predicts {predicted}"
+            )
     return lpoly, new
 
 
@@ -233,19 +231,19 @@ def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 def exact_quotient(numerator: tuple[int, ...], denominator: tuple[int, ...]) -> tuple[int, ...]:
     """Divide integer polynomials with constant term 1; remainder must vanish.
 
-    The denominator is primitive (constant term 1), so by Gauss's lemma an
-    exact quotient is integral.
+    Reversed, the denominator is monic, so the division of the reversed
+    polynomials runs in integers and is exact.
     """
     if denominator[0] != 1 or numerator[0] != 1:
         raise ValidationError("expected constant term 1 on both sides")
     if len(numerator) < len(denominator):
         raise BranchInconsistencyError("denominator degree exceeds numerator degree")
-    quot, rem = _frac_divmod([Fraction(c) for c in numerator], [Fraction(c) for c in denominator])
+    quot, rem = _pseudo_divmod(numerator[::-1], denominator[::-1])
     if any(rem):
         raise BranchInconsistencyError(
             "branch-correction inconsistency: eigenspace factor division has a remainder"
         )
-    return tuple(int(c) for c in quot)
+    return tuple(quot[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +291,8 @@ def zeta_bundle(
     if f.p != p:
         raise ValidationError(f"the form is over F_{f.p} but the run is over F_{p}")
     curves = tuple(CurveSpec(f, a) for a in cover_orders(f.jcase))
-    full, subs = curves[0], curves[1:]
-    g_new = f.k - 2
-    g_subs = sum(c.total_genus for c in subs)
-    if full.total_genus != g_new + g_subs:
-        raise InvariantViolation(
-            f"full cover genus {full.total_genus} != (k-2) + subcover genera = {g_new + g_subs}"
-        )
-    dims = eigenspace_dims(f, curves)
-    if g_new != dims[1]:
-        raise InvariantViolation("eigenspace factor degree disagrees with eigenspace dimension")
+    full = curves[0]
+    dims = eigenspace_dims(f, curves)  # the one check of dim V_1 = k - 2, the new genus
 
     needed = [required_level(c) for c in curves]
     counted = [min(needed[0], f.k - 1), *needed[1:]]
@@ -319,16 +309,16 @@ def zeta_bundle(
     denom = (1,)
     for lp in sub_lpolys:
         denom = poly_mul(denom, lp.coeffs)
-    known = LPolynomial(coeffs=denom, q=p, g=g_subs)
+    known = LPolynomial(coeffs=denom, q=p, g=sum(lp.g for lp in sub_lpolys))
 
     full_lpoly, new = _reconstruct(full_series, known)
+    # r(q^i + 1) - s_i of a Weil polynomial, r_q = r (_reconstruct refuses
+    # r not dividing p - 1): within the Weil bound, so not checked again
     predicted = tuple(
-        (i, predicted_count(full_lpoly, full.components, i))
+        predicted_count(full_lpoly, full.components, i)
         for i in range(counted[0] + 1, needed[0] + 1)
     )
-    full_series = CountSeries(
-        curve=full, p=p, counts=full_series.counts + predicted, checked=len(full_series.counts)
-    )
+    full_series = CountSeries(curve=full, p=p, counts=full_series.counts + predicted)
     return ZetaBundle(
         f=f,
         p=p,
@@ -410,20 +400,25 @@ def e_curve_trace(jcase: JCase, p: int) -> int:
     """Frobenius trace of the CM elliptic curve of the family, by direct count.
 
     j = 0 uses y^2 = x^3 + 1; j = 1728 uses y^2 = x^3 - x.  The curve is
-    supersingular exactly when the trace vanishes (p >= 5).
+    supersingular exactly when the trace vanishes (p >= 5).  The count reads
+    a table of p bytes, so a p above the field-size limit is refused first.
     """
     if p <= 3 or not is_prime(p):
         raise ValidationError("p must be prime > 3")
-    square = bytearray(p)  # square[r] = 1 when r is a non-zero square mod p
+    if p > _MAX_FIELD_Q:
+        raise ValidationError(
+            f"the trace of the CM curve over F_{p} needs a table of p bytes: "
+            f"p is above the field-size limit {_MAX_FIELD_Q}"
+        )
+    roots = bytearray(p)  # roots[r] = #{y : y^2 = r}: 1 at r = 0, 2 at a non-zero square
+    roots[0] = 1
     for y in range(1, (p + 1) // 2):
-        square[y * y % p] = 1
+        roots[y * y % p] = 2
     if jcase == J0:
-        rhs = [(x * x * x + 1) % p for x in range(p)]
+        rhs = ((x * x * x + 1) % p for x in range(p))
     else:
-        rhs = [(x * x * x - x) % p for x in range(p)]
-    # the point at infinity, one point where y = 0 and two per non-zero square
-    count = 1 + rhs.count(0) + 2 * sum(map(square.__getitem__, rhs))
-    return p + 1 - count
+        rhs = ((x * x * x - x) % p for x in range(p))
+    return p - sum(map(roots.__getitem__, rhs))  # p + 1 - (1 + affine points)
 
 
 @dataclass(frozen=True)
@@ -434,16 +429,11 @@ class Verdict:
     theorem_applicable: bool
     curve_new_factor_pure: bool
     e_supersingular: bool
-    surface_artin_supersingular: bool
     e_trace: int
-    new_factor: LPolynomial
-    new_factor_polygon: NewtonPolygon
 
-    def __post_init__(self) -> None:
-        if self.surface_artin_supersingular != (
-            self.curve_new_factor_pure and self.e_supersingular
-        ):
-            raise InvariantViolation("verdict conjunction is inconsistent")
+    @property
+    def surface_artin_supersingular(self) -> bool:
+        return self.curve_new_factor_pure and self.e_supersingular
 
 
 def congruence_holds(jcase: JCase, p: int) -> bool:
@@ -452,20 +442,13 @@ def congruence_holds(jcase: JCase, p: int) -> bool:
 
 def verdict_from_bundle(bundle: ZetaBundle) -> Verdict:
     f, p = bundle.f, bundle.p
-    polygon = bundle.polygons[-1]
-    pure = is_pure_half(bundle.new_factor, p, polygon)
     trace = e_curve_trace(f.jcase, p)
-    e_ss = trace == 0
-    applicable = congruence_holds(f.jcase, p)
     return Verdict(
         jcase=f.jcase,
         p=p,
         pattern=f.pattern,
-        theorem_applicable=applicable,
-        curve_new_factor_pure=pure,
-        e_supersingular=e_ss,
-        surface_artin_supersingular=pure and e_ss,
+        theorem_applicable=congruence_holds(f.jcase, p),
+        curve_new_factor_pure=is_pure_half(bundle.new_factor, p, bundle.polygons[-1]),
+        e_supersingular=trace == 0,
         e_trace=trace,
-        new_factor=bundle.new_factor,
-        new_factor_polygon=polygon,
     )

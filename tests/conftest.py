@@ -10,9 +10,17 @@ import pytest
 
 from constj.forms import FactoredForm, J0, J1728, JCase, form_from_roots
 from constj.gf import FieldContext
-from constj.lfunc import LPolynomial, _frac_divmod
+from constj.lfunc import LPolynomial
 
-from oracle import ProjPoint, enumerate_p1, evaluate, local_unit, nth_power_count, scalar_field
+from oracle import (
+    ProjPoint,
+    _frac_divmod,
+    enumerate_p1,
+    evaluate,
+    local_unit,
+    nth_power_count,
+    scalar_field,
+)
 
 
 ROOT_POOL = ["0", "1", "inf", "2", "3", "4", "5", "6"]

@@ -1,12 +1,13 @@
 """The tests' references: scalar arithmetic in F_{p^i} for the count path,
-and a rational Sturm chain for the Weil check.
+and polynomial division and a Sturm chain over the rationals for lfunc.
 
 Elements are coefficient tuples modulo make_field's modulus, multiplied one
 at a time in pure Python; their integer codes (base-p digits =
 coefficients) are the count path's codes.  constj counts with matrices over
 F_p on blocks of codes and shares none of this code, so agreement between
 the two checks both.  Likewise constj's Weil check runs its Sturm chain on
-integers, and fraction_root_moduli_ok runs the same chain in Fractions;
+integers, and fraction_root_moduli_ok runs the same chain in Fractions,
+with _frac_divmod, the reference for lfunc's integer division helper;
 e_curve_trace_by_euler tests each x for a square by Euler's criterion, where
 constj reads a table of squares.
 """
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 from constj.errors import ValidationError
 from constj.forms import J0, FactoredForm, JCase, Place
 from constj.gf import FieldContext, _poly_rem, make_field
-from constj.lfunc import LPolynomial, _frac_divmod, poly_mul
+from constj.lfunc import LPolynomial, poly_mul
 
 
 class ScalarField(FieldContext):
@@ -260,6 +261,21 @@ def local_unit(
 
 # ---------------------------------------------------------------------------
 # the Weil check in rational arithmetic
+
+
+def _frac_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    num = num[:]
+    deg_d = len(den) - 1
+    quot = [Fraction(0)] * max(len(num) - deg_d, 1)
+    for i in range(len(num) - 1 - deg_d, -1, -1):
+        c = num[i + deg_d] / den[-1]
+        quot[i] = c
+        if c:
+            for j in range(deg_d + 1):
+                num[i + j] -= c * den[j]
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return quot, num
 
 
 def _value(poly: list[Fraction], x: int) -> Fraction:

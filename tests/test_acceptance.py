@@ -117,8 +117,8 @@ def test_criterion_3_supersingularity_full_size():
 
     full = bundle.series[0]
     assert bundle.curves[0].genus == 10
-    assert full.i_max == 10 and full.n(10) is not None
-    assert serial_count == full.n(10)
+    assert len(full.counts) == 10
+    assert serial_count == full.counts[9]
     assert bundle.new_factor.degree == 8
     assert is_pure_half(bundle.new_factor, 5)
     assert serial_elapsed < 600.0
@@ -132,7 +132,7 @@ def test_criterion_3_supersingularity_full_size():
     assert rerun_elapsed < 120.0
     assert [s.counts for s in rerun.series] == [s.counts for s in bundle.series]
     assert rerun.new_factor.coeffs == bundle.new_factor.coeffs
-    assert rerun_count == full.n(10)
+    assert rerun_count == full.counts[9]
 
     _passline(
         3,
@@ -251,7 +251,7 @@ def test_criterion_9_oracle_battery():
     n_counts = 0
     for tag in ("small", "full", "j1728"):
         for curve, series in zip(_bundle(tag).curves, _bundle(tag).series):
-            for i, n_pts in series.counts:
+            for i, n_pts in enumerate(series.counts, 1):
                 q = series.p**i
                 r_q = gcd(curve.components, q - 1)
                 assert (n_pts - r_q * (q + 1)) ** 2 <= 4 * curve.total_genus**2 * q
@@ -272,8 +272,8 @@ def test_criterion_9_oracle_battery():
         for curve, series, lp in zip(bundle.curves, bundle.series, bundle.lpolys):
             g_tot = curve.total_genus
             if 0 < g_tot <= 4:
-                assert series.i_max >= g_tot + 1
-                assert predicted_count(lp, curve.components, g_tot + 1) == series.n(g_tot + 1)
+                assert len(series.counts) >= g_tot + 1
+                assert predicted_count(lp, curve.components, g_tot + 1) == series.counts[g_tot]
                 redundant += 1
     assert redundant >= 5
 

@@ -1,6 +1,9 @@
 """Command-line behavior: rendering, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -156,6 +159,27 @@ def test_mersenne_prime_past_the_field_size_limit_exits_one(capsys):
     )
     assert code == 1 and out == ""
     assert "field-size limit 134217728" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--p", "1000000007", "--pattern", "5,1"),
+        ("--jcase", "1728", "--p", str(2**61 - 1), "--pattern", "3,1"),
+    ],
+    ids=["j0-5,1", "j1728-3,1"],
+)
+def test_genus_zero_row_past_the_field_size_limit_exits_one(argv):
+    # every cover has genus 0, so nothing is counted and no field is built:
+    # the E count is the only one, and it refuses p before any allocation
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "constj.cli", "verify", *argv],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "field-size limit 134217728" in proc.stderr
 
 
 def test_verify_bad_prime_exit_one(capsys):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import constj.count as count_mod
 from constj import __version__ as TOOL_VERSION
-from constj.count import CountCache, CountSeries, count_points, count_series
+from constj.count import CountCache, count_points, count_series
 from constj.curve import CurveSpec
 from constj.errors import InvariantViolation, ValidationError
 from constj.forms import J0, J1728, FactoredForm, Place, form_from_roots, parse_form
@@ -153,19 +153,18 @@ def test_partner_equality_subcovers(f5553):
             )
 
 
-def test_weil_bound_enforced(f5553):
-    (series,) = count_series((CurveSpec(f5553, 6),), (3,))
-    # tamper: a count far outside the Weil interval must be rejected
-    bad = tuple((i, n + 10_000) for i, n in series.counts)
-    with pytest.raises(InvariantViolation, match="Weil"):
-        CountSeries(curve=series.curve, p=5, counts=bad)
-    # counts past the ones marked checked are still checked
+def test_weil_bound_enforced(tmp_path, f5553):
+    curve = CurveSpec(f5553, 6)
+    (series,) = count_series((curve,), (3,), cache=CountCache(tmp_path, f5553))
+    # tamper: a count far outside the Weil interval must be rejected, at
+    # its own level, when count_series reads it back
+    CountCache(tmp_path, f5553).put(5, 2, {curve.key(): series.counts[1] + 10_000})
     with pytest.raises(InvariantViolation, match="Weil bound violated at level 2"):
-        CountSeries(curve=series.curve, p=5, counts=series.counts[:1] + bad[1:], checked=1)
+        count_series((curve,), (3,), cache=CountCache(tmp_path, f5553))
 
 
 def test_weil_check_names_level_and_counts(f5553):
-    # CountSeries and count_series, for cached and fresh counts, share this one check
+    # count_series checks cached and fresh counts with this one check
     curve = CurveSpec(f5553, 6)
     count_mod._assert_weil(curve, 5, 2, 26 + 2 * 4 * 5)  # on the bound
     with pytest.raises(InvariantViolation, match="Weil bound violated at level 2: N=10000, q=25"):
@@ -250,7 +249,7 @@ def test_count_series_and_cache(tmp_path, f5553):
     cache = CountCache(tmp_path, f5553)
     curve = CurveSpec(f5553, 6)
     (series,) = count_series((curve,), (4,), cache=cache)
-    assert [i for i, _ in series.counts] == [1, 2, 3, 4]
+    assert len(series.counts) == 4
     assert cache.path.exists()
     lines = cache.path.read_text().splitlines()
     assert len(lines) == 4 and all(len(line.split()) == 5 for line in lines)
@@ -307,13 +306,13 @@ def test_cache_corruption_recounts_with_warning(tmp_path, f5553):
     # and the corrupt line left in the file still warns a later reader
     final = CountCache(tmp_path, f5553)
     with pytest.warns(UserWarning, match="corrupt cache record"):
-        assert final.get(5, 1, curve.key()) == series.n(1)
+        assert final.get(5, 1, curve.key()) == series.counts[0]
 
 
 def test_cache_ignores_records_of_another_version(tmp_path, f5553):
     curve = CurveSpec(f5553, 2)
     (series,) = count_series((curve,), (1,))
-    n = series.n(1)
+    n = series.counts[0]
     cache = CountCache(tmp_path, f5553)
     cache.path.write_text(f"5 1 {curve.key()} {n + 1} 0.0.0-stale\n")
     assert cache.get(5, 1, curve.key()) is None
@@ -402,7 +401,7 @@ def test_old_layout_cache_file_is_never_read(tmp_path, f5553):
     curve = CurveSpec(f5553, 6)
     (series,) = count_series((curve,), (2,))
     stale = "garbage line\n" + "".join(
-        f"5 {i} {curve.key()} {n + 1} {TOOL_VERSION}\n" for i, n in series.counts
+        f"5 {i} {curve.key()} {n + 1} {TOOL_VERSION}\n" for i, n in enumerate(series.counts, 1)
     )
     old_files = [tmp_path / "counts.cache", tmp_path / f"{f5553.key()}.counts"]
     for old in old_files:
@@ -420,7 +419,7 @@ def test_count_series_below_genus_is_fine_but_lfunc_rejects(f5553):
     from constj.lfunc import lpolynomial
 
     (series,) = count_series((CurveSpec(f5553, 6),), (2,))
-    assert series.i_max == 2
+    assert len(series.counts) == 2
     with pytest.raises(ValidationError, match="level"):
         lpolynomial(series)
 

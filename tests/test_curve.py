@@ -119,7 +119,7 @@ def test_eigenspace_dims_examples(f5553):
     dims1728 = eigenspace_dims(f1728)
     assert dims1728.dims == (2, 2, 2)
     assert dims1728[2] == 2 * genus(f1728, 2)
-    assert dims1728.total == CurveSpec(f1728, 4).h1_dim == 6
+    assert sum(dims1728.dims) == CurveSpec(f1728, 4).h1_dim == 6
 
 
 @pytest.mark.parametrize("jcase", [J0, J1728])
@@ -131,7 +131,7 @@ def test_eigenspace_dims_symmetric_and_consistent(jcase):
         for j in range(1, n_exp):
             assert dims[j] == dims[n_exp - j]
         assert dims[1] == f.k - 2
-        assert dims.total == CurveSpec(f, n_exp).h1_dim
+        assert sum(dims.dims) == CurveSpec(f, n_exp).h1_dim
 
 
 def test_curvespec_derived_values(f5553):

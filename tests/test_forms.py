@@ -25,14 +25,15 @@ def test_parse_rejects_multiplicity_above_cap():
         parse_form(J0, [(Place.infinity(), 6)], p=5)
 
 
-@pytest.mark.parametrize(
-    "place, what",
-    [(Place(), "neither infinity nor"), (Place(poly=(0, 1), at_infinity=True), "both infinity and")],
-    ids=["neither", "both"],
-)
-def test_parse_rejects_place_neither_or_both_infinity_and_polynomial(place, what):
-    with pytest.raises(ValidationError, match=f"is {what} a polynomial"):
-        parse_form(J0, [(place, 5), (Place.linear(0, 5), 1)], p=5)
+def test_place_is_infinity_exactly_when_it_has_no_polynomial():
+    # a place holds only its polynomial, None at infinity: no place is both
+    # or neither, so parse_form has no such state to reject
+    assert Place.infinity().at_infinity and Place.infinity().poly is None
+    assert not Place.linear(0, 5).at_infinity
+    with pytest.raises(TypeError):
+        Place()
+    with pytest.raises(TypeError):
+        Place(poly=(0, 1), at_infinity=True)
 
 
 def test_parse_j1728_row():

@@ -4,8 +4,10 @@ from fractions import Fraction
 from math import comb, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import constj.count as count_mod
+from constj.cli import main
 from constj.count import CountCache, CountSeries, count_series
 from constj.curve import CurveSpec, eigenspace_dims
 from constj.errors import (
@@ -19,7 +21,7 @@ from constj.lfunc import (
     LPolynomial,
     NewtonPolygon,
     Verdict,
-    _frac_divmod,
+    _pseudo_divmod,
     _sturm_remainder,
     e_curve_trace,
     exact_quotient,
@@ -35,7 +37,7 @@ from constj.lfunc import (
 from constj.taxonomy import catalog
 
 from conftest import concrete_form, float_root_moduli_ok
-from oracle import e_curve_trace_by_euler, fraction_root_moduli_ok
+from oracle import _frac_divmod, e_curve_trace_by_euler, fraction_root_moduli_ok
 
 
 def test_lpolynomial_of_elliptic_curve():
@@ -68,7 +70,7 @@ def test_lpolynomial_redundancy_detects_bad_counts(f5553):
     curve = CurveSpec(f5553, 6)
     (series,) = count_series((curve,), (5,))
     # perturb the redundancy level by a Weil-legal amount
-    tampered = tuple((i, n if i != 5 else n + 6) for i, n in series.counts)
+    tampered = tuple(n if i != 5 else n + 6 for i, n in enumerate(series.counts, 1))
     with pytest.raises(CountDataError, match="inconsistent"):
         lpolynomial(CountSeries(curve=curve, p=5, counts=tampered))
 
@@ -76,7 +78,7 @@ def test_lpolynomial_redundancy_detects_bad_counts(f5553):
 def test_lpolynomial_integrality_guard(f5553):
     curve = CurveSpec(f5553, 6)
     (series,) = count_series((curve,), (4,))
-    tampered = tuple((i, n if i != 3 else n + 1) for i, n in series.counts)
+    tampered = tuple(n if i != 3 else n + 1 for i, n in enumerate(series.counts, 1))
     with pytest.raises(CountDataError):
         lpolynomial(CountSeries(curve=curve, p=5, counts=tampered))
 
@@ -85,7 +87,7 @@ def test_predicted_count_reproduces_extra_level(f5553):
     curve = CurveSpec(f5553, 6)
     (series,) = count_series((curve,), (5,))
     lp = lpolynomial(series)
-    assert predicted_count(lp, curve.components, 5) == series.n(5)
+    assert predicted_count(lp, curve.components, 5) == series.counts[4]
 
 
 def test_exact_quotient_and_remainder_error():
@@ -218,9 +220,10 @@ def test_verdict_at_a_second_prime_each_family():
     assert v.theorem_applicable and v.surface_artin_supersingular
     # p = 11 = 3 mod 4: same for j = 1728, on the K3 row
     g = form_from_roots(J1728, [3, 3, 2], ["0", "1", "inf"], p=11)
-    w = verdict_from_bundle(zeta_bundle(g, 11))
+    bundle = zeta_bundle(g, 11)
+    w = verdict_from_bundle(bundle)
     assert w.theorem_applicable and w.surface_artin_supersingular
-    assert w.new_factor.degree == 2
+    assert bundle.new_factor.degree == 2
 
 
 def test_verdict_reports_falsification_without_raising(monkeypatch, f5553):
@@ -232,24 +235,57 @@ def test_verdict_reports_falsification_without_raising(monkeypatch, f5553):
     assert v.theorem_applicable and not v.surface_artin_supersingular
 
 
-def test_verdict_conjunction_is_validated(f5553):
-    from constj.errors import InvariantViolation
+@pytest.mark.parametrize("pure", [True, False])
+@pytest.mark.parametrize("e_ss", [True, False])
+def test_surface_verdict_is_the_conjunction_of_its_parts(pure, e_ss):
+    v = Verdict(
+        jcase=J0,
+        p=5,
+        pattern=(5, 5, 5, 3),
+        theorem_applicable=True,
+        curve_new_factor_pure=pure,
+        e_supersingular=e_ss,
+        e_trace=0 if e_ss else 2,
+    )
+    assert v.surface_artin_supersingular is (pure and e_ss)
 
-    bundle = zeta_bundle(f5553, 5)
-    good = verdict_from_bundle(bundle)
-    with pytest.raises(InvariantViolation):
-        Verdict(
-            jcase=good.jcase,
-            p=good.p,
-            pattern=good.pattern,
-            theorem_applicable=True,
-            curve_new_factor_pure=True,
-            e_supersingular=True,
-            surface_artin_supersingular=False,
-            e_trace=0,
-            new_factor=bundle.new_factor,
-            new_factor_polygon=good.new_factor_polygon,
-        )
+
+def test_patched_h1_exits_2_with_the_eigenspace_message(monkeypatch, capsys):
+    # dim V_1 = k - 2 is checked once, in eigenspace_dims, which zeta_bundle
+    # calls before any count: a full cover with 2 more in h1 trips it there
+    real_h1 = CurveSpec.h1_dim
+
+    def off_by_two(self):
+        return real_h1.func(self) + (2 if self.a == 6 else 0)
+
+    monkeypatch.setattr(CurveSpec, "h1_dim", property(off_by_two))
+    with pytest.raises(InvariantViolation, match=r"primitive eigenspace dimension 3 != k - 2 = 2"):
+        zeta_bundle(concrete_form(J0, (5, 5, 5, 3)), 5)
+    code = main(["verify", "--p", "5", "--pattern", "5,5,5,3"])
+    assert code == 2
+    assert "HARD FAILURE: primitive eigenspace dimension 3 != k - 2 = 2" in capsys.readouterr().err
+
+
+def _catalog_bundle_cases():
+    return [
+        pytest.param(jcase, row.pattern, p, id=f"{jcase.tag}-{','.join(map(str, row.pattern))}-p{p}")
+        for jcase in (J0, J1728)
+        for row in catalog(jcase)
+        for p in (5, 7, 11, 13)
+    ]
+
+
+@pytest.mark.parametrize("jcase, pattern, p", _catalog_bundle_cases())
+def test_every_bundle_count_is_within_the_weil_bound(jcase, pattern, p, shared_cache):
+    # count_series checks the counts it reads or counts; zeta_bundle's
+    # predicted counts are not checked at run time, as they follow from a
+    # Weil polynomial: this holds them, and every other count, to the bound
+    f = concrete_form(jcase, pattern, p)
+    bundle = zeta_bundle(f, p, cache=CountCache(shared_cache, f))
+    assert len(bundle.series[0].counts) == required_level(bundle.curves[0])
+    for curve, series in zip(bundle.curves, bundle.series):
+        for i, n in enumerate(series.counts, 1):
+            count_mod._assert_weil(curve, p, i, n)
 
 
 def test_root_moduli_check_rejects_non_weil_polynomial():
@@ -361,6 +397,49 @@ def test_sturm_remainder_is_a_positive_multiple_of_the_remainder(num, den):
     assert len(rem) == len(exact)
     ratio = Fraction(rem[-1]) / exact[-1]
     assert ratio > 0 and [ratio * c for c in exact] == rem
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    num=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=9),
+    den=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6).filter(lambda d: d[-1] != 0),
+    monic=st.booleans(),
+)
+def test_pseudo_divmod_is_a_scaled_division(num, den, monic):
+    if monic:
+        den = den[:-1] + [1]
+    # c num = quot den + rem, c = |lc(den)|^steps: c = 1 for a monic den
+    quot, rem = _pseudo_divmod(num, den)
+    steps = max(len(num) - len(den) + 1, 0)
+    c = abs(den[-1]) ** steps
+    assert len(rem) < len(den)
+    assert len(quot) == max(steps, 1)
+    product = poly_mul(tuple(quot), tuple(den))
+    width = max(len(product), len(num))
+
+    def pad(poly):
+        return list(poly) + [0] * (width - len(poly))
+
+    assert pad([c * v for v in num]) == [a + b for a, b in zip(pad(product), pad(rem))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    a=st.lists(st.integers(-50, 50), min_size=0, max_size=6),
+    b=st.lists(st.integers(-50, 50), min_size=0, max_size=6),
+    bump=st.integers(1, 5),
+)
+def test_exact_quotient_matches_the_rational_division(a, b, bump):
+    a, b = (1, *a), (1, *b)
+    assume(a[-1] != 0 and b[-1] != 0)
+    product = poly_mul(a, b)
+    expect = _frac_divmod([Fraction(c) for c in product], [Fraction(c) for c in b])[0]
+    assert exact_quotient(product, b) == a == tuple(expect)
+    if len(b) > 1:  # b has degree >= 1 and b(0) = 1: it does not divide bump x
+        off = (product[0], product[1] + bump, *product[2:])
+        assert any(_frac_divmod([Fraction(c) for c in off], [Fraction(c) for c in b])[1])
+        with pytest.raises(BranchInconsistencyError, match="remainder"):
+            exact_quotient(off, b)
 
 
 def _full_genus_route_cases():
