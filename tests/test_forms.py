@@ -26,14 +26,18 @@ def test_parse_rejects_multiplicity_above_cap():
 
 
 def test_place_is_infinity_exactly_when_it_has_no_polynomial():
-    # a place holds only its polynomial, None at infinity: no place is both
-    # or neither, so parse_form has no such state to reject
     assert Place.infinity().at_infinity and Place.infinity().poly is None
     assert not Place.linear(0, 5).at_infinity
+
+
+@pytest.mark.parametrize(
+    "fields", [{}, {"poly": (0, 1), "at_infinity": True}], ids=["neither", "both"]
+)
+def test_parse_rejects_place_neither_or_both_infinity_and_polynomial(fields):
+    # a place holds only its polynomial, None at infinity: one that is neither
+    # or both cannot be built, so no such place reaches parse_form
     with pytest.raises(TypeError):
-        Place()
-    with pytest.raises(TypeError):
-        Place(poly=(0, 1), at_infinity=True)
+        parse_form(J0, [(Place(**fields), 5), (Place.linear(0, 5), 1)], p=5)
 
 
 def test_parse_j1728_row():
