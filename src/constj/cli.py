@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from . import __version__ as TOOL_VERSION
 from . import count, curve, forms, lfunc, surface, taxonomy
 from .errors import InvariantViolation, ValidationError
+from .gf import make_field
 
 _JSON_INT_LIMIT = 1 << 53
 
@@ -125,7 +126,7 @@ def render_csv(payload: dict) -> str:
 # catalog
 
 def _catalog_payload(jcase: forms.JCase) -> dict:
-    rows = [dict(vars(row), surface_class=row.surface_class.value)
+    rows = [dict(row._asdict(), surface_class=row.surface_class.value)
             for row in taxonomy.catalog(jcase)]
     excluded = [
         {"pattern": pat, "note": "X_f rational - excluded"}
@@ -173,7 +174,7 @@ def cmd_catalog(args) -> int:
 
 def _default_roots(k: int, p: int) -> list[str]:
     """The first k of the points 0, 1, inf, 2, 3, ..., p-1 of P^1(F_p)."""
-    if k > max(p + 1, 3):
+    if k > p + 1:
         raise ValidationError(f"pattern needs {k} distinct roots but P^1(F_{p}) is too small")
     return ["0", "1", "inf"][:k] + [str(v) for v in range(2, k - 1)]
 
@@ -184,6 +185,7 @@ def _parse_run_config(args, command: str) -> dict:
         pattern = [int(tok) for tok in args.pattern.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ValidationError(f"bad pattern {args.pattern!r}") from exc
+    make_field(args.p)  # p prime > 3 before the roots are counted or read
     if args.roots is None:
         roots = _default_roots(len(pattern), args.p)
     else:
@@ -212,7 +214,7 @@ def _curve_section(bundle: lfunc.ZetaBundle) -> dict:
 
 def _surface_section(f: forms.FactoredForm, dims: curve.EigenDims) -> dict:
     def one(inv: surface.SurfaceInvariants) -> dict:
-        return dict(vars(inv), fibers=[fb.symbol for fb in inv.fibers])
+        return dict(inv._asdict(), fibers=[fb.symbol for fb in inv.fibers])
 
     f_side = surface.invariants(f)
     return {
@@ -225,7 +227,7 @@ def _surface_section(f: forms.FactoredForm, dims: curve.EigenDims) -> dict:
 def _taxonomy_section(f: forms.FactoredForm) -> dict:
     row = taxonomy.catalog_row(f.pattern, f.jcase)
     if row is not None:
-        return dict(vars(row), surface_class=row.surface_class.value, in_catalog=True)
+        return dict(row._asdict(), surface_class=row.surface_class.value, in_catalog=True)
     return {
         "pattern": list(f.pattern),
         "n": f.n,

@@ -31,11 +31,10 @@ validation errors found before a count never load it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
 from .curve import CurveSpec
@@ -352,8 +351,7 @@ def _assert_weil(
 # ---------------------------------------------------------------------------
 # series and cache
 
-@dataclass(frozen=True)
-class CountSeries:
+class CountSeries(NamedTuple):
     curve: CurveSpec
     p: int
     counts: tuple[int, ...]  # N(p^i) at levels i = 1..n, in order

@@ -14,10 +14,9 @@ in every case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolation, ValidationError
 from .forms import FactoredForm, J0
@@ -64,15 +63,18 @@ def geometric_components(f: FactoredForm, a: int) -> int:
     return gcd(a, *(m for _, m in f.places))
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    """A cyclic cover u^a = f together with its derived invariants."""
-
+class _CoverFields(NamedTuple):  # a NamedTuple body cannot define __new__
     f: FactoredForm
     a: int
 
-    def __post_init__(self) -> None:
-        _check_cover_order(self.f, self.a)
+
+class CurveSpec(_CoverFields):
+    """A cyclic cover u^a = f together with its derived invariants.  No
+    __slots__: the cached numbers need an instance dict."""
+
+    def __new__(cls, f: FactoredForm, a: int) -> "CurveSpec":
+        _check_cover_order(f, a)
+        return super().__new__(cls, f, a)
 
     # each number is summed once per cover, however often a run reads it
     @cached_property
@@ -100,10 +102,9 @@ class CurveSpec:
         return f"{self.f.key()}:a={self.a}"
 
 
-@dataclass(frozen=True)
-class EigenDims:
+class EigenDims(NamedTuple):
     """Dimensions of the deck-transformation eigenspaces of H^1 of the full
-    cover, indexed by j = 1 .. exponent-1."""
+    cover, indexed by j = 1 .. exponent-1 (not by the tuple's positions)."""
 
     exponent: int
     dims: tuple[int, ...]

@@ -14,16 +14,14 @@ the place vanishes at (r : 1), and "inf" means it vanishes at (1 : 0).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import ValidationError
 from .gf import make_field, poly_is_irreducible
 
 
-@dataclass(frozen=True)
-class JCase:
+class JCase(NamedTuple):
     """Constant j-invariant family: cover exponent and multiplicity cap."""
 
     tag: str
@@ -50,8 +48,7 @@ def jcase_from_tag(tag: Union[str, int]) -> JCase:
     raise ValidationError(f"unknown j-case {tag!r} (expected 0 or 1728)")
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """One zero locus: infinity or a monic irreducible over F_p."""
 
     poly: Optional[tuple[int, ...]]  # monic univariate, low degree first; None at infinity
@@ -98,19 +95,20 @@ class Place:
         return f"({inner})".replace("s^1+", "s+")
 
 
-@dataclass(frozen=True)
-class FactoredForm:
+class _FormFields(NamedTuple):
+    jcase: JCase
+    places: tuple[tuple[Place, int], ...]
+    p: int
+
+
+class FactoredForm(_FormFields):
     """A binary form given by its places and multiplicities.
 
     This is the single source of truth: degree, n, k, the radical, the
     complement, evaluation, and all downstream invariants derive from it.
     Instances built through parse_form are validated; direct construction is
-    for internal/toy use.
+    for internal/toy use.  No __slots__: the cached key needs an instance dict.
     """
-
-    jcase: JCase
-    places: tuple[tuple[Place, int], ...]
-    p: int
 
     @property
     def degree(self) -> int:

@@ -10,9 +10,9 @@ over F_p (see constj.count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -125,8 +125,7 @@ def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldContext:
+class FieldContext(NamedTuple):
     """Immutable description of F_{p^degree}."""
 
     p: int

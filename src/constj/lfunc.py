@@ -21,10 +21,9 @@ the product, and a mismatch aborts the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .count import _MAX_FIELD_Q, CountCache, CountSeries, count_series
 from .curve import CurveSpec, EigenDims, eigenspace_dims
@@ -74,26 +73,30 @@ def _sturm_remainder(num: list[int], den: list[int]) -> list[int]:
     return [v // content for v in rem]
 
 
-@dataclass(frozen=True)
-class LPolynomial:
-    """Integer zeta numerator: degree 2g, c_0 = 1, reciprocal roots of
-    modulus sqrt(q)."""
-
+class _LPolynomialFields(NamedTuple):  # a NamedTuple body cannot define __new__
     coeffs: tuple[int, ...]
     q: int
     g: int
 
+
+class LPolynomial(_LPolynomialFields):
+    """Integer zeta numerator: degree 2g, c_0 = 1, reciprocal roots of
+    modulus sqrt(q)."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: tuple[int, ...], q: int, g: int) -> "LPolynomial":
+        if len(coeffs) - 1 != 2 * g:
+            raise InvariantViolation(f"degree {len(coeffs) - 1} != 2g = {2 * g}")
+        if coeffs[0] != 1:
+            raise InvariantViolation("constant coefficient must be 1")
+        if g and coeffs[-1] != q**g:
+            raise InvariantViolation("leading coefficient must be q^g")
+        return super().__new__(cls, coeffs, q, g)
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __post_init__(self) -> None:
-        if self.degree != 2 * self.g:
-            raise InvariantViolation(f"degree {self.degree} != 2g = {2 * self.g}")
-        if self.coeffs[0] != 1:
-            raise InvariantViolation("constant coefficient must be 1")
-        if self.g and self.coeffs[-1] != self.q**self.g:
-            raise InvariantViolation("leading coefficient must be q^g")
 
     def check_functional_equation(self) -> None:
         for i in range(self.g + 1):
@@ -259,8 +262,7 @@ def required_level(curve: CurveSpec) -> int:
     return g_tot + 1 if 0 < g_tot <= 4 else g_tot
 
 
-@dataclass(frozen=True)
-class ZetaBundle:
+class ZetaBundle(NamedTuple):
     """All counting and zeta data for one form at one prime."""
 
     f: FactoredForm
@@ -334,16 +336,20 @@ def zeta_bundle(
 # ---------------------------------------------------------------------------
 # Newton polygons and the supersingularity verdict
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Slope/length pairs of the lower convex hull of (i, v_p(c_i))."""
-
+class _PolygonFields(NamedTuple):  # a NamedTuple body cannot define __new__
     segments: tuple[tuple[Fraction, int], ...]
 
-    def __post_init__(self) -> None:
-        slopes = [s for s, _ in self.segments]
+
+class NewtonPolygon(_PolygonFields):
+    """Slope/length pairs of the lower convex hull of (i, v_p(c_i))."""
+
+    __slots__ = ()
+
+    def __new__(cls, segments: tuple[tuple[Fraction, int], ...]) -> "NewtonPolygon":
+        slopes = [s for s, _ in segments]
         if slopes != sorted(slopes):
             raise InvariantViolation("Newton polygon slopes must be nondecreasing")
+        return super().__new__(cls, segments)
 
     @property
     def total_length(self) -> int:
@@ -421,8 +427,7 @@ def e_curve_trace(jcase: JCase, p: int) -> int:
     return p - sum(map(roots.__getitem__, rhs))  # p + 1 - (1 + affine points)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     jcase: JCase
     p: int
     pattern: tuple[int, ...]

@@ -8,16 +8,14 @@ and the Shioda-Tate Mordell-Weil rank all follow by exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .curve import EigenDims, eigenspace_dims
 from .errors import InvariantViolation
 from .forms import FactoredForm, J0, JCase
 
 
-@dataclass(frozen=True)
-class FiberType:
+class FiberType(NamedTuple):
     symbol: str
     euler: int
     components: int
@@ -66,8 +64,7 @@ def mw_rank_char0(f: FactoredForm) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(NamedTuple):
     n: int
     k: int
     euler: int

@@ -9,8 +9,7 @@ on k, the number of distinct zeroes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .forms import JCase
 
@@ -63,8 +62,7 @@ def is_partner_rational(pattern: Pattern, jcase: JCase) -> bool:
     return len(pattern) >= 2 and sum(n_exp - m for m in pattern) == n_exp
 
 
-@dataclass(frozen=True)
-class CatalogRow:
+class CatalogRow(NamedTuple):
     pattern: Pattern
     n: int
     k: int

@@ -188,6 +188,13 @@ def test_verify_bad_prime_exit_one(capsys):
     assert "prime" in err
 
 
+@pytest.mark.parametrize("p, pattern", [(-7, "5,5,5,3"), (0, "5,1"), (1, "5,1")])
+def test_verify_prime_below_five_exits_one_before_the_roots(capsys, p, pattern):
+    code, out, err = run_cli(capsys, ["verify", "--p", str(p), "--pattern", pattern])
+    assert (code, out) == (1, "")
+    assert err == "error: p must be prime > 3\n"
+
+
 def test_verify_non_catalog_pattern_exit_one(capsys):
     code, _, err = run_cli(capsys, ["verify", "--p", "5", "--pattern", "3,3,3,3"])
     assert code == 1

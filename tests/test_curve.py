@@ -12,6 +12,7 @@ from constj.curve import (
     genus,
     geometric_components,
 )
+from constj.errors import ValidationError
 from constj.forms import J0, J1728
 from constj.taxonomy import enumerate_patterns
 
@@ -141,3 +142,9 @@ def test_curvespec_derived_values(f5553):
     assert spec.total_genus == 4
     assert spec.h1_dim == 8
     assert spec.key().endswith(":a=6")
+
+
+@pytest.mark.parametrize("a", [4, 5, 12])
+def test_curvespec_refuses_an_order_that_does_not_divide_the_exponent(f5553, a):
+    with pytest.raises(ValidationError, match=f"cover order {a} must divide 6"):
+        CurveSpec(f5553, a)

@@ -174,6 +174,20 @@ def test_newton_polygon_rejects_decreasing_slopes():
         NewtonPolygon(segments=((Fraction(1), 1), (Fraction(0), 1)))
 
 
+@pytest.mark.parametrize(
+    "coeffs, g, message",
+    [
+        ((1, 2, 5), 2, "degree 2 != 2g = 4"),
+        ((2, 0, 5), 1, "constant coefficient must be 1"),
+        ((1, 0, 4), 1, "leading coefficient must be q\\^g"),
+    ],
+    ids=["degree", "constant", "leading"],
+)
+def test_lpolynomial_refuses_a_bad_numerator_at_construction(coeffs, g, message):
+    with pytest.raises(InvariantViolation, match=message):
+        LPolynomial(coeffs=coeffs, q=5, g=g)
+
+
 def test_e_curve_traces():
     assert e_curve_trace(J0, 5) == 0
     assert e_curve_trace(J0, 7) == -4

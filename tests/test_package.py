@@ -1,6 +1,7 @@
 """Package-wide checks: every definition in src/ has a caller in src/, the
-README's library example runs and prints what it says, and numpy is loaded
-only by a count that sweeps a field."""
+README's library example runs and prints what it says, every record is
+immutable, numpy is loaded only by a count that sweeps a field, and no run
+loads dataclasses (or inspect, which numpy brings)."""
 
 import ast
 import contextlib
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from constj import count, curve, forms, gf, lfunc, surface, taxonomy
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "constj"
@@ -65,25 +68,88 @@ def test_readme_library_example_runs():
     assert out.getvalue().splitlines() == expected
 
 
+# the package's records, module.class: each one is a NamedTuple
+RECORDS = [
+    "gf.FieldContext",
+    "forms.JCase",
+    "forms.Place",
+    "forms.FactoredForm",
+    "curve.CurveSpec",
+    "curve.EigenDims",
+    "count.CountSeries",
+    "lfunc.LPolynomial",
+    "lfunc.ZetaBundle",
+    "lfunc.NewtonPolygon",
+    "lfunc.Verdict",
+    "surface.FiberType",
+    "surface.SurfaceInvariants",
+    "taxonomy.CatalogRow",
+]
+
+
+def test_the_record_list_names_every_public_record_in_src():
+    found = [
+        f"{module.__name__.split('.')[-1]}.{name}"
+        for module in (count, curve, forms, gf, lfunc, surface, taxonomy)
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+        and obj.__module__ == module.__name__ and not name.startswith("_")
+    ]
+    assert sorted(found) == sorted(RECORDS)
+
+
+@pytest.fixture(scope="module")
+def one_of_each_record(f5553):
+    bundle = lfunc.zeta_bundle(f5553, 5)
+    inv = surface.invariants(f5553)
+    made = [
+        gf.make_field(5, 2),
+        f5553.jcase,
+        f5553.places[0][0],
+        f5553,
+        bundle.curves[0],
+        bundle.dims,
+        bundle.series[0],
+        bundle.lpolys[0],
+        bundle,
+        bundle.polygons[0],
+        lfunc.verdict_from_bundle(bundle),
+        inv.fibers[0],
+        inv,
+        taxonomy.catalog_row(f5553.pattern, f5553.jcase),
+    ]
+    return {f"{type(r).__module__.split('.')[-1]}.{type(r).__name__}": r for r in made}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_no_field_of_a_record_can_be_assigned(one_of_each_record, name):
+    record = one_of_each_record[name]
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 # runs constj.cli.main on argv in a fresh interpreter and reports, after the
-# process's own output, whether numpy was loaded (this test process has it)
-_CHILD = """
+# process's own output, which of numpy, dataclasses and inspect were loaded
+# (this test process has them all)
+_WATCHED = ("numpy", "dataclasses", "inspect")
+_CHILD = f"""
 import sys
 import constj.cli
 code = constj.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print("numpy-loaded", "numpy" in sys.modules, file=sys.stderr)
+print("loaded:", *[m for m in {_WATCHED!r} if m in sys.modules], file=sys.stderr)
 sys.exit(code)
 """
 
 
-def _fresh_run(*argv: str) -> tuple[int, str, bool]:
+def _fresh_run(*argv: str) -> tuple[int, str, set[str]]:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, *argv], capture_output=True, text=True, env=env, timeout=120
     )
     last = proc.stderr.splitlines()[-1]
-    assert last.startswith("numpy-loaded "), proc.stderr
-    return proc.returncode, proc.stdout, last == "numpy-loaded True"
+    assert last.startswith("loaded:"), proc.stderr
+    return proc.returncode, proc.stdout, set(last.split()[1:])
 
 
 @pytest.mark.parametrize(
@@ -96,16 +162,17 @@ def _fresh_run(*argv: str) -> tuple[int, str, bool]:
     ids=["import", "catalog", "bad-prime"],
 )
 def test_numpy_is_not_loaded_without_a_sweep(argv, exit_code):
-    code, _, numpy_loaded = _fresh_run(*argv)
+    code, _, loaded = _fresh_run(*argv)
     assert code == exit_code
-    assert not numpy_loaded
+    assert loaded == set()
 
 
 def test_only_a_cold_row_loads_numpy(tmp_path):
     argv = ("verify", "--p", "7", "--pattern", "5,5,5,3", "--format", "json",
             "--cache-dir", str(tmp_path))
     golden = (ROOT / "tests" / "data" / "verify_j0_5553_p7.json").read_text()
-    code, cold, numpy_loaded = _fresh_run(*argv)
-    assert (code, cold, numpy_loaded) == (0, golden, True)
-    code, warm, numpy_loaded = _fresh_run(*argv)
-    assert (code, warm, numpy_loaded) == (0, golden, False)
+    code, cold, loaded = _fresh_run(*argv)
+    assert (code, cold, "numpy" in loaded) == (0, golden, True)
+    assert "dataclasses" not in loaded  # inspect may come with numpy
+    code, warm, loaded = _fresh_run(*argv)
+    assert (code, warm, loaded) == (0, golden, set())

@@ -3,10 +3,9 @@
 The oracles are the earlier implementations kept verbatim: a two-pass
 ``json.dumps(..., indent=2, sort_keys=True)`` over a payload whose keys were
 made str and whose ints past 2^53 were made strings, and sections built by
-``dataclasses.asdict`` and a scan of the whole catalog.
+each record's ``_asdict()`` and a scan of the whole catalog.
 """
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -45,8 +44,8 @@ def render_json_oracle(payload) -> str:
 
 def surface_section_oracle(f) -> dict:
     def one(g) -> dict:
-        inv = dataclasses.asdict(surface.invariants(g))
-        inv["fibers"] = [fb["symbol"] for fb in inv["fibers"]]
+        inv = surface.invariants(g)._asdict()
+        inv["fibers"] = [fb.symbol for fb in inv["fibers"]]
         return inv
 
     return {
@@ -61,7 +60,7 @@ def taxonomy_section_oracle(f) -> dict:
         (r for r in taxonomy.catalog(f.jcase) if r.pattern == f.pattern), None
     )
     if row is not None:
-        data = dataclasses.asdict(row)
+        data = row._asdict()
         data["surface_class"] = row.surface_class.value
         data["in_catalog"] = True
         return data
