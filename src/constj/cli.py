@@ -201,13 +201,13 @@ def _parse_run_config(args, command: str) -> dict:
 
 
 def _curve_section(bundle: lfunc.ZetaBundle) -> dict:
-    f, covers = bundle.f, bundle.curves
+    covers = bundle.curves
     return {
         "genus": {str(c.a): c.genus for c in covers},
         "components": {str(c.a): c.components for c in covers},
         "h1_dim": {str(c.a): c.h1_dim for c in covers},
-        "chi_singular": {str(c.a): curve.chi_singular(f, c.a) for c in covers},
-        "branch_correction": {str(c.a): curve.branch_correction(f, c.a) for c in covers},
+        "chi_singular": {str(c.a): c.chi_singular for c in covers},
+        "branch_correction": {str(c.a): c.branch_correction for c in covers},
         "eigenspace_dims": list(bundle.dims.dims),
     }
 
@@ -220,7 +220,7 @@ def _surface_section(f: forms.FactoredForm, dims: curve.EigenDims) -> dict:
     return {
         "f_side": one(f_side),
         "partner": one(surface.invariants(f.complement())),
-        "ns_perp_check": surface.ns_perp_check(f, f_side, dims),
+        "ns_perp_check": surface.ns_perp_check(f_side, dims),
     }
 
 
@@ -253,7 +253,7 @@ def run_pipeline(
             f"pattern {list(f.pattern)} has no rational partner; use zeta instead"
         )
 
-    bundle = lfunc.zeta_bundle(f, cfg["p"], cache=cache)
+    bundle = lfunc.zeta_bundle(f, cache=cache)
     verdict_obj = lfunc.verdict_from_bundle(bundle) if with_verdict else None
 
     counts_section = {
@@ -340,8 +340,9 @@ def cmd_run(args, command: str) -> int:
         sys.stdout.write(_report_text(report))
     print(f"# elapsed_ms={elapsed_ms}", file=sys.stderr)
     if command == "verify" and v.theorem_applicable and not v.surface_artin_supersingular:
+        pattern = ",".join(map(str, report["taxonomy"]["pattern"]))  # the form's, sorted
         print(f"FAILURE: supersingularity fails where the theorem applies: "
-              f"jcase={v.jcase.tag} pattern={','.join(map(str, v.pattern))} p={v.p} "
+              f"jcase={cfg['jcase']} pattern={pattern} p={cfg['p']} "
               f"pure_half={v.curve_new_factor_pure} E_trace={v.e_trace}", file=sys.stderr)
         return 2
     return 0

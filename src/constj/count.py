@@ -292,8 +292,6 @@ def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, .
         raise ValidationError("covers counted together must share one form")
     if ctx.p != f.p:
         raise ValidationError(f"curve over F_{f.p} counted in characteristic {ctx.p}")
-    if any(c.a % ctx.p == 0 for c in curves):
-        raise ValidationError("cover order divisible by the characteristic")
     q = ctx.q
     cls, d_cls = power_class_table(ctx)
     step = max(ctx.p, _CHUNK // ctx.p * ctx.p)
@@ -331,12 +329,12 @@ def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, .
     return tuple(totals)
 
 
-def _assert_weil(
-    curve: CurveSpec, p: int, i: int, n_points: int, source: Optional[Path] = None
-) -> None:
-    """|N - r_q(q+1)| <= 2 G sqrt(q) at q = p^i, exactly, with r_q the number
-    of Frobenius-stable components and G the total geometric genus.  The
-    message names the cover, the prime and, for a cached count, its file."""
+def _assert_weil(curve: CurveSpec, i: int, n_points: int, source: Optional[Path] = None) -> None:
+    """|N - r_q(q+1)| <= 2 G sqrt(q) at q = p^i, p = f.p, exactly, with r_q
+    the number of Frobenius-stable components and G the total geometric
+    genus.  The message names the cover, the prime and, for a cached count,
+    its file."""
+    p = curve.f.p
     q = p**i
     r_q = gcd(curve.components, q - 1)
     g_tot = curve.total_genus
@@ -353,7 +351,6 @@ def _assert_weil(
 
 class CountSeries(NamedTuple):
     curve: CurveSpec
-    p: int
     counts: tuple[int, ...]  # N(p^i) at levels i = 1..n, in order
 
 
@@ -441,8 +438,8 @@ def count_series(
             found.update(zip(missing, fresh))
         for idx in due:
             source = cache.path if idx not in missing else None  # only a cached count has a file
-            _assert_weil(curves[idx], p, i, found[idx], source)
+            _assert_weil(curves[idx], i, found[idx], source)
             counts[idx].append(found[idx])
         if missing and cache is not None:
             cache.put(p, i, {keys[idx]: found[idx] for idx in missing})
-    return tuple(CountSeries(curve=c, p=p, counts=tuple(n)) for c, n in zip(curves, counts))
+    return tuple(CountSeries(curve=c, counts=tuple(n)) for c, n in zip(curves, counts))

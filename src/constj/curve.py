@@ -1,15 +1,15 @@
 """Invariants of the cyclic covers u^a = f(s, t) of the projective line.
 
-Two independent routes to the Euler characteristic are kept side by side:
-Riemann-Hurwitz on the smooth model (genus) and the singular-model count
-plus its normalization correction (chi_singular + branch_correction).  Their
-agreement is a standing consistency check.
+Each number of a cover is a property of its CurveSpec, summed once per
+cover.  The Euler characteristic has two routes: Riemann-Hurwitz on the
+smooth model (genus), and the singular-model count plus its normalization
+correction (chi_singular + branch_correction).  The reports give both; the
+tests check that they agree.
 
 When every multiplicity shares a factor with a, the cover is geometrically
-disconnected; genus() then returns the Euler-characteristic value
-1 - chi/2, which can be negative, and geometric_components() reports the
-number of components, so dim H^1 = 2*(components - 1 + genus) stays correct
-in every case.
+disconnected; genus is then the Euler-characteristic value 1 - chi/2, which
+can be negative, and components is the number of components, so
+dim H^1 = 2*(components - 1 + genus) stays correct in every case.
 """
 
 from __future__ import annotations
@@ -22,47 +22,6 @@ from .errors import InvariantViolation, ValidationError
 from .forms import FactoredForm, J0
 
 
-def _check_cover_order(f: FactoredForm, a: int) -> None:
-    if a < 2 or f.jcase.exponent % a != 0:
-        raise ValidationError(f"cover order {a} must divide {f.jcase.exponent}")
-
-
-def genus(f: FactoredForm, a: int) -> int:
-    """Riemann-Hurwitz genus of the smooth model of u^a = f.
-
-    2g - 2 = -2a + sum over places of deg * (a - gcd(a, m)).  For a
-    disconnected cover this is the total-Euler-characteristic value and may
-    be negative.
-    """
-    _check_cover_order(f, a)
-    rh = -2 * a + sum(pl.degree * (a - gcd(a, m)) for pl, m in f.places)
-    if rh % 2 != 0:
-        raise InvariantViolation(f"Riemann-Hurwitz sum {rh} is odd for a={a}")
-    return rh // 2 + 1
-
-
-def chi_singular(f: FactoredForm, a: int) -> int:
-    """Euler characteristic of the singular model: 2a - k(a - 1)."""
-    _check_cover_order(f, a)
-    return 2 * a - f.k * (a - 1)
-
-
-def branch_correction(f: FactoredForm, a: int) -> int:
-    """Normalization correction: sum of deg * (gcd(a, m) - 1) over places."""
-    _check_cover_order(f, a)
-    return sum(pl.degree * (gcd(a, m) - 1) for pl, m in f.places)
-
-
-def geometric_components(f: FactoredForm, a: int) -> int:
-    """Number of irreducible components of u^a = f over the algebraic closure.
-
-    The form is an exact d-th power precisely for d dividing every
-    multiplicity, so the component count is gcd(a, m_1, ..., m_k).
-    """
-    _check_cover_order(f, a)
-    return gcd(a, *(m for _, m in f.places))
-
-
 class _CoverFields(NamedTuple):  # a NamedTuple body cannot define __new__
     f: FactoredForm
     a: int
@@ -73,17 +32,33 @@ class CurveSpec(_CoverFields):
     __slots__: the cached numbers need an instance dict."""
 
     def __new__(cls, f: FactoredForm, a: int) -> "CurveSpec":
-        _check_cover_order(f, a)
+        if a < 2 or f.jcase.exponent % a != 0:
+            raise ValidationError(f"cover order {a} must divide {f.jcase.exponent}")
         return super().__new__(cls, f, a)
 
     # each number is summed once per cover, however often a run reads it
     @cached_property
     def genus(self) -> int:
-        return genus(self.f, self.a)
+        """Riemann-Hurwitz genus of the smooth model of u^a = f.
+
+        2g - 2 = -2a + sum over places of deg * (a - gcd(a, m)).  For a
+        disconnected cover this is the total-Euler-characteristic value and
+        may be negative.
+        """
+        a = self.a
+        rh = -2 * a + sum(pl.degree * (a - gcd(a, m)) for pl, m in self.f.places)
+        if rh % 2 != 0:
+            raise InvariantViolation(f"Riemann-Hurwitz sum {rh} is odd for a={a}")
+        return rh // 2 + 1
 
     @cached_property
     def components(self) -> int:
-        return geometric_components(self.f, self.a)
+        """Number of irreducible components over the algebraic closure.
+
+        The form is an exact d-th power precisely for d dividing every
+        multiplicity, so the count is gcd(a, m_1, ..., m_k).
+        """
+        return gcd(self.a, *(m for _, m in self.f.places))
 
     @cached_property
     def h1_dim(self) -> int:
@@ -98,8 +73,26 @@ class CurveSpec(_CoverFields):
         """Sum of the genera of the geometric components (= h1/2)."""
         return self.h1_dim // 2
 
+    @property
+    def chi_singular(self) -> int:
+        """Euler characteristic of the singular model: 2a - k(a - 1)."""
+        return 2 * self.a - self.f.k * (self.a - 1)
+
+    @property
+    def branch_correction(self) -> int:
+        """Normalization correction: sum of deg * (gcd(a, m) - 1) over places."""
+        return sum(pl.degree * (gcd(self.a, m) - 1) for pl, m in self.f.places)
+
     def key(self) -> str:
         return f"{self.f.key()}:a={self.a}"
+
+
+def covers(f: FactoredForm) -> tuple[CurveSpec, ...]:
+    """The covers of f, u^a = f for a = the exponent, then each proper
+    divisor a > 1 of it in increasing order: (6, 2, 3) or (4, 2)."""
+    n_exp = f.jcase.exponent
+    orders = (n_exp, *(a for a in range(2, n_exp) if n_exp % a == 0))
+    return tuple(CurveSpec(f, a) for a in orders)
 
 
 class EigenDims(NamedTuple):
@@ -115,26 +108,24 @@ class EigenDims(NamedTuple):
         return self.dims[j - 1]
 
 
-def eigenspace_dims(f: FactoredForm, covers: Sequence[CurveSpec] = ()) -> EigenDims:
-    """Eigenspace dimensions from subcover H^1 dimensions.
+def eigenspace_dims(curves: Sequence[CurveSpec]) -> EigenDims:
+    """Eigenspace dimensions from the H^1 dimensions of covers(f).
 
     The fixed spaces of the subgroups are the H^1 of the subcovers, so the
     primitive part has dimension h1(full) - sum of the subcover h1's, split
     evenly between the two primitive eigenvalues; it always equals k - 2 on
-    each.  The covers of f in ``covers`` are read, not built again.
+    each.
     """
-    n_exp = f.jcase.exponent
-    k = f.k
-    built = {c.a: c for c in covers}
-    orders = [a for a in range(2, n_exp + 1) if n_exp % a == 0]
-    h1 = {a: (built[a] if a in built else CurveSpec(f, a)).h1_dim for a in orders}
-    primitive2 = h1[n_exp] - sum(dim for a, dim in h1.items() if a != n_exp)
+    full, *subs = curves
+    f = full.f
+    h1 = {c.a: c.h1_dim for c in subs}
+    primitive2 = full.h1_dim - sum(h1.values())
     if primitive2 < 0 or primitive2 % 2 != 0:
         raise InvariantViolation("primitive eigenspace dimension must be a nonnegative even integer")
     d1 = primitive2 // 2
     dims = (d1, h1[3] // 2, h1[2], h1[3] // 2, d1) if f.jcase == J0 else (d1, h1[2], d1)
-    if d1 != k - 2:
+    if d1 != f.k - 2:
         raise InvariantViolation(
-            f"primitive eigenspace dimension {d1} != k - 2 = {k - 2} for pattern {f.pattern}"
+            f"primitive eigenspace dimension {d1} != k - 2 = {f.k - 2} for pattern {f.pattern}"
         )
-    return EigenDims(exponent=n_exp, dims=dims)
+    return EigenDims(exponent=full.a, dims=dims)

@@ -124,16 +124,12 @@ class FactoredForm(_FormFields):
         return self.degree // self.jcase.exponent
 
     @property
-    def multiplicities(self) -> tuple[int, ...]:
+    def pattern(self) -> tuple[int, ...]:
         """One multiplicity per geometric zero, sorted descending."""
         out: list[int] = []
         for pl, m in self.places:
             out.extend([m] * pl.degree)
         return tuple(sorted(out, reverse=True))
-
-    @property
-    def pattern(self) -> tuple[int, ...]:
-        return self.multiplicities
 
     def complement(self) -> "FactoredForm":
         """Swap each multiplicity m for exponent - m (the partner form)."""
@@ -206,8 +202,8 @@ def form_from_roots(
 ) -> FactoredForm:
     """Build a form with linear places at the given roots of P^1.
 
-    A root is an element of F_p (the place s - r*t) or the string "inf"
-    (the place t).
+    A root is an element of F_p written in ASCII decimal digits (the place
+    s - r*t) or "inf", "oo" or "infinity" in any case (the place t).
     """
     if len(mults) != len(roots):
         raise ValidationError(f"{len(mults)} multiplicities but {len(roots)} roots")
@@ -215,14 +211,13 @@ def form_from_roots(
         raise ValidationError(f"roots must be pairwise distinct: {list(roots)}")
     places = []
     for m, r in zip(mults, roots):
-        if isinstance(r, str) and r.lower() in ("inf", "oo", "infinity"):
+        token = str(r)
+        if token.lower() in ("inf", "oo", "infinity"):
             places.append((Place.infinity(), m))
+        elif not (token.isascii() and token.isdigit()):
+            raise ValidationError(f"root {token!r} is not an element of F_{p} or inf")
+        elif int(token) >= p:
+            raise ValidationError(f"root {token} out of range for F_{p}")
         else:
-            try:
-                r_int = int(r)
-            except ValueError:
-                raise ValidationError(f"root {r!r} is not an element of F_{p} or inf") from None
-            if not 0 <= r_int < p:
-                raise ValidationError(f"root {r} out of range for F_{p}")
-            places.append((Place.linear(r_int, p), m))
+            places.append((Place.linear(int(token), p), m))
     return parse_form(jcase, places, p=p)

@@ -1,9 +1,12 @@
 """Zeta numerators from point counts, eigenspace factors, Newton polygons.
 
-The numerator of the zeta function of a (possibly disconnected, with
-F_q-rational components) smooth projective curve is reconstructed from
-power sums s_i = r(q^i + 1) - N(q^i) via Newton's identities, with the
-upper half filled in by the functional equation c_{2g-i} = q^{g-i} c_i.
+Every cover is over the prime field of its form, F_p with p = f.p, so
+every numerator built here has q = p and its Newton polygon reads the
+p-adic valuations of the coefficients unscaled.  The numerator of the zeta
+function of a (possibly disconnected, with F_p-rational components) smooth
+projective curve is reconstructed from power sums s_i = r(p^i + 1) - N(p^i)
+via Newton's identities, with the upper half filled in by the functional
+equation c_{2g-i} = p^{g-i} c_i.
 Every division must be exact; a non-integral coefficient means the counts
 are wrong and is reported as such.  Each rebuilt factor is checked to be a
 Weil polynomial by a Sturm count on integers alone: no float, no Fraction.
@@ -26,7 +29,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .count import _MAX_FIELD_Q, CountCache, CountSeries, count_series
-from .curve import CurveSpec, EigenDims, eigenspace_dims
+from .curve import CurveSpec, EigenDims, covers, eigenspace_dims
 from .errors import (
     BranchInconsistencyError,
     CountDataError,
@@ -154,25 +157,22 @@ class LPolynomial(_LPolynomialFields):
         return sums[i - 1]
 
 
-def lpolynomial(series: CountSeries, known: Optional[LPolynomial] = None) -> LPolynomial:
-    """Reconstruct the zeta numerator from counts at levels 1..g.
+def lpolynomial(
+    series: CountSeries, known: Optional[LPolynomial] = None
+) -> tuple[LPolynomial, LPolynomial]:
+    """The zeta numerator of a cover over F_p, from its counts at levels
+    1..g, and its factor complementary to ``known``.
 
     With a known factor of genus g_k, a Weil polynomial, only the other
     factor is reconstructed and checked, from the power sums
-    r(q^i + 1) - N_i - s_i(known) at levels 1..g - g_k, and the product is
-    returned.  Counts beyond that level, when present,
-    are checked against the numerator (functional-equation redundancy); any
-    mismatch or non-integral coefficient raises CountDataError.
+    r(q^i + 1) - N_i - s_i(known) at levels 1..g - g_k; the numerator is
+    their product.  Without one, both are the whole numerator.  Counts
+    beyond that level, when present, are checked against the numerator
+    (functional-equation redundancy); any mismatch or non-integral
+    coefficient raises CountDataError.
     """
-    return _reconstruct(series, known)[0]
-
-
-def _reconstruct(
-    series: CountSeries, known: Optional[LPolynomial]
-) -> tuple[LPolynomial, LPolynomial]:
-    """The numerator and its factor complementary to ``known``."""
     curve = series.curve
-    q = series.p
+    q = curve.f.p
     g_tot = curve.total_genus
     r = curve.components
     if g_tot == 0:
@@ -252,10 +252,6 @@ def exact_quotient(numerator: tuple[int, ...], denominator: tuple[int, ...]) -> 
 # ---------------------------------------------------------------------------
 # full pipeline bundles
 
-def cover_orders(jcase: JCase) -> tuple[int, ...]:
-    return (6, 2, 3) if jcase == J0 else (4, 2)
-
-
 def required_level(curve: CurveSpec) -> int:
     """Levels to count: the total genus, plus one redundancy level when small."""
     g_tot = curve.total_genus
@@ -263,10 +259,9 @@ def required_level(curve: CurveSpec) -> int:
 
 
 class ZetaBundle(NamedTuple):
-    """All counting and zeta data for one form at one prime."""
+    """All counting and zeta data for one form over its prime field F_p, p = f.p."""
 
     f: FactoredForm
-    p: int
     curves: tuple[CurveSpec, ...]
     series: tuple[CountSeries, ...]
     lpolys: tuple[LPolynomial, ...]
@@ -275,12 +270,9 @@ class ZetaBundle(NamedTuple):
     polygons: tuple[NewtonPolygon, ...]  # of the lpolys, then of the new factor
 
 
-def zeta_bundle(
-    f: FactoredForm,
-    p: int,
-    cache: Optional[CountCache] = None,
-) -> ZetaBundle:
-    """Count the covers of f over F_p and reconstruct their numerators.
+def zeta_bundle(f: FactoredForm, cache: Optional[CountCache] = None) -> ZetaBundle:
+    """Count the covers of f over F_p, p = f.p, and reconstruct their
+    numerators.
 
     The covers are counted together, one sweep per level.  The subcovers
     are counted to their required levels.  The full cover is
@@ -290,11 +282,10 @@ def zeta_bundle(
     and the levels up to the required one are filled in with predicted
     counts.
     """
-    if f.p != p:
-        raise ValidationError(f"the form is over F_{f.p} but the run is over F_{p}")
-    curves = tuple(CurveSpec(f, a) for a in cover_orders(f.jcase))
+    p = f.p
+    curves = covers(f)
     full = curves[0]
-    dims = eigenspace_dims(f, curves)  # the one check of dim V_1 = k - 2, the new genus
+    dims = eigenspace_dims(curves)  # the one check of dim V_1 = k - 2, the new genus
 
     needed = [required_level(c) for c in curves]
     counted = [min(needed[0], f.k - 1), *needed[1:]]
@@ -307,29 +298,28 @@ def zeta_bundle(
             )
 
     full_series, *sub_series = count_series(curves, counted, cache=cache)
-    sub_lpolys = [lpolynomial(s) for s in sub_series]
+    sub_lpolys = [lpolynomial(s)[0] for s in sub_series]
     denom = (1,)
     for lp in sub_lpolys:
         denom = poly_mul(denom, lp.coeffs)
     known = LPolynomial(coeffs=denom, q=p, g=sum(lp.g for lp in sub_lpolys))
 
-    full_lpoly, new = _reconstruct(full_series, known)
-    # r(q^i + 1) - s_i of a Weil polynomial, r_q = r (_reconstruct refuses
+    full_lpoly, new = lpolynomial(full_series, known=known)
+    # r(q^i + 1) - s_i of a Weil polynomial, r_q = r (lpolynomial refuses
     # r not dividing p - 1): within the Weil bound, so not checked again
     predicted = tuple(
         predicted_count(full_lpoly, full.components, i)
         for i in range(counted[0] + 1, needed[0] + 1)
     )
-    full_series = CountSeries(curve=full, p=p, counts=full_series.counts + predicted)
+    full_series = CountSeries(curve=full, counts=full_series.counts + predicted)
     return ZetaBundle(
         f=f,
-        p=p,
         curves=curves,
         series=(full_series, *sub_series),
         lpolys=(full_lpoly, *sub_lpolys),
         new_factor=new,
         dims=dims,
-        polygons=tuple(newton_polygon(lp, p) for lp in (full_lpoly, *sub_lpolys, new)),
+        polygons=tuple(newton_polygon(lp) for lp in (full_lpoly, *sub_lpolys, new)),
     )
 
 
@@ -364,13 +354,10 @@ def _v_p(n: int, p: int) -> int:
     return v
 
 
-def newton_polygon(lpoly: LPolynomial, p: int) -> NewtonPolygon:
-    """Lower hull of the p-adic valuations, slopes normalized so v(q) = 1."""
-    if lpoly.degree == 0:
-        return NewtonPolygon(segments=())
-    e = _v_p(lpoly.q, p)
-    if p ** e != lpoly.q:
-        raise ValidationError(f"{lpoly.q} is not a power of {p}")
+def newton_polygon(lpoly: LPolynomial) -> NewtonPolygon:
+    """Lower hull of the p-adic valuations, p = q: every numerator here is
+    over the prime field, so v(q) = 1 and the slopes need no scaling."""
+    p = lpoly.q
     pts = [(i, _v_p(c, p)) for i, c in enumerate(lpoly.coeffs) if c != 0]
     hull: list[tuple[int, int]] = []
     for pt in pts:
@@ -384,7 +371,7 @@ def newton_polygon(lpoly: LPolynomial, p: int) -> NewtonPolygon:
         hull.append(pt)
     segments: list[tuple[Fraction, int]] = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, (x2 - x1) * e)
+        slope = Fraction(y2 - y1, x2 - x1)
         length = x2 - x1
         if segments and segments[-1][0] == slope:
             segments[-1] = (slope, segments[-1][1] + length)
@@ -396,10 +383,9 @@ def newton_polygon(lpoly: LPolynomial, p: int) -> NewtonPolygon:
     return polygon
 
 
-def is_pure_half(lpoly: LPolynomial, p: int, polygon: Optional[NewtonPolygon] = None) -> bool:
-    """True when the Newton polygon, given or computed, is slope 1/2 alone (vacuous for L = 1)."""
-    segs = (polygon or newton_polygon(lpoly, p)).segments
-    return segs == () or segs == ((Fraction(1, 2), lpoly.degree),)
+def is_pure_half(polygon: NewtonPolygon) -> bool:
+    """True when the polygon is slope 1/2 alone (vacuous for L = 1)."""
+    return all(slope == Fraction(1, 2) for slope, _ in polygon.segments)
 
 
 def e_curve_trace(jcase: JCase, p: int) -> int:
@@ -428,9 +414,6 @@ def e_curve_trace(jcase: JCase, p: int) -> int:
 
 
 class Verdict(NamedTuple):
-    jcase: JCase
-    p: int
-    pattern: tuple[int, ...]
     theorem_applicable: bool
     curve_new_factor_pure: bool
     e_supersingular: bool
@@ -446,14 +429,11 @@ def congruence_holds(jcase: JCase, p: int) -> bool:
 
 
 def verdict_from_bundle(bundle: ZetaBundle) -> Verdict:
-    f, p = bundle.f, bundle.p
-    trace = e_curve_trace(f.jcase, p)
+    f = bundle.f
+    trace = e_curve_trace(f.jcase, f.p)
     return Verdict(
-        jcase=f.jcase,
-        p=p,
-        pattern=f.pattern,
-        theorem_applicable=congruence_holds(f.jcase, p),
-        curve_new_factor_pure=is_pure_half(bundle.new_factor, p, bundle.polygons[-1]),
+        theorem_applicable=congruence_holds(f.jcase, f.p),
+        curve_new_factor_pure=is_pure_half(bundle.polygons[-1]),
         e_supersingular=trace == 0,
         e_trace=trace,
     )

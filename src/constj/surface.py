@@ -8,9 +8,9 @@ and the Shioda-Tate Mordell-Weil rank all follow by exact arithmetic.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .curve import EigenDims, eigenspace_dims
+from .curve import EigenDims
 from .errors import InvariantViolation
 from .forms import FactoredForm, J0, JCase
 
@@ -43,25 +43,7 @@ def _table(jcase: JCase) -> dict[int, FiberType]:
 def fiber_types(f: FactoredForm) -> tuple[FiberType, ...]:
     """One additive fiber per geometric zero, in multiplicity order."""
     table = _table(f.jcase)
-    return tuple(table[m] for m in f.multiplicities)
-
-
-def mw_rank_char0(f: FactoredForm) -> int:
-    """Shioda-Tate rank with Picard number h^{1,1}.
-
-    Meaningful for the catalog families (either side of a rational-partner
-    pair): the form side comes out 0 and the partner side 2(n-1).
-    """
-    fibers = fiber_types(f)
-    e = sum(fb.euler for fb in fibers)
-    n = f.n
-    h11 = 10 * n
-    if e != 12 * n:
-        raise InvariantViolation(f"Euler number {e} != 12n = {12 * n}")
-    rank = h11 - 2 - sum(fb.components - 1 for fb in fibers)
-    if rank < 0:
-        raise InvariantViolation(f"negative Mordell-Weil rank {rank}")
-    return rank
+    return tuple(table[m] for m in f.pattern)
 
 
 class SurfaceInvariants(NamedTuple):
@@ -78,14 +60,22 @@ class SurfaceInvariants(NamedTuple):
 
 
 def invariants(f: FactoredForm) -> SurfaceInvariants:
-    rank = mw_rank_char0(f)  # checks e = 12n
+    """The invariants of X_f, with the Shioda-Tate rank taking the Picard
+    number to be h^{1,1}.  The rank is meaningful for the catalog families
+    (either side of a rational-partner pair): the form side comes out 0 and
+    the partner side 2(n-1)."""
     fibers = fiber_types(f)
     e = sum(fb.euler for fb in fibers)
+    if e != 12 * f.n:
+        raise InvariantViolation(f"Euler number {e} != 12n = {12 * f.n}")
     chi = e // 12
     p_g = chi - 1
     b2 = e - 2
     h11 = b2 - 2 * p_g
-    ns_dim = 2 + sum(fb.components - 1 for fb in fibers) + rank
+    fiber_rank = sum(fb.components - 1 for fb in fibers)
+    rank = h11 - 2 - fiber_rank
+    if rank < 0:
+        raise InvariantViolation(f"negative Mordell-Weil rank {rank}")
     return SurfaceInvariants(
         n=f.n,
         k=f.k,
@@ -96,19 +86,15 @@ def invariants(f: FactoredForm) -> SurfaceInvariants:
         h11=h11,
         fibers=fibers,
         mw_rank_char0=rank,
-        ns_perp_dim=b2 - ns_dim,
+        ns_perp_dim=b2 - (2 + fiber_rank + rank),
     )
 
 
-def ns_perp_check(
-    f: FactoredForm, inv: Optional[SurfaceInvariants] = None, dims: Optional[EigenDims] = None
-) -> bool:
+def ns_perp_check(inv: SurfaceInvariants, dims: EigenDims) -> bool:
     """Dimension form of 'the divisor classes fill all of h^{1,1}'.
 
     b2 minus the Neron-Severi dimension (2 + fiber contributions + MW rank)
     must equal 2 p_g, and that in turn must match twice the primitive
-    eigenspace dimension of the cover curve.  inv and dims, if given, are f's.
+    eigenspace dimension of the cover curve.  inv and dims are of one form.
     """
-    inv = invariants(f) if inv is None else inv
-    dims = eigenspace_dims(f) if dims is None else dims
     return inv.ns_perp_dim == 2 * inv.p_g == 2 * dims[1]

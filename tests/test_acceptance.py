@@ -12,7 +12,7 @@ import pytest
 import constj.count as count_mod
 from constj.cli import main
 from constj.count import count_points
-from constj.curve import CurveSpec, branch_correction, chi_singular, eigenspace_dims, genus
+from constj.curve import CurveSpec, covers, eigenspace_dims
 from constj.forms import J0, J1728, form_from_roots
 from constj.lfunc import (
     e_curve_trace,
@@ -24,7 +24,7 @@ from constj.lfunc import (
     zeta_bundle,
 )
 from constj.gf import make_field
-from constj.surface import invariants, mw_rank_char0, ns_perp_check
+from constj.surface import invariants, ns_perp_check
 from constj.taxonomy import catalog, enumerate_patterns
 
 from conftest import concrete_form, naive_count
@@ -45,13 +45,13 @@ def _bundle(tag):
     if tag not in _BUNDLES:
         if tag == "small":
             f = form_from_roots(J0, [5, 5, 5, 3], ["0", "1", "inf", "2"], p=5)
-            _BUNDLES[tag] = zeta_bundle(f, 5)
+            _BUNDLES[tag] = zeta_bundle(f)
         elif tag == "full":
             f = form_from_roots(J0, [5] * 6, ["0", "1", "2", "3", "4", "inf"], p=5)
-            _BUNDLES[tag] = zeta_bundle(f, 5)
+            _BUNDLES[tag] = zeta_bundle(f)
         elif tag == "j1728":
             f = form_from_roots(J1728, [3, 3, 3, 3], ["0", "1", "3", "inf"], p=7)
-            _BUNDLES[tag] = zeta_bundle(f, 7)
+            _BUNDLES[tag] = zeta_bundle(f)
     return _BUNDLES[tag]
 
 
@@ -84,7 +84,7 @@ def test_criterion_1_catalog_reproduction(capsys):
 def test_criterion_2_supersingularity_small_case():
     started = time.perf_counter()
     f = form_from_roots(J0, [5, 5, 5, 3], ["0", "1", "inf", "2"], p=5)
-    bundle = zeta_bundle(f, 5)
+    bundle = zeta_bundle(f)
     _BUNDLES["small"] = bundle
 
     assert bundle.new_factor.degree == 4
@@ -93,7 +93,7 @@ def test_criterion_2_supersingularity_small_case():
     assert poly_mul(product, bundle.new_factor.coeffs) == bundle.lpolys[0].coeffs
     from fractions import Fraction
 
-    assert newton_polygon(bundle.new_factor, 5).segments == ((Fraction(1, 2), 4),)
+    assert newton_polygon(bundle.new_factor).segments == ((Fraction(1, 2), 4),)
     assert e_curve_trace(J0, 5) == 0
     v = verdict_from_bundle(bundle)
     assert v.theorem_applicable and v.curve_new_factor_pure
@@ -108,7 +108,7 @@ def test_criterion_3_supersingularity_full_size():
     f = form_from_roots(J0, [5] * 6, ["0", "1", "2", "3", "4", "inf"], p=5)
 
     started = time.perf_counter()
-    bundle = zeta_bundle(f, 5)
+    bundle = zeta_bundle(f)
     # the bundle predicts level 10 from low levels; sweep F_{5^10} directly
     ctx = make_field(5, 10)
     (serial_count,) = count_points(bundle.curves[:1], ctx)
@@ -120,13 +120,13 @@ def test_criterion_3_supersingularity_full_size():
     assert len(full.counts) == 10
     assert serial_count == full.counts[9]
     assert bundle.new_factor.degree == 8
-    assert is_pure_half(bundle.new_factor, 5)
+    assert is_pure_half(newton_polygon(bundle.new_factor))
     assert serial_elapsed < 600.0
 
     # a rerun from a cold table cache must match and stay in budget
     count_mod.power_class_table.cache_clear()
     started = time.perf_counter()
-    rerun = zeta_bundle(f, 5)
+    rerun = zeta_bundle(f)
     (rerun_count,) = count_points(bundle.curves[:1], ctx)
     rerun_elapsed = time.perf_counter() - started
     assert rerun_elapsed < 120.0
@@ -145,12 +145,12 @@ def test_criterion_3_supersingularity_full_size():
 def test_criterion_4_j1728_case():
     started = time.perf_counter()
     f = form_from_roots(J1728, [3, 3, 3, 3], ["0", "1", "3", "inf"], p=7)
-    bundle = zeta_bundle(f, 7)
+    bundle = zeta_bundle(f)
     _BUNDLES["j1728"] = bundle
 
     assert bundle.new_factor.degree == 4
     assert poly_mul(bundle.lpolys[1].coeffs, bundle.new_factor.coeffs) == bundle.lpolys[0].coeffs
-    assert is_pure_half(bundle.new_factor, 7)
+    assert is_pure_half(newton_polygon(bundle.new_factor))
     assert e_curve_trace(J1728, 7) == 0
     v = verdict_from_bundle(bundle)
     assert v.surface_artin_supersingular and v.theorem_applicable
@@ -165,12 +165,13 @@ def test_criterion_5_eigendimension_identities():
     for pattern in enumerate_patterns(J0):
         f = concrete_form(J0, pattern)
         k = f.k
-        assert eigenspace_dims(f)[1] == k - 2, pattern
-        assert genus(f, 6) == (k - 2) + genus(f, 2) + genus(f, 3), pattern
-        for a in (2, 3, 6):
-            lhs = 2 - 2 * genus(f, a)
-            rhs = (2 * a - k * (a - 1)) + branch_correction(f, a)
-            assert lhs == chi_singular(f, a) + branch_correction(f, a) == rhs, (pattern, a)
+        full, c2, c3 = covers(f)
+        assert eigenspace_dims((full, c2, c3))[1] == k - 2, pattern
+        assert full.genus == (k - 2) + c2.genus + c3.genus, pattern
+        for c in (c2, c3, full):
+            lhs = 2 - 2 * c.genus
+            rhs = (2 * c.a - k * (c.a - 1)) + c.branch_correction
+            assert lhs == c.chi_singular + c.branch_correction == rhs, (pattern, c.a)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     _passline(5, elapsed, "all 10 J0 patterns: dims[1] = k-2, genus additivity, "
@@ -183,11 +184,12 @@ def test_criterion_6_shioda_tate_ranks():
         for row in catalog(jcase):
             f = concrete_form(jcase, row.pattern)
             g = f.complement()
-            assert mw_rank_char0(f) == 0, row.pattern
-            assert mw_rank_char0(g) == 2 * (f.n - 1), row.pattern
-            assert invariants(f).euler == 12 * f.n
-            assert invariants(f).p_g == f.k - 2
-            assert ns_perp_check(f), row.pattern
+            inv = invariants(f)
+            assert inv.mw_rank_char0 == 0, row.pattern
+            assert invariants(g).mw_rank_char0 == 2 * (f.n - 1), row.pattern
+            assert inv.euler == 12 * f.n
+            assert inv.p_g == f.k - 2
+            assert ns_perp_check(inv, eigenspace_dims(covers(f))), row.pattern
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     _passline(6, elapsed, "every catalog pattern: MW ranks 0 / 2(n-1), e = 12n, "
@@ -252,7 +254,7 @@ def test_criterion_9_oracle_battery():
     for tag in ("small", "full", "j1728"):
         for curve, series in zip(_bundle(tag).curves, _bundle(tag).series):
             for i, n_pts in enumerate(series.counts, 1):
-                q = series.p**i
+                q = curve.f.p**i
                 r_q = gcd(curve.components, q - 1)
                 assert (n_pts - r_q * (q + 1)) ** 2 <= 4 * curve.total_genus**2 * q
                 n_counts += 1

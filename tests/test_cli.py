@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import constj.curve as curve_mod
 import constj.lfunc as lfunc_mod
 import constj.surface as surface_mod
 from constj.cli import _default_roots, build_parser, main, render_json
+from constj.curve import CurveSpec
 from constj.forms import FactoredForm
 
 
@@ -112,12 +114,17 @@ def test_verify_duplicate_root_exit_one(capsys):
     assert "distinct" in err
 
 
-def test_verify_non_integer_root_exit_one(capsys):
+@pytest.mark.parametrize(
+    "token", ["x", "1_0", "+3", "\u0663"], ids=["x", "underscore", "plus", "arabic-indic-digit"]
+)
+def test_verify_non_integer_root_exit_one(capsys, token):
+    # int() would read 1_0, +3 and a non-ASCII digit, and config.roots would echo a
+    # second spelling of one form into the report
     code, out, err = run_cli(
-        capsys, ["verify", "--p", "7", "--pattern", "5,5,5,3", "--roots", "0,1,x,inf"]
+        capsys, ["verify", "--p", "11", "--pattern", "5,5,5,3", "--roots", f"0,1,{token},inf"]
     )
     assert code == 1 and out == ""
-    assert "error: root 'x' is not an element of F_7 or inf" in err
+    assert f"error: root {token!r} is not an element of F_11 or inf" in err
 
 
 def test_unusable_cache_dir_exits_one(capsys, tmp_path):
@@ -362,14 +369,19 @@ GOLDEN = Path(__file__).parent / "data"
         ("verify_j0_5553_p7", ["--p", "7", "--pattern", "5,5,5,3"]),
         ("verify_j1728_3333_p7", ["--jcase", "1728", "--p", "7", "--pattern", "3,3,3,3"]),
         ("verify_j0_444_p7", ["--p", "7", "--pattern", "4,4,4"]),
+        ("verify_j0_5553_p7.txt", ["--p", "7", "--pattern", "5,5,5,3"]),
+        ("verify_j0_5553_p7.csv", ["--p", "7", "--pattern", "5,5,5,3"]),
     ],
 )
 def test_reports_match_golden_files(capsys, name, args):
-    # reports written by the full-genus counting route, before the full
-    # cover was counted only to level k-1
-    code, out, _ = run_cli(capsys, ["verify", *args, "--format", "json"])
+    # JSON reports written by the full-genus counting route, before the full
+    # cover was counted only to level k-1; the text and CSV reports written
+    # before each cover number became a property of its cover
+    path = GOLDEN / (name if "." in name else f"{name}.json")
+    fmt = {".json": "json", ".txt": "text", ".csv": "csv"}[path.suffix]
+    code, out, _ = run_cli(capsys, ["verify", *args, "--format", fmt])
     assert code == 0
-    assert out == (GOLDEN / f"{name}.json").read_text()
+    assert out == path.read_text()
 
 
 @pytest.mark.parametrize("jcase", ["0", "1728"])
@@ -467,15 +479,26 @@ def test_each_derived_number_is_computed_once_per_row(capsys, monkeypatch, tmp_p
         for ns in namespaces:
             monkeypatch.setattr(ns, name, counted)
 
-    count("genus", curve_mod)  # a Riemann-Hurwitz sum
-    count("geometric_components", curve_mod)
-    count("eigenspace_dims", curve_mod, lfunc_mod, surface_mod)
+    def count_property(name):  # a cached property of every cover
+        original = getattr(CurveSpec, name).func
+
+        def counted(self):
+            calls[name] = calls.get(name, 0) + 1
+            return original(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(CurveSpec, name)
+        monkeypatch.setattr(CurveSpec, name, prop)
+
+    count_property("genus")  # a Riemann-Hurwitz sum
+    count_property("components")
+    count("eigenspace_dims", curve_mod, lfunc_mod)
     count("invariants", surface_mod)
     count("newton_polygon", lfunc_mod)
     count("serialize", FactoredForm)  # hashed into the form key
     once = {
         "genus": covers,
-        "geometric_components": covers,
+        "components": covers,
         "eigenspace_dims": 1,
         "invariants": 2,  # the form and its partner
         "newton_polygon": covers + 1,  # every cover numerator and the new factor

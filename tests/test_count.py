@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 import constj.count as count_mod
 from constj import __version__ as TOOL_VERSION
 from constj.count import CountCache, count_points, count_series
-from constj.curve import CurveSpec
+from constj.curve import CurveSpec, covers
 from constj.errors import InvariantViolation, ValidationError
 from constj.forms import J0, J1728, FactoredForm, Place, form_from_roots, parse_form
 from constj.gf import make_field
-from constj.lfunc import cover_orders, zeta_bundle
+from constj.lfunc import zeta_bundle
 from constj.taxonomy import catalog
 
 from conftest import brute_force_count, concrete_form, naive_count, smooth_model_counts
@@ -166,9 +166,9 @@ def test_weil_bound_enforced(tmp_path, f5553):
 def test_weil_check_names_level_and_counts(f5553):
     # count_series checks cached and fresh counts with this one check
     curve = CurveSpec(f5553, 6)
-    count_mod._assert_weil(curve, 5, 2, 26 + 2 * 4 * 5)  # on the bound
+    count_mod._assert_weil(curve, 2, 26 + 2 * 4 * 5)  # on the bound
     with pytest.raises(InvariantViolation, match="Weil bound violated at level 2: N=10000, q=25"):
-        count_mod._assert_weil(curve, 5, 2, 10_000)
+        count_mod._assert_weil(curve, 2, 10_000)
 
 
 def test_many_chunk_sweep_matches_smooth_model(monkeypatch, f5553):
@@ -209,10 +209,10 @@ def test_linear_places_sweep_as_rotations_matches_smooth_model(data):
         places, mults = places[:-1], mults[:-1]
     f = parse_form(jcase, list(zip(places, mults)), p=p)
     ctx = make_field(p, level)
-    orders = cover_orders(jcase)
+    curves = covers(f)
     with mock.patch.object(count_mod, "_CHUNK", chunk):
-        swept = count_points(tuple(CurveSpec(f, a) for a in orders), ctx)
-    assert swept == smooth_model_counts(f, orders, ctx)
+        swept = count_points(curves, ctx)
+    assert swept == smooth_model_counts(f, [c.a for c in curves], ctx)
 
 
 @pytest.mark.parametrize("chunk", [48, 500])
@@ -226,9 +226,9 @@ def test_mixed_linear_and_quadratic_places_sweep_in_aligned_chunks(monkeypatch, 
               (Place.from_poly((2, 0, 1), 5), 2)]
     f = parse_form(J0, places, p=5)
     ctx = make_field(5, level)
-    orders = cover_orders(J0)
-    swept = count_points(tuple(CurveSpec(f, a) for a in orders), ctx)
-    assert swept == smooth_model_counts(f, orders, ctx)
+    curves = covers(f)
+    swept = count_points(curves, ctx)
+    assert swept == smooth_model_counts(f, [c.a for c in curves], ctx)
 
 
 def test_zero_whose_class_sum_falls_inside_the_histogram_is_left_out():
@@ -240,9 +240,9 @@ def test_zero_whose_class_sum_falls_inside_the_histogram_is_left_out():
         J0, [1, 4, 5, 4, 4, 4, 3, 5], ["8", "10", "12", "2", "7", "6", "5", "4"], p=13
     )
     ctx = make_field(13, 1)
-    orders = cover_orders(J0)
-    swept = count_points(tuple(CurveSpec(f, a) for a in orders), ctx)
-    assert swept == smooth_model_counts(f, orders, ctx) == (27, 20, 19)
+    curves = covers(f)
+    swept = count_points(curves, ctx)
+    assert swept == smooth_model_counts(f, [c.a for c in curves], ctx) == (27, 20, 19)
 
 
 def test_count_series_and_cache(tmp_path, f5553):
@@ -338,7 +338,7 @@ def test_two_writers_interleave_and_the_last_record_wins(tmp_path, f5553):
 
 def test_cold_count_series_appends_once_per_counted_level(tmp_path, monkeypatch):
     f = concrete_form(J0, (5, 5, 5, 3), p=7)
-    curves = tuple(CurveSpec(f, a) for a in cover_orders(J0))
+    curves = covers(f)
     cache = CountCache(tmp_path, f)
     opened = []
     real_open = Path.open
@@ -359,7 +359,7 @@ def test_warm_read_opens_only_its_own_primes_file(tmp_path, monkeypatch, f5553):
     f552 = concrete_form(J0, (5, 5, 2))
     f7 = concrete_form(J0, (5, 5, 5, 3), p=7)
     forms_and_curves = {
-        f: tuple(CurveSpec(f, a) for a in cover_orders(J0)) for f in (f5553, f552, f7)
+        f: covers(f) for f in (f5553, f552, f7)
     }
     cold = {f: count_series(curves, (2, 2, 2), cache=CountCache(tmp_path, f))
             for f, curves in forms_and_curves.items()}
@@ -567,7 +567,7 @@ def test_joint_count_matches_smooth_model_oracle(data):
     level = data.draw(st.integers(1, SMALL_LEVELS[p]), label="level")
     f = form_from_roots(jcase, list(pattern), roots, p=p)
     ctx = make_field(p, level)
-    curves = tuple(CurveSpec(f, a) for a in cover_orders(jcase))
+    curves = covers(f)
     joint = count_points(curves, ctx)
     assert joint == smooth_model_counts(f, [c.a for c in curves], ctx)
     assert joint == tuple(count_points((c,), ctx)[0] for c in curves)
@@ -589,10 +589,7 @@ def test_partner_count_equality_at_random_roots(data):
     f = form_from_roots(jcase, list(pattern), roots, p=p)
     g = f.complement()
     ctx = make_field(p, level)
-    orders = cover_orders(jcase)
-    assert count_points(tuple(CurveSpec(f, a) for a in orders), ctx) == count_points(
-        tuple(CurveSpec(g, a) for a in orders), ctx
-    )
+    assert count_points(covers(f), ctx) == count_points(covers(g), ctx)
 
 
 @pytest.mark.parametrize(
@@ -610,9 +607,9 @@ def test_quadratic_place_with_multiplicity_matches_smooth_model(jcase, places, l
     # an m-th power is a d-th power for every d = gcd(a, m, q-1)
     f = parse_form(jcase, places, p=7)
     ctx = make_field(7, level)
-    orders = cover_orders(jcase)
-    swept = count_points(tuple(CurveSpec(f, a) for a in orders), ctx)
-    assert swept == smooth_model_counts(f, orders, ctx)
+    curves = covers(f)
+    swept = count_points(curves, ctx)
+    assert swept == smooth_model_counts(f, [c.a for c in curves], ctx)
 
 
 def test_point_on_two_places_is_an_invariant_violation():
@@ -634,7 +631,7 @@ def test_flagship_bundle_sweeps_once_and_builds_one_table_per_field(monkeypatch)
 
     monkeypatch.setattr(count_mod, "count_points", counted)
     count_mod.power_class_table.cache_clear()
-    zeta_bundle(f, 5)
+    zeta_bundle(f)
     # the genus-2 and genus-4 subcovers need levels 1..3 and 1..5, the full
     # cover levels 1..k-1 = 1..5
     assert calls == [(5, (6, 2, 3)), (25, (6, 2, 3)), (125, (6, 2, 3)), (625, (6, 3)),
@@ -649,7 +646,7 @@ def test_both_j_cases_share_one_table():
     f1728 = form_from_roots(J1728, [3, 3, 3, 3], ["0", "1", "3", "inf"], p=7)
     count_mod.power_class_table.cache_clear()
     for f in (f0, f1728):
-        curves = tuple(CurveSpec(f, a) for a in cover_orders(f.jcase))
+        curves = covers(f)
         assert count_points(curves, ctx) == smooth_model_counts(f, [c.a for c in curves], ctx)
     info = count_mod.power_class_table.cache_info()
     assert (info.misses, info.hits) == (1, 1)

@@ -4,14 +4,7 @@ from math import gcd
 
 import pytest
 
-from constj.curve import (
-    CurveSpec,
-    branch_correction,
-    chi_singular,
-    eigenspace_dims,
-    genus,
-    geometric_components,
-)
+from constj.curve import CurveSpec, covers, eigenspace_dims
 from constj.errors import ValidationError
 from constj.forms import J0, J1728
 from constj.taxonomy import enumerate_patterns
@@ -30,29 +23,29 @@ def riemann_hurwitz_oracle(pattern, a, n_exp):
 
 
 def test_genus_examples(f5553):
-    assert genus(f5553, 6) == 4
-    assert genus(f5553, 2) == 1
-    assert genus(f5553, 3) == 1
-    assert genus(concrete_form(J0, (5, 1)), 6) == 0
+    assert CurveSpec(f5553, 6).genus == 4
+    assert CurveSpec(f5553, 2).genus == 1
+    assert CurveSpec(f5553, 3).genus == 1
+    assert CurveSpec(concrete_form(J0, (5, 1)), 6).genus == 0
 
 
 @pytest.mark.parametrize("a", [2, 3, 6])
 def test_genus_matches_pointwise_riemann_hurwitz(a):
     for pattern in enumerate_patterns(J0):
         f = concrete_form(J0, pattern)
-        assert genus(f, a) == riemann_hurwitz_oracle(pattern, a, 6)
+        assert CurveSpec(f, a).genus == riemann_hurwitz_oracle(pattern, a, 6)
 
 
 def test_chi_singular_examples(f5553):
-    assert chi_singular(f5553, 6) == -8  # 2a - k(a-1), k=4
-    assert chi_singular(f5553, 2) == 0
-    assert chi_singular(concrete_form(J0, (5, 1)), 6) == 2
+    assert CurveSpec(f5553, 6).chi_singular == -8  # 2a - k(a-1), k=4
+    assert CurveSpec(f5553, 2).chi_singular == 0
+    assert CurveSpec(concrete_form(J0, (5, 1)), 6).chi_singular == 2
 
 
 def test_branch_correction_examples(f5553):
-    assert branch_correction(f5553, 6) == 2  # gcds (1,1,1,3)
-    assert branch_correction(f5553, 2) == 0  # all multiplicities odd
-    assert branch_correction(concrete_form(J0, (5, 5, 5, 5, 5, 5)), 2) == 0
+    assert CurveSpec(f5553, 6).branch_correction == 2  # gcds (1,1,1,3)
+    assert CurveSpec(f5553, 2).branch_correction == 0  # all multiplicities odd
+    assert CurveSpec(concrete_form(J0, (5, 5, 5, 5, 5, 5)), 2).branch_correction == 0
 
 
 @pytest.mark.parametrize(
@@ -63,23 +56,23 @@ def test_normalization_identity(jcase, orders):
     for pattern in enumerate_patterns(jcase):
         f = concrete_form(jcase, pattern)
         for a in orders:
-            assert 2 - 2 * genus(f, a) == chi_singular(f, a) + branch_correction(f, a), (
-                pattern,
-                a,
-            )
+            c = CurveSpec(f, a)
+            assert 2 - 2 * c.genus == c.chi_singular + c.branch_correction, (pattern, a)
 
 
 def test_genus_additivity_j0():
     for pattern in enumerate_patterns(J0):
         f = concrete_form(J0, pattern)
         k = f.k
-        assert genus(f, 6) == (k - 2) + genus(f, 2) + genus(f, 3), pattern
+        assert CurveSpec(f, 6).genus == (
+            (k - 2) + CurveSpec(f, 2).genus + CurveSpec(f, 3).genus
+        ), pattern
 
 
 def test_genus_additivity_j1728():
     for pattern in enumerate_patterns(J1728):
         f = concrete_form(J1728, pattern)
-        assert genus(f, 4) == (f.k - 2) + genus(f, 2), pattern
+        assert CurveSpec(f, 4).genus == (f.k - 2) + CurveSpec(f, 2).genus, pattern
 
 
 @pytest.mark.parametrize("jcase", [J0, J1728])
@@ -88,38 +81,38 @@ def test_partner_has_equal_genus(jcase):
     for pattern in enumerate_patterns(jcase):
         f = concrete_form(jcase, pattern)
         g = f.complement()
-        assert genus(f, n_exp) == genus(g, n_exp)
-        assert geometric_components(f, n_exp) == geometric_components(g, n_exp)
+        assert CurveSpec(f, n_exp).genus == CurveSpec(g, n_exp).genus
+        assert CurveSpec(f, n_exp).components == CurveSpec(g, n_exp).components
 
 
 def test_components():
-    assert geometric_components(concrete_form(J0, (4, 4, 4)), 6) == 2
-    assert geometric_components(concrete_form(J0, (4, 4, 4)), 2) == 2
-    assert geometric_components(concrete_form(J0, (4, 4, 4)), 3) == 1
-    assert geometric_components(concrete_form(J0, (3, 3)), 3) == 3
-    assert geometric_components(concrete_form(J0, (5, 5, 5, 3)), 6) == 1
+    assert CurveSpec(concrete_form(J0, (4, 4, 4)), 6).components == 2
+    assert CurveSpec(concrete_form(J0, (4, 4, 4)), 2).components == 2
+    assert CurveSpec(concrete_form(J0, (4, 4, 4)), 3).components == 1
+    assert CurveSpec(concrete_form(J0, (3, 3)), 3).components == 3
+    assert CurveSpec(concrete_form(J0, (5, 5, 5, 3)), 6).components == 1
 
 
 def test_disconnected_cover_bookkeeping():
     """(4,4,4): the order-2 subcover is two rational curves; H^1 vanishes."""
     f = concrete_form(J0, (4, 4, 4))
-    assert genus(f, 2) == -1  # Euler-characteristic value of two P^1s
+    assert CurveSpec(f, 2).genus == -1  # Euler-characteristic value of two P^1s
     assert CurveSpec(f, 2).h1_dim == 0
     assert CurveSpec(f, 6).h1_dim == 4
-    assert eigenspace_dims(f).dims == (1, 1, 0, 1, 1)
+    assert eigenspace_dims(covers(f)).dims == (1, 1, 0, 1, 1)
 
 
 def test_eigenspace_dims_examples(f5553):
-    dims = eigenspace_dims(f5553)
+    dims = eigenspace_dims(covers(f5553))
     assert dims.dims == (2, 1, 2, 1, 2)
     assert dims[1] == f5553.k - 2
     full = concrete_form(J0, (5, 5, 5, 5, 5, 5))
-    assert eigenspace_dims(full)[1] == 4
+    assert eigenspace_dims(covers(full))[1] == 4
 
     f1728 = concrete_form(J1728, (3, 3, 3, 3))
-    dims1728 = eigenspace_dims(f1728)
+    dims1728 = eigenspace_dims(covers(f1728))
     assert dims1728.dims == (2, 2, 2)
-    assert dims1728[2] == 2 * genus(f1728, 2)
+    assert dims1728[2] == 2 * CurveSpec(f1728, 2).genus
     assert sum(dims1728.dims) == CurveSpec(f1728, 4).h1_dim == 6
 
 
@@ -128,7 +121,7 @@ def test_eigenspace_dims_symmetric_and_consistent(jcase):
     n_exp = jcase.exponent
     for pattern in enumerate_patterns(jcase):
         f = concrete_form(jcase, pattern)
-        dims = eigenspace_dims(f)
+        dims = eigenspace_dims(covers(f))
         for j in range(1, n_exp):
             assert dims[j] == dims[n_exp - j]
         assert dims[1] == f.k - 2
@@ -142,6 +135,12 @@ def test_curvespec_derived_values(f5553):
     assert spec.total_genus == 4
     assert spec.h1_dim == 8
     assert spec.key().endswith(":a=6")
+
+
+def test_covers_are_the_full_cover_then_the_subcovers(f5553, f1728_3333):
+    assert [c.a for c in covers(f5553)] == [6, 2, 3]
+    assert [c.a for c in covers(f1728_3333)] == [4, 2]
+    assert all(c.f is f5553 for c in covers(f5553))
 
 
 @pytest.mark.parametrize("a", [4, 5, 12])

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 import constj.count as count_mod
 from constj.cli import main
 from constj.count import CountCache, CountSeries, count_series
-from constj.curve import CurveSpec, eigenspace_dims
+from constj.curve import CurveSpec, covers, eigenspace_dims
 from constj.errors import (
     BranchInconsistencyError,
     CountDataError,
@@ -47,20 +47,20 @@ def test_lpolynomial_of_elliptic_curve():
         p=5,
     )
     (series,) = count_series((CurveSpec(f, 2),), (2,))
-    lp = lpolynomial(series)
+    lp = lpolynomial(series)[0]
     assert lp.coeffs == (1, 0, 5)  # trace zero: supersingular at p = 5
 
 
 def test_lpolynomial_of_rational_curve():
     (series,) = count_series((CurveSpec(concrete_form(J0, (5, 1)), 6),), (0,))
-    lp = lpolynomial(series)
+    lp = lpolynomial(series)[0]
     assert lp.coeffs == (1,)
     assert lp.degree == 0
 
 
 def test_lpolynomial_full_cover(f5553):
     (series,) = count_series((CurveSpec(f5553, 6),), (5,))
-    lp = lpolynomial(series)
+    lp = lpolynomial(series)[0]
     assert lp.degree == 8
     lp.check_functional_equation()
     assert all(isinstance(c, int) for c in lp.coeffs)
@@ -72,7 +72,7 @@ def test_lpolynomial_redundancy_detects_bad_counts(f5553):
     # perturb the redundancy level by a Weil-legal amount
     tampered = tuple(n if i != 5 else n + 6 for i, n in enumerate(series.counts, 1))
     with pytest.raises(CountDataError, match="inconsistent"):
-        lpolynomial(CountSeries(curve=curve, p=5, counts=tampered))
+        lpolynomial(CountSeries(curve=curve, counts=tampered))
 
 
 def test_lpolynomial_integrality_guard(f5553):
@@ -80,13 +80,13 @@ def test_lpolynomial_integrality_guard(f5553):
     (series,) = count_series((curve,), (4,))
     tampered = tuple(n if i != 3 else n + 1 for i, n in enumerate(series.counts, 1))
     with pytest.raises(CountDataError):
-        lpolynomial(CountSeries(curve=curve, p=5, counts=tampered))
+        lpolynomial(CountSeries(curve=curve, counts=tampered))
 
 
 def test_predicted_count_reproduces_extra_level(f5553):
     curve = CurveSpec(f5553, 6)
     (series,) = count_series((curve,), (5,))
-    lp = lpolynomial(series)
+    lp = lpolynomial(series)[0]
     assert predicted_count(lp, curve.components, 5) == series.counts[4]
 
 
@@ -99,32 +99,27 @@ def test_exact_quotient_and_remainder_error():
 
 
 def test_new_factor_small_case(f5553):
-    nf = zeta_bundle(f5553, 5).new_factor
+    nf = zeta_bundle(f5553).new_factor
     assert nf.degree == 4 == 2 * (f5553.k - 2)
     assert nf.coeffs == (1, 0, 0, 0, 25)
-    assert newton_polygon(nf, 5).segments == ((Fraction(1, 2), 4),)
-    assert is_pure_half(nf, 5)
-
-
-def test_zeta_bundle_names_both_primes_on_a_mismatch(f5553):
-    with pytest.raises(ValidationError, match="the form is over F_5 but the run is over F_7"):
-        zeta_bundle(f5553, 7)
+    assert newton_polygon(nf).segments == ((Fraction(1, 2), 4),)
+    assert is_pure_half(newton_polygon(nf))
 
 
 def test_new_factor_squarefree_sextic_degree(f_squarefree_sextic, shared_cache):
     cache = CountCache(shared_cache, f_squarefree_sextic)
-    bundle = zeta_bundle(f_squarefree_sextic, 5, cache=cache)
+    bundle = zeta_bundle(f_squarefree_sextic, cache=cache)
     assert bundle.new_factor.degree == 8  # 2(k-2), k = 6
-    assert bundle.new_factor.degree == 2 * eigenspace_dims(f_squarefree_sextic)[1]
+    assert bundle.new_factor.degree == 2 * eigenspace_dims(covers(f_squarefree_sextic))[1]
 
 
 def test_new_factor_j1728(f1728_3333):
-    bundle = zeta_bundle(f1728_3333, 7)
+    bundle = zeta_bundle(f1728_3333)
     assert bundle.new_factor.degree == 4
-    assert is_pure_half(bundle.new_factor, 7)
+    assert is_pure_half(newton_polygon(bundle.new_factor))
     # whole Jacobian of the order-4 cover is not supersingular at p=7;
     # only the primitive part must be
-    assert not is_pure_half(bundle.lpolys[0], 7)
+    assert not is_pure_half(newton_polygon(bundle.lpolys[0]))
 
 
 def test_new_factor_division_exact_for_every_catalog_pattern(shared_cache):
@@ -132,7 +127,7 @@ def test_new_factor_division_exact_for_every_catalog_pattern(shared_cache):
 
     for row in catalog(J0):
         f = concrete_form(J0, row.pattern)
-        bundle = zeta_bundle(f, 5, cache=CountCache(shared_cache, f))
+        bundle = zeta_bundle(f, cache=CountCache(shared_cache, f))
         assert bundle.new_factor.degree == 2 * (row.k - 2)
         product = bundle.lpolys[1].coeffs
         product = poly_mul(product, bundle.lpolys[2].coeffs)
@@ -140,31 +135,31 @@ def test_new_factor_division_exact_for_every_catalog_pattern(shared_cache):
         assert product == bundle.lpolys[0].coeffs
     for row in catalog(J1728):
         f = form_from_roots(J1728, list(row.pattern), ["0", "1", "3", "inf"][: row.k], p=7)
-        bundle = zeta_bundle(f, 7)
+        bundle = zeta_bundle(f)
         assert bundle.new_factor.degree == 2 * (row.k - 2)
         assert poly_mul(bundle.lpolys[1].coeffs, bundle.new_factor.coeffs) == bundle.lpolys[0].coeffs
 
 
 def test_newton_polygon_supersingular_shape():
     lp = LPolynomial(coeffs=(1, 0, 5), q=5, g=1)
-    assert newton_polygon(lp, 5).segments == ((Fraction(1, 2), 2),)
-    assert is_pure_half(lp, 5)
+    assert newton_polygon(lp).segments == ((Fraction(1, 2), 2),)
+    assert is_pure_half(newton_polygon(lp))
 
 
 def test_newton_polygon_ordinary_shape():
     # (1 - T)(1 - 5T) = 1 - 6T + 5T^2: unit root plus slope-one root
     lp = LPolynomial(coeffs=(1, -6, 5), q=5, g=1)
-    assert newton_polygon(lp, 5).segments == (
+    assert newton_polygon(lp).segments == (
         (Fraction(0), 1),
         (Fraction(1), 1),
     )
-    assert not is_pure_half(lp, 5)
+    assert not is_pure_half(newton_polygon(lp))
 
 
 def test_newton_polygon_trivial():
     lp = LPolynomial(coeffs=(1,), q=5, g=0)
-    assert newton_polygon(lp, 5).segments == ()
-    assert is_pure_half(lp, 5)
+    assert newton_polygon(lp).segments == ()
+    assert is_pure_half(newton_polygon(lp))
 
 
 def test_newton_polygon_rejects_decreasing_slopes():
@@ -207,7 +202,7 @@ def test_e_curve_trace_matches_euler_criterion_below_3000():
 
 
 def test_verdict_small_case(f5553):
-    v = verdict_from_bundle(zeta_bundle(f5553, 5))
+    v = verdict_from_bundle(zeta_bundle(f5553))
     assert v.theorem_applicable
     assert v.curve_new_factor_pure
     assert v.e_supersingular and v.e_trace == 0
@@ -216,25 +211,25 @@ def test_verdict_small_case(f5553):
 
 def test_verdict_negative_control():
     f = form_from_roots(J0, [5, 5, 5, 3], ["0", "1", "inf", "2"], p=7)
-    v = verdict_from_bundle(zeta_bundle(f, 7))
+    v = verdict_from_bundle(zeta_bundle(f))
     assert not v.theorem_applicable
     assert v.e_trace != 0 and not v.e_supersingular
     assert not v.surface_artin_supersingular
 
 
 def test_verdict_j1728(f1728_3333):
-    v = verdict_from_bundle(zeta_bundle(f1728_3333, 7))
+    v = verdict_from_bundle(zeta_bundle(f1728_3333))
     assert v.theorem_applicable and v.surface_artin_supersingular
 
 
 def test_verdict_at_a_second_prime_each_family():
     # p = 11 = 5 mod 6: the j=0 claim must hold there too
     f = form_from_roots(J0, [5, 5, 5, 3], ["0", "1", "inf", "2"], p=11)
-    v = verdict_from_bundle(zeta_bundle(f, 11))
+    v = verdict_from_bundle(zeta_bundle(f))
     assert v.theorem_applicable and v.surface_artin_supersingular
     # p = 11 = 3 mod 4: same for j = 1728, on the K3 row
     g = form_from_roots(J1728, [3, 3, 2], ["0", "1", "inf"], p=11)
-    bundle = zeta_bundle(g, 11)
+    bundle = zeta_bundle(g)
     w = verdict_from_bundle(bundle)
     assert w.theorem_applicable and w.surface_artin_supersingular
     assert bundle.new_factor.degree == 2
@@ -243,7 +238,7 @@ def test_verdict_at_a_second_prime_each_family():
 def test_verdict_reports_falsification_without_raising(monkeypatch, f5553):
     import constj.lfunc as lfunc_mod
 
-    bundle = zeta_bundle(f5553, 5)
+    bundle = zeta_bundle(f5553)
     monkeypatch.setattr(lfunc_mod, "is_pure_half", lambda *a, **k: False)
     v = verdict_from_bundle(bundle)
     assert v.theorem_applicable and not v.surface_artin_supersingular
@@ -253,9 +248,6 @@ def test_verdict_reports_falsification_without_raising(monkeypatch, f5553):
 @pytest.mark.parametrize("e_ss", [True, False])
 def test_surface_verdict_is_the_conjunction_of_its_parts(pure, e_ss):
     v = Verdict(
-        jcase=J0,
-        p=5,
-        pattern=(5, 5, 5, 3),
         theorem_applicable=True,
         curve_new_factor_pure=pure,
         e_supersingular=e_ss,
@@ -274,7 +266,7 @@ def test_patched_h1_exits_2_with_the_eigenspace_message(monkeypatch, capsys):
 
     monkeypatch.setattr(CurveSpec, "h1_dim", property(off_by_two))
     with pytest.raises(InvariantViolation, match=r"primitive eigenspace dimension 3 != k - 2 = 2"):
-        zeta_bundle(concrete_form(J0, (5, 5, 5, 3)), 5)
+        zeta_bundle(concrete_form(J0, (5, 5, 5, 3)))
     code = main(["verify", "--p", "5", "--pattern", "5,5,5,3"])
     assert code == 2
     assert "HARD FAILURE: primitive eigenspace dimension 3 != k - 2 = 2" in capsys.readouterr().err
@@ -295,11 +287,11 @@ def test_every_bundle_count_is_within_the_weil_bound(jcase, pattern, p, shared_c
     # predicted counts are not checked at run time, as they follow from a
     # Weil polynomial: this holds them, and every other count, to the bound
     f = concrete_form(jcase, pattern, p)
-    bundle = zeta_bundle(f, p, cache=CountCache(shared_cache, f))
+    bundle = zeta_bundle(f, cache=CountCache(shared_cache, f))
     assert len(bundle.series[0].counts) == required_level(bundle.curves[0])
     for curve, series in zip(bundle.curves, bundle.series):
         for i, n in enumerate(series.counts, 1):
-            count_mod._assert_weil(curve, p, i, n)
+            count_mod._assert_weil(curve, i, n)
 
 
 def test_root_moduli_check_rejects_non_weil_polynomial():
@@ -482,7 +474,7 @@ def test_exact_root_check_agrees_with_float_oracle(jcase, pattern, p, roots):
         f = concrete_form(jcase, pattern, p)
     else:
         f = form_from_roots(jcase, list(pattern), roots.split(","), p=p)
-    bundle = zeta_bundle(f, p)
+    bundle = zeta_bundle(f)
     for lp in (*bundle.lpolys, bundle.new_factor):
         assert _root_check_passes(lp) and float_root_moduli_ok(lp)
 
@@ -492,10 +484,10 @@ def test_bundle_matches_full_genus_route(jcase, pattern, p):
     # the oracle counts the full cover to its required level, reconstructs
     # its numerator from those counts alone and divides out the subcovers
     f = concrete_form(jcase, pattern, p)
-    bundle = zeta_bundle(f, p)
+    bundle = zeta_bundle(f)
     full = bundle.curves[0]
     (series,) = count_series((full,), (required_level(full),))
-    numerator = lpolynomial(series)
+    numerator = lpolynomial(series)[0]
     denom = (1,)
     for lp in bundle.lpolys[1:]:
         denom = poly_mul(denom, lp.coeffs)
@@ -507,15 +499,15 @@ def test_bundle_matches_full_genus_route(jcase, pattern, p):
 def test_lpolynomial_with_known_factor_matches_plain(f5553):
     curve = CurveSpec(f5553, 6)
     (five,) = count_series((curve,), (5,))
-    plain = lpolynomial(five)
-    bundle = zeta_bundle(f5553, 5)
+    plain = lpolynomial(five)[0]
+    bundle = zeta_bundle(f5553)
     known = LPolynomial(
         coeffs=poly_mul(bundle.lpolys[1].coeffs, bundle.lpolys[2].coeffs), q=5, g=2
     )
     # levels 1..k-2 = 1..2 determine the factor; 3..5 are checked against it
-    assert lpolynomial(five, known=known) == plain
+    assert lpolynomial(five, known=known) == (plain, bundle.new_factor)
     (two,) = count_series((curve,), (2,))
-    assert lpolynomial(two, known=known) == plain
+    assert lpolynomial(two, known=known) == (plain, bundle.new_factor)
     (one,) = count_series((curve,), (1,))
     with pytest.raises(ValidationError, match="need counts up to level 2"):
         lpolynomial(one, known=known)

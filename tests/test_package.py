@@ -1,7 +1,8 @@
-"""Package-wide checks: every definition in src/ has a caller in src/, the
-README's library example runs and prints what it says, every record is
-immutable, numpy is loaded only by a count that sweeps a field, and no run
-loads dataclasses (or inspect, which numpy brings)."""
+"""Package-wide checks: every definition in src/ has a caller in src/, no
+function takes a prime beside a record that carries it, the README's
+library example runs and prints what it says, every record is immutable,
+numpy is loaded only by a count that sweeps a field, and no run loads
+dataclasses (or inspect, which numpy brings)."""
 
 import ast
 import contextlib
@@ -57,6 +58,32 @@ def test_every_definition_in_src_has_a_caller_in_src():
     assert sorted(_unreferenced(SRC)) == sorted(ALLOWED_UNREFERENCED)
 
 
+# records that carry their prime, f.p: a function that takes one takes no p
+CARRIES_P = {"FactoredForm", "CurveSpec", "CountSeries", "ZetaBundle", "LPolynomial"}
+
+
+def _p_beside_a_record(src: Path) -> list[str]:
+    """Functions and methods with a parameter named p and a parameter whose
+    annotation names a record of CARRIES_P."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+            named = {
+                word for arg in params if arg.annotation is not None
+                for word in re.findall(r"\w+", ast.unparse(arg.annotation))
+            }
+            if "p" in {arg.arg for arg in params} and named & CARRIES_P:
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_no_function_takes_p_beside_a_record_that_carries_it():
+    assert _p_beside_a_record(SRC) == []
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text()
     (block,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
@@ -100,7 +127,7 @@ def test_the_record_list_names_every_public_record_in_src():
 
 @pytest.fixture(scope="module")
 def one_of_each_record(f5553):
-    bundle = lfunc.zeta_bundle(f5553, 5)
+    bundle = lfunc.zeta_bundle(f5553)
     inv = surface.invariants(f5553)
     made = [
         gf.make_field(5, 2),

@@ -2,9 +2,9 @@
 
 import pytest
 
-from constj.curve import eigenspace_dims
+from constj.curve import covers, eigenspace_dims
 from constj.forms import J0, J1728
-from constj.surface import fiber_types, invariants, mw_rank_char0, ns_perp_check
+from constj.surface import fiber_types, invariants, ns_perp_check
 from constj.taxonomy import catalog, enumerate_patterns
 
 from conftest import concrete_form
@@ -45,10 +45,14 @@ def test_invariants_j1728_3333():
     assert (inv.euler, inv.p_g) == (36, 2)
 
 
+def mw_rank(f):
+    return invariants(f).mw_rank_char0
+
+
 def test_mw_ranks_examples():
-    assert mw_rank_char0(concrete_form(J0, (5, 5, 5, 3))) == 0
-    assert mw_rank_char0(concrete_form(J0, (3, 1, 1, 1))) == 4
-    assert mw_rank_char0(concrete_form(J1728, (2, 1, 1))) == 2
+    assert mw_rank(concrete_form(J0, (5, 5, 5, 3))) == 0
+    assert mw_rank(concrete_form(J0, (3, 1, 1, 1))) == 4
+    assert mw_rank(concrete_form(J1728, (2, 1, 1))) == 2
 
 
 @pytest.mark.parametrize("jcase", [J0, J1728])
@@ -56,8 +60,8 @@ def test_shioda_tate_on_every_catalog_pattern(jcase):
     for row in catalog(jcase):
         f = concrete_form(jcase, row.pattern)
         g = f.complement()
-        assert mw_rank_char0(f) == 0, row.pattern
-        assert mw_rank_char0(g) == 2 * (f.n - 1), row.pattern
+        assert mw_rank(f) == 0, row.pattern
+        assert mw_rank(g) == 2 * (f.n - 1), row.pattern
         assert invariants(f).euler == 12 * f.n
         assert invariants(g).euler == 12 * g.n
         assert invariants(f).p_g == f.k - 2
@@ -67,16 +71,16 @@ def test_shioda_tate_on_every_catalog_pattern(jcase):
 def test_ns_perp_check_on_every_catalog_pattern(jcase):
     for row in catalog(jcase):
         f = concrete_form(jcase, row.pattern)
-        assert ns_perp_check(f), row.pattern
-        inv = invariants(f)
-        assert inv.ns_perp_dim == 2 * eigenspace_dims(f)[1]
+        inv, dims = invariants(f), eigenspace_dims(covers(f))
+        assert ns_perp_check(inv, dims), row.pattern
+        assert inv.ns_perp_dim == 2 * dims[1]
 
 
 def test_ns_perp_examples():
     f = concrete_form(J0, (5, 5, 5, 3))
     assert invariants(f).ns_perp_dim == 4  # 34 - 30
-    assert ns_perp_check(concrete_form(J0, (5, 5, 5, 5, 5, 5)))
-    assert ns_perp_check(concrete_form(J0, (5, 5, 2)))  # the K3 row, p_g = 1
+    for g in (concrete_form(J0, (5, 5, 5, 5, 5, 5)), concrete_form(J0, (5, 5, 2))):  # K3: p_g = 1
+        assert ns_perp_check(invariants(g), eigenspace_dims(covers(g)))
 
 
 @pytest.mark.parametrize("jcase", [J0, J1728])
