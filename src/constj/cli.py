@@ -179,7 +179,10 @@ def _default_roots(k: int, p: int) -> list[str]:
     return ["0", "1", "inf"][:k] + [str(v) for v in range(2, k - 1)]
 
 
-def _parse_run_config(args, command: str) -> dict:
+def _parse_run_config(args, command: str) -> tuple[forms.FactoredForm, dict]:
+    """The form and the config that echoes it: each root as the place it
+    names, multiplicities descending, and equal ones in the default order
+    0, 1, inf, 2, 3, ...; so however the pairs were typed, one form has one."""
     jcase = forms.jcase_from_tag(args.jcase)
     try:
         pattern = [int(tok) for tok in args.pattern.split(",") if tok.strip() != ""]
@@ -190,12 +193,17 @@ def _parse_run_config(args, command: str) -> dict:
         roots = _default_roots(len(pattern), args.p)
     else:
         roots = [tok.strip() for tok in args.roots.split(",") if tok.strip() != ""]
-    return {
+    f = forms.form_from_roots(jcase, pattern, roots, p=args.p)
+    ranked = []  # (-m, rank in the default order, root); every place is linear
+    for pl, m in f.places:
+        r = None if pl.at_infinity else -pl.poly[0] % f.p
+        ranked.append((-m, 2, "inf") if r is None else (-m, r + (r >= 2), str(r)))
+    return f, {
         "command": command,
         "jcase": jcase.tag,
         "p": args.p,
-        "pattern": pattern,
-        "roots": roots,
+        "pattern": list(f.pattern),
+        "roots": [r for *_, r in sorted(ranked)],
         "format": args.format,
     }
 
@@ -242,13 +250,11 @@ def _polygon_json(poly: lfunc.NewtonPolygon) -> list[list[str]]:
 
 
 def run_pipeline(
-    cfg: dict, cache_dir: Optional[str], with_verdict: bool
+    f: forms.FactoredForm, cfg: dict, cache_dir: Optional[str], with_verdict: bool
 ) -> tuple[dict, Optional[lfunc.Verdict]]:
-    jcase = forms.jcase_from_tag(cfg["jcase"])
-    f = forms.form_from_roots(jcase, cfg["pattern"], cfg["roots"], p=cfg["p"])
     cache = count.CountCache(cache_dir, f) if cache_dir else None
 
-    if with_verdict and not taxonomy.is_partner_rational(f.pattern, jcase):
+    if with_verdict and not taxonomy.is_partner_rational(f.pattern, f.jcase):
         raise ValidationError(
             f"pattern {list(f.pattern)} has no rational partner; use zeta instead"
         )
@@ -328,9 +334,9 @@ def _report_text(report: dict) -> str:
 
 
 def cmd_run(args, command: str) -> int:
-    cfg = _parse_run_config(args, command)
+    f, cfg = _parse_run_config(args, command)
     started = time.perf_counter()
-    report, v = run_pipeline(cfg, args.cache_dir, with_verdict=command in ("verify", "report"))
+    report, v = run_pipeline(f, cfg, args.cache_dir, with_verdict=command in ("verify", "report"))
     elapsed_ms = int(1000 * (time.perf_counter() - started))
     if args.format == "json":
         sys.stdout.write(render_json(report))

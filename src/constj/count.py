@@ -357,16 +357,17 @@ class CountSeries(NamedTuple):
 class CountCache:
     """Append-only count file of one prime, DIR/p<p>.counts, shared by every
     form counted at p.  One record per line: p, level, curve key, count,
-    tool version; the last record of a key wins.  Every curve key starts
-    with its form's key, so a run parses only the lines that name its form.
-    A record of another tool version is a miss, so it is counted again."""
+    tool version; the last record of a key wins, and one of another p or
+    version is a miss.  Every curve key starts with its form's key, so a
+    run parses only the lines that name its form."""
 
     def __init__(self, directory: str | Path, f: FactoredForm) -> None:
+        self.p = f.p
         self.path = Path(directory) / f"p{f.p}.counts"
         self._tag = f.key() + ":"
-        self._records: Optional[dict[tuple[int, int, str], int]] = None
+        self._records: Optional[dict[tuple[int, str], int]] = None
 
-    def _load(self) -> dict[tuple[int, int, str], int]:
+    def _load(self) -> dict[tuple[int, str], int]:
         if self._records is None:
             # the probe keeps a cold row from opening the file it will append
             # to; a file removed after it is a miss like one never written
@@ -388,17 +389,17 @@ class CountCache:
                 except (ValueError, IndexError):
                     warnings.warn(f"{self.path}:{lineno}: corrupt cache record; recounting")
                     continue
-                if fields[4] == TOOL_VERSION:
-                    self._records[(p, i, key)] = value
+                if p == self.p and fields[4] == TOOL_VERSION:
+                    self._records[(i, key)] = value
         return self._records
 
-    def get(self, p: int, i: int, key: str) -> Optional[int]:
-        return self._load().get((p, i, key))
+    def get(self, i: int, key: str) -> Optional[int]:
+        return self._load().get((i, key))
 
-    def put(self, p: int, i: int, counts: dict[str, int]) -> None:
+    def put(self, i: int, counts: dict[str, int]) -> None:
         """Append the counts at F_{p^i}, {curve key: count}, in one write;
         the directory is made only when the open finds it missing."""
-        text = "".join(f"{p} {i} {key} {n} {TOOL_VERSION}\n" for key, n in counts.items())
+        text = "".join(f"{self.p} {i} {key} {n} {TOOL_VERSION}\n" for key, n in counts.items())
         try:
             try:
                 fh = self.path.open("a")
@@ -410,7 +411,7 @@ class CountCache:
                 fh.flush()
         except OSError as exc:
             raise ValidationError(f"count cache {self.path} is not writable: {exc}") from exc
-        self._load().update(((p, i, key), n) for key, n in counts.items())
+        self._load().update(((i, key), n) for key, n in counts.items())
 
 
 def count_series(
@@ -431,7 +432,7 @@ def count_series(
     counts: list[list[int]] = [[] for _ in curves]
     for i in range(1, max(levels, default=0) + 1):
         due = [idx for idx, n in enumerate(levels) if i <= n]
-        found = {idx: cache.get(p, i, keys[idx]) for idx in due} if cache is not None else {}
+        found = {idx: cache.get(i, keys[idx]) for idx in due} if cache is not None else {}
         missing = [idx for idx in due if found.get(idx) is None]
         if missing:
             fresh = count_points([curves[idx] for idx in missing], make_field(p, i))
@@ -441,5 +442,5 @@ def count_series(
             _assert_weil(curves[idx], i, found[idx], source)
             counts[idx].append(found[idx])
         if missing and cache is not None:
-            cache.put(p, i, {keys[idx]: found[idx] for idx in missing})
+            cache.put(i, {keys[idx]: found[idx] for idx in missing})
     return tuple(CountSeries(curve=c, counts=tuple(n)) for c, n in zip(curves, counts))

@@ -25,7 +25,7 @@ the product, and a mismatch aborts the run.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .count import _MAX_FIELD_Q, CountCache, CountSeries, count_series
@@ -389,28 +389,27 @@ def is_pure_half(polygon: NewtonPolygon) -> bool:
 
 
 def e_curve_trace(jcase: JCase, p: int) -> int:
-    """Frobenius trace of the CM elliptic curve of the family, by direct count.
-
-    j = 0 uses y^2 = x^3 + 1; j = 1728 uses y^2 = x^3 - x.  The curve is
-    supersingular exactly when the trace vanishes (p >= 5).  The count reads
-    a table of p bytes, so a p above the field-size limit is refused first.
-    """
+    """Frobenius trace of y^2 = x^3 + 1 (j = 0, CM by Z[w]) or x^3 - x
+    (j = 1728, CM by Z[i]), by Cornacchia's algorithm.  It is 0 unless
+    p = 1 mod e (e = 3, 4).  Then Euclid on (p, r), r a square root of -d
+    (d = 3, 1) from an e-th root of unity w != +-1, stops at the first x
+    with x^2 <= p = x^2 + d y^2.  The trace is +-2x, or +-2y for j = 1728
+    when x is even, signed so that 3 (j = 0) or 8 divides p + 1 - t."""
     if p <= 3 or not is_prime(p):
         raise ValidationError("p must be prime > 3")
-    if p > _MAX_FIELD_Q:
-        raise ValidationError(
-            f"the trace of the CM curve over F_{p} needs a table of p bytes: "
-            f"p is above the field-size limit {_MAX_FIELD_Q}"
-        )
-    roots = bytearray(p)  # roots[r] = #{y : y^2 = r}: 1 at r = 0, 2 at a non-zero square
-    roots[0] = 1
-    for y in range(1, (p + 1) // 2):
-        roots[y * y % p] = 2
-    if jcase == J0:
-        rhs = ((x * x * x + 1) % p for x in range(p))
-    else:
-        rhs = ((x * x * x - x) % p for x in range(p))
-    return p - sum(map(roots.__getitem__, rhs))  # p + 1 - (1 + affine points)
+    e, d, torsion = (3, 3, 3) if jcase == J0 else (4, 1, 8)
+    if p % e != 1:
+        return 0
+    powers = (pow(z, (p - 1) // e, p) for z in range(2, p))
+    w = next(w for w in powers if w not in (1, p - 1))
+    x, r = p, (2 * w + 1 if jcase == J0 else w)
+    while x * x > p:
+        x, r = r, x % r
+    y = isqrt((p - x * x) // d)
+    if x * x + d * y * y != p:
+        raise InvariantViolation(f"Cornacchia's algorithm finds no x^2 + {d} y^2 = {p}")
+    t = 2 * y if jcase != J0 and x % 2 == 0 else 2 * x
+    return t if (p + 1 - t) % torsion == 0 else -t
 
 
 class Verdict(NamedTuple):
@@ -424,15 +423,11 @@ class Verdict(NamedTuple):
         return self.curve_new_factor_pure and self.e_supersingular
 
 
-def congruence_holds(jcase: JCase, p: int) -> bool:
-    return p % 6 == 5 if jcase == J0 else p % 4 == 3
-
-
 def verdict_from_bundle(bundle: ZetaBundle) -> Verdict:
     f = bundle.f
     trace = e_curve_trace(f.jcase, f.p)
     return Verdict(
-        theorem_applicable=congruence_holds(f.jcase, f.p),
+        theorem_applicable=f.p % f.jcase.exponent == f.jcase.exponent - 1,  # p = -1 mod 6 or 4
         curve_new_factor_pure=is_pure_half(bundle.polygons[-1]),
         e_supersingular=trace == 0,
         e_trace=trace,

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .curve import EigenDims
 from .errors import InvariantViolation
-from .forms import FactoredForm, J0, JCase
+from .forms import FactoredForm, J0
 
 
 class FiberType(NamedTuple):
@@ -36,13 +36,9 @@ FIBERS_J1728 = {
 }
 
 
-def _table(jcase: JCase) -> dict[int, FiberType]:
-    return FIBERS_J0 if jcase == J0 else FIBERS_J1728
-
-
 def fiber_types(f: FactoredForm) -> tuple[FiberType, ...]:
     """One additive fiber per geometric zero, in multiplicity order."""
-    table = _table(f.jcase)
+    table = FIBERS_J0 if f.jcase == J0 else FIBERS_J1728
     return tuple(table[m] for m in f.pattern)
 
 

@@ -7,9 +7,11 @@ coefficients) are the count path's codes.  constj counts with matrices over
 F_p on blocks of codes and shares none of this code, so agreement between
 the two checks both.  Likewise constj's Weil check runs its Sturm chain on
 integers, and fraction_root_moduli_ok runs the same chain in Fractions,
-with _frac_divmod, the reference for lfunc's integer division helper;
-e_curve_trace_by_euler tests each x for a square by Euler's criterion, where
-constj reads a table of squares.
+with _frac_divmod, the reference for lfunc's integer division helper.
+constj finds the trace of the family's elliptic curve in closed form, by
+Cornacchia's algorithm; e_curve_trace_by_euler counts its points, testing
+each x for a square by Euler's criterion, and trace_fits_group_order checks
+a trace past the reach of a count by multiplying points of the curve.
 """
 
 from __future__ import annotations
@@ -312,7 +314,8 @@ def fraction_root_moduli_ok(lp: LPolynomial) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the trace of the family's elliptic curve, one Euler criterion per x
+# the trace of the family's elliptic curve: one Euler criterion per x, or
+# the group order p + 1 - t on a few points
 
 
 def e_curve_trace_by_euler(jcase: JCase, p: int) -> int:
@@ -326,3 +329,67 @@ def e_curve_trace_by_euler(jcase: JCase, p: int) -> int:
         elif pow(rhs, (p - 1) // 2, p) == 1:
             count += 2
     return p + 1 - count
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of the non-zero square a modulo the odd prime p, by
+    Tonelli-Shanks."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+Point = Optional[tuple[int, int]]  # None is the point at infinity
+
+
+def _ec_add(u: Point, v: Point, a: int, p: int) -> Point:
+    """u + v on y^2 = x^3 + a x + b over F_p, in affine coordinates."""
+    if u is None or v is None:
+        return v if u is None else u
+    (x1, y1), (x2, y2) = u, v
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if u == v:
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def _ec_mul(n: int, u: Point, a: int, p: int) -> Point:
+    """n u by double-and-add."""
+    out = None
+    while n:
+        if n & 1:
+            out = _ec_add(out, u, a, p)
+        u, n = _ec_add(u, u, a, p), n >> 1
+    return out
+
+
+def trace_fits_group_order(jcase: JCase, p: int, t: int, points: int = 4) -> bool:
+    """True when p + 1 - t kills the first few points P = (x, y) of
+    y^2 = x^3 + 1 (j = 0) or x^3 - x (j = 1728) over F_p with y != 0, and,
+    for t != 0, p + 1 + t fails to kill one of them: the sign is pinned too."""
+    a, b = (0, 1) if jcase == J0 else (-1, 0)
+    found: list[Point] = []
+    x = 2
+    while len(found) < points:
+        rhs = (x * x * x + a * x + b) % p
+        if rhs and pow(rhs, (p - 1) // 2, p) == 1:
+            found.append((x, sqrt_mod(rhs, p)))
+        x += 1
+    return all(_ec_mul(p + 1 - t, pt, a, p) is None for pt in found) and (
+        t == 0 or any(_ec_mul(p + 1 + t, pt, a, p) is not None for pt in found)
+    )

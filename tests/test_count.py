@@ -158,7 +158,7 @@ def test_weil_bound_enforced(tmp_path, f5553):
     (series,) = count_series((curve,), (3,), cache=CountCache(tmp_path, f5553))
     # tamper: a count far outside the Weil interval must be rejected, at
     # its own level, when count_series reads it back
-    CountCache(tmp_path, f5553).put(5, 2, {curve.key(): series.counts[1] + 10_000})
+    CountCache(tmp_path, f5553).put(2, {curve.key(): series.counts[1] + 10_000})
     with pytest.raises(InvariantViolation, match="Weil bound violated at level 2"):
         count_series((curve,), (3,), cache=CountCache(tmp_path, f5553))
 
@@ -284,7 +284,7 @@ def test_fresh_count_past_the_weil_bound_is_never_cached(tmp_path, monkeypatch, 
         count_series((curve,), (3,), cache=cache)
     assert "read from" not in str(err.value)
     assert [line.split()[1] for line in cache.path.read_text().splitlines()] == ["1"]
-    assert CountCache(tmp_path, f5553).get(5, 2, curve.key()) is None
+    assert CountCache(tmp_path, f5553).get(2, curve.key()) is None
 
 
 def test_cache_corruption_recounts_with_warning(tmp_path, f5553):
@@ -306,7 +306,7 @@ def test_cache_corruption_recounts_with_warning(tmp_path, f5553):
     # and the corrupt line left in the file still warns a later reader
     final = CountCache(tmp_path, f5553)
     with pytest.warns(UserWarning, match="corrupt cache record"):
-        assert final.get(5, 1, curve.key()) == series.counts[0]
+        assert final.get(1, curve.key()) == series.counts[0]
 
 
 def test_cache_ignores_records_of_another_version(tmp_path, f5553):
@@ -315,24 +315,36 @@ def test_cache_ignores_records_of_another_version(tmp_path, f5553):
     n = series.counts[0]
     cache = CountCache(tmp_path, f5553)
     cache.path.write_text(f"5 1 {curve.key()} {n + 1} 0.0.0-stale\n")
-    assert cache.get(5, 1, curve.key()) is None
+    assert cache.get(1, curve.key()) is None
     (again,) = count_series((curve,), (1,), cache=cache)
     assert again.counts == series.counts
     # recounted and appended under this version, which a fresh reader trusts
     assert cache.path.read_text().splitlines()[1] == f"5 1 {curve.key()} {n} {TOOL_VERSION}"
-    assert CountCache(tmp_path, f5553).get(5, 1, curve.key()) == n
+    assert CountCache(tmp_path, f5553).get(1, curve.key()) == n
+
+
+def test_cache_ignores_records_of_another_prime(tmp_path, f5553):
+    # the file is named for its prime, and each record still names it: a
+    # record of another prime in p5.counts is a miss, as in a stray copy
+    curve = CurveSpec(f5553, 2)
+    cache = CountCache(tmp_path, f5553)
+    cache.path.write_text(f"7 1 {curve.key()} 3 {TOOL_VERSION}\n")
+    assert cache.get(1, curve.key()) is None
+    cache.put(1, {curve.key(): 6})
+    assert cache.path.read_text().splitlines()[1] == f"5 1 {curve.key()} 6 {TOOL_VERSION}"
+    assert CountCache(tmp_path, f5553).get(1, curve.key()) == 6
 
 
 def test_two_writers_interleave_and_the_last_record_wins(tmp_path, f5553):
     key6, key2 = CurveSpec(f5553, 6).key(), CurveSpec(f5553, 2).key()
     first, second = CountCache(tmp_path / "new", f5553), CountCache(tmp_path / "new", f5553)
-    first.put(5, 1, {key6: 10})
-    second.put(5, 1, {key2: 20})
-    second.put(5, 1, {key6: 11})
-    first.put(5, 2, {key6: 30})
-    first.put(5, 1, {key2: 21})
+    first.put(1, {key6: 10})
+    second.put(1, {key2: 20})
+    second.put(1, {key6: 11})
+    first.put(2, {key6: 30})
+    first.put(1, {key2: 21})
     reader = CountCache(tmp_path / "new", f5553)
-    assert reader._load() == {(5, 1, key6): 11, (5, 1, key2): 21, (5, 2, key6): 30}
+    assert reader._load() == {(1, key6): 11, (1, key2): 21, (2, key6): 30}
     assert len(reader.path.read_text().splitlines()) == 5
 
 
@@ -391,7 +403,7 @@ def test_warm_read_opens_only_its_own_primes_file(tmp_path, monkeypatch, f5553):
     # levels and nothing else
     records = reader._load()
     assert len(records) == 6
-    assert {key for _, _, key in records} == {c.key() for c in forms_and_curves[f5553]}
+    assert {key for _, key in records} == {c.key() for c in forms_and_curves[f5553]}
 
 
 def test_old_layout_cache_file_is_never_read(tmp_path, f5553):

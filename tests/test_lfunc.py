@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import constj.count as count_mod
+import constj.lfunc as lfunc_mod
 from constj.cli import main
 from constj.count import CountCache, CountSeries, count_series
 from constj.curve import CurveSpec, covers, eigenspace_dims
@@ -17,6 +18,7 @@ from constj.errors import (
     ValidationError,
 )
 from constj.forms import J0, J1728, Place, form_from_roots, parse_form
+from constj.gf import is_prime
 from constj.lfunc import (
     LPolynomial,
     NewtonPolygon,
@@ -37,7 +39,12 @@ from constj.lfunc import (
 from constj.taxonomy import catalog
 
 from conftest import concrete_form, float_root_moduli_ok
-from oracle import _frac_divmod, e_curve_trace_by_euler, fraction_root_moduli_ok
+from oracle import (
+    _frac_divmod,
+    e_curve_trace_by_euler,
+    fraction_root_moduli_ok,
+    trace_fits_group_order,
+)
 
 
 def test_lpolynomial_of_elliptic_curve():
@@ -201,6 +208,36 @@ def test_e_curve_trace_matches_euler_criterion_below_3000():
         ]
 
 
+@pytest.mark.parametrize(
+    "jcase, p, trace",
+    [
+        (J0, 10000141, -4258),
+        (J0, 1000000009, 47798),
+        (J1728, 1000000009, -7494),
+        (J0, 1000000007, 0),  # 2 mod 3: supersingular
+        (J1728, 2**61 - 1, 0),  # 3 mod 4: supersingular
+    ],
+)
+def test_e_curve_trace_past_a_count_matches_the_group_order(jcase, p, trace):
+    assert e_curve_trace(jcase, p) == trace
+    assert trace_fits_group_order(jcase, p, trace)
+
+
+def test_e_curve_trace_at_large_split_primes_matches_the_group_order():
+    # the first primes past 10^12 and 10^18 that are 1 mod 12 split in both Z[w] and Z[i]
+    for start in (10**12, 10**18):
+        p = next(n for n in range(start - start % 12 + 13, start + 10**4, 12) if is_prime(n))
+        for jcase in (J0, J1728):
+            trace = e_curve_trace(jcase, p)
+            assert trace != 0 and trace_fits_group_order(jcase, p, trace)
+
+
+def test_cornacchia_check_names_the_prime(monkeypatch):
+    monkeypatch.setattr(lfunc_mod, "isqrt", lambda n: isqrt(n) + 1)
+    with pytest.raises(InvariantViolation, match="= 1000000009"):
+        e_curve_trace(J0, 1000000009)
+
+
 def test_verdict_small_case(f5553):
     v = verdict_from_bundle(zeta_bundle(f5553))
     assert v.theorem_applicable
@@ -236,8 +273,6 @@ def test_verdict_at_a_second_prime_each_family():
 
 
 def test_verdict_reports_falsification_without_raising(monkeypatch, f5553):
-    import constj.lfunc as lfunc_mod
-
     bundle = zeta_bundle(f5553)
     monkeypatch.setattr(lfunc_mod, "is_pure_half", lambda *a, **k: False)
     v = verdict_from_bundle(bundle)

@@ -58,24 +58,44 @@ def test_every_definition_in_src_has_a_caller_in_src():
     assert sorted(_unreferenced(SRC)) == sorted(ALLOWED_UNREFERENCED)
 
 
-# records that carry their prime, f.p: a function that takes one takes no p
+# records that carry their prime, f.p: a function that takes one takes no p,
+# and neither does a method of a class whose constructor takes one
 CARRIES_P = {"FactoredForm", "CurveSpec", "CountSeries", "ZetaBundle", "LPolynomial"}
+
+
+def _params(node: ast.FunctionDef) -> list[ast.arg]:
+    return [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+
+
+def _records_taken(node: ast.FunctionDef) -> set[str]:
+    """The records of CARRIES_P that a parameter annotation names."""
+    return CARRIES_P & {
+        word for arg in _params(node) if arg.annotation is not None
+        for word in re.findall(r"\w+", ast.unparse(arg.annotation))
+    }
 
 
 def _p_beside_a_record(src: Path) -> list[str]:
     """Functions and methods with a parameter named p and a parameter whose
-    annotation names a record of CARRIES_P."""
+    annotation names a record of CARRIES_P, and methods with a parameter
+    named p of a class whose __init__ or __new__ takes such a record."""
     found = []
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        built_from: dict[ast.FunctionDef, set[str]] = {}  # method -> its class's records
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                methods = [sub for sub in cls.body if isinstance(sub, ast.FunctionDef)]
+                records = set().union(
+                    *(_records_taken(m) for m in methods if m.name in ("__init__", "__new__"))
+                )
+                built_from.update((m, records) for m in methods)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
                 continue
-            params = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
-            named = {
-                word for arg in params if arg.annotation is not None
-                for word in re.findall(r"\w+", ast.unparse(arg.annotation))
-            }
-            if "p" in {arg.arg for arg in params} and named & CARRIES_P:
+            if "p" in {arg.arg for arg in _params(node)} and (
+                _records_taken(node) | built_from.get(node, set())
+            ):
                 found.append(f"{path.stem}.{node.name}")
     return found
 
