@@ -47,8 +47,6 @@ class CurveSpec(_CoverFields):
         """
         a = self.a
         rh = -2 * a + sum(pl.degree * (a - gcd(a, m)) for pl, m in self.f.places)
-        if rh % 2 != 0:
-            raise InvariantViolation(f"Riemann-Hurwitz sum {rh} is odd for a={a}")
         return rh // 2 + 1
 
     @cached_property
@@ -63,10 +61,7 @@ class CurveSpec(_CoverFields):
     @cached_property
     def h1_dim(self) -> int:
         """dim H^1 of the smooth model: 2 * (components - 1 + genus)."""
-        dim = 2 * (self.components - 1 + self.genus)
-        if dim < 0:
-            raise InvariantViolation(f"negative H^1 dimension for a={self.a}")
-        return dim
+        return 2 * (self.components - 1 + self.genus)
 
     @cached_property
     def total_genus(self) -> int:
@@ -120,12 +115,11 @@ def eigenspace_dims(curves: Sequence[CurveSpec]) -> EigenDims:
     f = full.f
     h1 = {c.a: c.h1_dim for c in subs}
     primitive2 = full.h1_dim - sum(h1.values())
-    if primitive2 < 0 or primitive2 % 2 != 0:
-        raise InvariantViolation("primitive eigenspace dimension must be a nonnegative even integer")
-    d1 = primitive2 // 2
-    dims = (d1, h1[3] // 2, h1[2], h1[3] // 2, d1) if f.jcase == J0 else (d1, h1[2], d1)
-    if d1 != f.k - 2:
+    d1 = f.k - 2
+    if primitive2 != 2 * d1:
         raise InvariantViolation(
-            f"primitive eigenspace dimension {d1} != k - 2 = {f.k - 2} for pattern {f.pattern}"
+            f"primitive eigenspace dimension {primitive2 / 2:g} != k - 2 = {d1} "
+            f"for pattern {f.pattern}"
         )
+    dims = (d1, h1[3] // 2, h1[2], h1[3] // 2, d1) if f.jcase == J0 else (d1, h1[2], d1)
     return EigenDims(exponent=full.a, dims=dims)

@@ -207,17 +207,19 @@ def form_from_roots(
     """
     if len(mults) != len(roots):
         raise ValidationError(f"{len(mults)} multiplicities but {len(roots)} roots")
-    if len(set(str(r) for r in roots)) != len(roots):
-        raise ValidationError(f"roots must be pairwise distinct: {list(roots)}")
-    places = []
-    for m, r in zip(mults, roots):
+    tokens: dict[Place, str] = {}  # the token that named each place, in order
+    for r in roots:
         token = str(r)
         if token.lower() in ("inf", "oo", "infinity"):
-            places.append((Place.infinity(), m))
+            pl = Place.infinity()
         elif not (token.isascii() and token.isdigit()):
             raise ValidationError(f"root {token!r} is not an element of F_{p} or inf")
         elif int(token) >= p:
             raise ValidationError(f"root {token} out of range for F_{p}")
         else:
-            places.append((Place.linear(int(token), p), m))
-    return parse_form(jcase, places, p=p)
+            pl = Place.linear(int(token), p)
+        if pl in tokens:
+            raise ValidationError(f"roots must be pairwise distinct: {tokens[pl]!r} and "
+                                  f"{token!r} are one point of P^1(F_{p})")
+        tokens[pl] = token
+    return parse_form(jcase, list(zip(tokens, mults)), p=p)

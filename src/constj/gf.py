@@ -155,6 +155,5 @@ def make_field(p: int, i: int = 1) -> FieldContext:
         return FieldContext(p=p, degree=1, modulus=(0, 1), q=p)
     for tail in product(range(1, p), *[range(p)] * (i - 1)):
         cand = tail + (1,)
-        if poly_is_irreducible(cand, p):
+        if poly_is_irreducible(cand, p):  # one of every degree exists, so the loop returns
             return FieldContext(p=p, degree=i, modulus=cand, q=p**i)
-    raise RuntimeError("unreachable: an irreducible of every degree exists")

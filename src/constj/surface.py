@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .curve import EigenDims
-from .errors import InvariantViolation
 from .forms import FactoredForm, J0
 
 
@@ -62,16 +61,12 @@ def invariants(f: FactoredForm) -> SurfaceInvariants:
     the partner side 2(n-1)."""
     fibers = fiber_types(f)
     e = sum(fb.euler for fb in fibers)
-    if e != 12 * f.n:
-        raise InvariantViolation(f"Euler number {e} != 12n = {12 * f.n}")
     chi = e // 12
     p_g = chi - 1
     b2 = e - 2
     h11 = b2 - 2 * p_g
     fiber_rank = sum(fb.components - 1 for fb in fibers)
     rank = h11 - 2 - fiber_rank
-    if rank < 0:
-        raise InvariantViolation(f"negative Mordell-Weil rank {rank}")
     return SurfaceInvariants(
         n=f.n,
         k=f.k,

@@ -7,7 +7,8 @@ coefficients) are the count path's codes.  constj counts with matrices over
 F_p on blocks of codes and shares none of this code, so agreement between
 the two checks both.  Likewise constj's Weil check runs its Sturm chain on
 integers, and fraction_root_moduli_ok runs the same chain in Fractions,
-with _frac_divmod, the reference for lfunc's integer division helper.
+with _frac_divmod, the reference for lfunc's integer division helper;
+functional_equation_holds checks the symmetry that lpolynomial builds in.
 constj finds the trace of the family's elliptic curve in closed form, by
 Cornacchia's algorithm; e_curve_trace_by_euler counts its points, testing
 each x for a square by Euler's criterion, and trace_fits_group_order checks
@@ -290,10 +291,19 @@ def _sign_changes(chain: list[list[Fraction]], x: int) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def functional_equation_holds(lp: LPolynomial) -> bool:
+    """c_{2g-i} = q^(g-i) c_i for i = 0..g, and c_0 = 1."""
+    c, q, g = lp.coeffs, lp.q, lp.g
+    return len(c) == 2 * g + 1 and c[0] == 1 and all(
+        c[2 * g - i] == q ** (g - i) * c[i] for i in range(g + 1)
+    )
+
+
 def fraction_root_moduli_ok(lp: LPolynomial) -> bool:
     """LPolynomial.check_root_moduli with its Sturm chain over the
-    rationals: every member the exact remainder, nothing scaled."""
-    lp.check_functional_equation()
+    rationals: every member the exact remainder, nothing scaled.  Both read
+    only c_0..c_g, so lp must satisfy the functional equation."""
+    assert functional_equation_holds(lp)
     q, g, c = lp.q, lp.g, lp.coeffs
     r, d_prev, d = [c[g]] + [0] * g, [2], [0, 1]
     for k in range(1, g + 1):

@@ -20,7 +20,7 @@ import constj.surface as surface_mod
 from constj.cli import _default_roots, build_parser, main, render_json
 from constj.curve import CurveSpec
 from constj.forms import FactoredForm, jcase_from_tag
-from constj.taxonomy import catalog
+from constj.taxonomy import catalog, enumerate_patterns
 
 
 def run_cli(capsys, argv):
@@ -329,6 +329,7 @@ def test_help_exits_zero(capsys):
         (1, 1, "coefficient 2 (levels 1..2) is not integral"),
         (1, 2, "level 3 has 104, the numerator from levels 1..2 predicts 130"),
         (3, 2, "level 3 has 106, the numerator from levels 1..2 predicts 104"),
+        (1, 8, "levels 1..2 give a factor with a reciprocal root off the sqrt(q) circle"),
     ],
 )
 def test_wrong_cached_full_cover_count_exits_two(capsys, tmp_path, level, delta, message):
@@ -452,6 +453,67 @@ def test_one_form_gives_one_report_however_its_pairs_are_spelled(data, shared_ca
             for spelling in (pairs, respelled)
         }
         assert len(reports) == 1 and next(iter(reports))[0] == 0, reports
+
+
+# the grammar's pieces: primes that are counted (so p^(k-1) is capped), and
+# p, multiplicity and root tokens that are composite, huge, non-ASCII or malformed
+_COUNTED_PRIMES = ["5", "7", "11", "13"]
+_OTHER_PRIMES = ["0", "1", "2", "3", "4", "9", "25", "-7", "1000000007", "2305843009213693951",
+                 str(10**30 + 57), "\u0667", "7.0", "0x7", "", "seven"]
+_OTHER_MULTIPLICITIES = ["0", "6", "-1", "x", "\u0663", " "]
+_OTHER_ROOT_TOKENS = ["x", "-1", "1_0", "\u0663", "", "13", "inf", "00", "INF", "oo", "1"]
+
+
+def _spelled(draw, root: str) -> str:
+    """One of the spellings of a point of P^1: leading zeros, or inf's case and aliases."""
+    if root == "inf":
+        return draw(st.sampled_from(["inf", "INF", "oo", "Infinity"]))
+    return "0" * draw(st.integers(0, 2)) + root
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_grammar_fuzz_exits_zero_or_one_with_an_error_line(data, shared_cache):
+    # exit 2 is kept for a falsified claim or a tripped check: no argv the
+    # grammar can spell reaches it, and a refusal is one error line.  Each
+    # piece is well formed three times in four, so most runs reach a count
+    draw = data.draw
+
+    def spoil() -> bool:
+        return draw(st.integers(0, 3), label="spoil") == 3
+
+    command = draw(st.sampled_from(["verify", "zeta", "report", "catalog"]), label="command")
+    jcase = draw(st.sampled_from(["0", "1728"]), label="jcase")
+    argv = [command, "--jcase", "j" + jcase if spoil() else jcase]
+    argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    if command != "catalog" or spoil():
+        p = draw(st.sampled_from(_OTHER_PRIMES if spoil() else _COUNTED_PRIMES), label="p")
+        k_max = 7  # p^(k-1) <= 30,000 where p is counted
+        if p in _COUNTED_PRIMES:
+            k_max = max(k for k in range(1, 8) if int(p) ** (k - 1) <= 30_000)
+        if spoil():
+            mults = st.sampled_from([str(m) for m in range(1, 6)] + _OTHER_MULTIPLICITIES)
+            pattern = draw(st.lists(mults, min_size=1, max_size=k_max), label="pattern")
+        else:
+            patterns = [m for m in enumerate_patterns(jcase_from_tag(jcase)) if len(m) <= k_max]
+            pattern = [str(m) for m in draw(st.sampled_from(patterns[::-1]), label="pattern")]
+        argv += ["--p", p, "--pattern", ",".join(pattern), "--cache-dir", str(shared_cache)]
+        if draw(st.booleans()):
+            points = ["inf", *map(str, range(int(p) if p in _COUNTED_PRIMES else 13))]
+            roots = [_spelled(draw, r) for r in draw(st.permutations(points))[: len(pattern)]]
+            if spoil():  # a malformed or out-of-range token, or a second spelling of a root
+                other = draw(st.sampled_from(_OTHER_ROOT_TOKENS))
+                roots[draw(st.integers(0, len(roots) - 1))] = other
+            if spoil():
+                roots = roots[:-1]
+            argv += ["--roots", ",".join(roots)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert "error:" in err.getvalue(), argv
 
 
 def test_default_roots_build_only_the_roots_they_return():

@@ -167,6 +167,8 @@ def test_weil_check_names_level_and_counts(f5553):
     # count_series checks cached and fresh counts with this one check
     curve = CurveSpec(f5553, 6)
     count_mod._assert_weil(curve, 2, 26 + 2 * 4 * 5)  # on the bound
+    with pytest.raises(InvariantViolation, match="Weil bound violated at level 2: N=67, q=25"):
+        count_mod._assert_weil(curve, 2, 26 + 2 * 4 * 5 + 1)  # one past it
     with pytest.raises(InvariantViolation, match="Weil bound violated at level 2: N=10000, q=25"):
         count_mod._assert_weil(curve, 2, 10_000)
 

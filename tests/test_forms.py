@@ -1,5 +1,7 @@
 """Factored forms: parsing, complement; the oracle's evaluation and local units."""
 
+import re
+
 import pytest
 
 from constj.errors import ValidationError
@@ -62,8 +64,12 @@ def test_parse_rejects_reducible_place():
 
 
 def test_parse_rejects_duplicate_roots():
-    with pytest.raises(ValidationError, match="pairwise distinct"):
-        form_from_roots(J0, [5, 5, 5, 3], ["0", "1", "inf", "1"], p=5)
+    # two spellings of one point are one place: the message names both tokens
+    for first, second in (("1", "1"), ("0", "00"), ("inf", "INF"), ("inf", "oo")):
+        roots = [first, "2", "3", second]
+        message = f"pairwise distinct: '{first}' and '{second}' are one point of P^1(F_5)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            form_from_roots(J0, [5, 5, 5, 3], roots, p=5)
 
 
 def test_complement_examples(f5553):

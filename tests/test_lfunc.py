@@ -21,7 +21,6 @@ from constj.forms import J0, J1728, Place, form_from_roots, parse_form
 from constj.gf import is_prime
 from constj.lfunc import (
     LPolynomial,
-    NewtonPolygon,
     Verdict,
     _pseudo_divmod,
     _sturm_remainder,
@@ -43,6 +42,7 @@ from oracle import (
     _frac_divmod,
     e_curve_trace_by_euler,
     fraction_root_moduli_ok,
+    functional_equation_holds,
     trace_fits_group_order,
 )
 
@@ -69,7 +69,7 @@ def test_lpolynomial_full_cover(f5553):
     (series,) = count_series((CurveSpec(f5553, 6),), (5,))
     lp = lpolynomial(series)[0]
     assert lp.degree == 8
-    lp.check_functional_equation()
+    assert functional_equation_holds(lp)
     assert all(isinstance(c, int) for c in lp.coeffs)
 
 
@@ -167,27 +167,6 @@ def test_newton_polygon_trivial():
     lp = LPolynomial(coeffs=(1,), q=5, g=0)
     assert newton_polygon(lp).segments == ()
     assert is_pure_half(newton_polygon(lp))
-
-
-def test_newton_polygon_rejects_decreasing_slopes():
-    from constj.errors import InvariantViolation
-
-    with pytest.raises(InvariantViolation):
-        NewtonPolygon(segments=((Fraction(1), 1), (Fraction(0), 1)))
-
-
-@pytest.mark.parametrize(
-    "coeffs, g, message",
-    [
-        ((1, 2, 5), 2, "degree 2 != 2g = 4"),
-        ((2, 0, 5), 1, "constant coefficient must be 1"),
-        ((1, 0, 4), 1, "leading coefficient must be q\\^g"),
-    ],
-    ids=["degree", "constant", "leading"],
-)
-def test_lpolynomial_refuses_a_bad_numerator_at_construction(coeffs, g, message):
-    with pytest.raises(InvariantViolation, match=message):
-        LPolynomial(coeffs=coeffs, q=5, g=g)
 
 
 def test_e_curve_traces():
@@ -378,12 +357,6 @@ def test_root_check_rejects_a_root_past_a_repeated_boundary_root():
     boundary = _product_of_quadratics([10, 10], 25)
     lp = LPolynomial(coeffs=poly_mul(boundary.coeffs, (1, 0, -75, 0, 625)), q=25, g=4)
     assert not _root_check_passes(lp) and not float_root_moduli_ok(lp)
-
-
-def test_root_check_requires_functional_equation():
-    lp = LPolynomial(coeffs=(1, 1, 0, 2, 25), q=5, g=2)
-    with pytest.raises(InvariantViolation, match="functional equation"):
-        lp.check_root_moduli()
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
