@@ -13,7 +13,7 @@ import sys
 import time
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
 from . import count, curve, forms, lfunc, surface, taxonomy
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p_cmd, with_run_flags: bool) -> None:
-        p_cmd.add_argument("--jcase", choices=["0", "1728"], default="0",
+        p_cmd.add_argument("--jcase", choices=forms.JCASES, default="0",
                            help="constant j-invariant family (default 0)")
         p_cmd.add_argument("--format", choices=["text", "json", "csv"], default="text")
         if with_run_flags:
@@ -122,6 +122,12 @@ def render_csv(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(payload: dict, fmt: str, render_text: Callable[[dict], str]) -> None:
+    """Write payload to stdout as JSON, CSV or the command's own text."""
+    render = render_json if fmt == "json" else render_csv if fmt == "csv" else render_text
+    sys.stdout.write(render(payload))
+
+
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -159,13 +165,7 @@ def _catalog_text(payload: dict) -> str:
 
 
 def cmd_catalog(args) -> int:
-    payload = _catalog_payload(forms.jcase_from_tag(args.jcase))
-    if args.format == "json":
-        sys.stdout.write(render_json(payload))
-    elif args.format == "csv":
-        sys.stdout.write(render_csv(payload))
-    else:
-        sys.stdout.write(_catalog_text(payload))
+    _write(_catalog_payload(forms.JCASES[args.jcase]), args.format, _catalog_text)
     return 0
 
 
@@ -183,7 +183,7 @@ def _parse_run_config(args, command: str) -> tuple[forms.FactoredForm, dict]:
     """The form and the config that echoes it: each root as the place it
     names, multiplicities descending, and equal ones in the default order
     0, 1, inf, 2, 3, ...; so however the pairs were typed, one form has one."""
-    jcase = forms.jcase_from_tag(args.jcase)
+    jcase = forms.JCASES[args.jcase]
     try:
         pattern = [int(tok) for tok in args.pattern.split(",") if tok.strip() != ""]
     except ValueError as exc:
@@ -278,13 +278,10 @@ def run_pipeline(
 
     verdict_section = None
     if verdict_obj is not None:
-        verdict_section = {
-            "theorem_applicable": verdict_obj.theorem_applicable,
-            "curve_new_factor_pure": verdict_obj.curve_new_factor_pure,
-            "e_supersingular": verdict_obj.e_supersingular,
-            "e_trace": verdict_obj.e_trace,
-            "surface_artin_supersingular": verdict_obj.surface_artin_supersingular,
-        }
+        verdict_section = dict(
+            verdict_obj._asdict(),
+            surface_artin_supersingular=verdict_obj.surface_artin_supersingular,
+        )
 
     report = {
         "config": cfg,
@@ -338,12 +335,7 @@ def cmd_run(args, command: str) -> int:
     started = time.perf_counter()
     report, v = run_pipeline(f, cfg, args.cache_dir, with_verdict=command in ("verify", "report"))
     elapsed_ms = int(1000 * (time.perf_counter() - started))
-    if args.format == "json":
-        sys.stdout.write(render_json(report))
-    elif args.format == "csv":
-        sys.stdout.write(render_csv(report))
-    else:
-        sys.stdout.write(_report_text(report))
+    _write(report, args.format, _report_text)
     print(f"# elapsed_ms={elapsed_ms}", file=sys.stderr)
     if command == "verify" and v.theorem_applicable and not v.surface_artin_supersingular:
         pattern = ",".join(map(str, report["taxonomy"]["pattern"]))  # the form's, sorted

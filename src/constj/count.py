@@ -170,17 +170,12 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
     walking the powers of a generator on integer codes: a block of the first
     min(q-1, 2^16) powers is grown by doubling, then shifted along the group
     by multiplying with g^(block size), each step one matrix product on the
-    block's digits.  A field above _MAX_FIELD_Q is refused before any work.
-    The table is shared by every caller and read-only.
+    block's digits.  count_series refuses a field above _MAX_FIELD_Q before
+    any table is asked for.  The table is shared by every caller and read-only.
     """
     import numpy as np
 
     q = ctx.q
-    if q > _MAX_FIELD_Q:
-        raise ValidationError(
-            f"F_{{{ctx.p}^{ctx.degree}}} is too large for a power-class table: "
-            f"q = {q} is above the field-size limit {_MAX_FIELD_Q}"
-        )
     d_cls = gcd(_CLASS_MODULUS, q - 1)
     g_mat = _matrices(np.array([find_generator(ctx)]), ctx)[0]
 
@@ -422,11 +417,21 @@ def count_series(
     their counts appended to the cache in one write.  Every count is
     checked against the Weil bound once, as it is read or counted: a fresh
     count before it is written, so the cache never holds one out of bounds.
+    A level whose field is above _MAX_FIELD_Q is refused before any count
+    or cache read, naming the first cover that needs it.
     """
     p = curves[0].f.p
+    top = max(levels, default=0)
+    over = next((i for i in range(1, top + 1) if p**i > _MAX_FIELD_Q), None)
+    if over is not None:
+        a = next(c.a for c, n in zip(curves, levels) if n >= over)
+        raise ValidationError(
+            f"counting cover a={a} at level {over} needs F_q with q = {p}^{over} = {p**over}, "
+            f"above the field-size limit {_MAX_FIELD_Q}"
+        )
     keys = [c.key() for c in curves]
     counts: list[list[int]] = [[] for _ in curves]
-    for i in range(1, max(levels, default=0) + 1):
+    for i in range(1, top + 1):
         due = [idx for idx, n in enumerate(levels) if i <= n]
         found = {idx: cache.get(i, keys[idx]) for idx in due} if cache is not None else {}
         missing = [idx for idx in due if found.get(idx) is None]

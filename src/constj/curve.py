@@ -18,23 +18,19 @@ from functools import cached_property
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation
 from .forms import FactoredForm, J0
 
 
-class _CoverFields(NamedTuple):  # a NamedTuple body cannot define __new__
+class _CoverFields(NamedTuple):
     f: FactoredForm
     a: int
 
 
 class CurveSpec(_CoverFields):
     """A cyclic cover u^a = f together with its derived invariants.  No
-    __slots__: the cached numbers need an instance dict."""
-
-    def __new__(cls, f: FactoredForm, a: int) -> "CurveSpec":
-        if a < 2 or f.jcase.exponent % a != 0:
-            raise ValidationError(f"cover order {a} must divide {f.jcase.exponent}")
-        return super().__new__(cls, f, a)
+    __slots__: the cached numbers need an instance dict.  covers(f) builds
+    every cover, so every order a divides the exponent of f."""
 
     # each number is summed once per cover, however often a run reads it
     @cached_property

@@ -37,15 +37,7 @@ class JCase(NamedTuple):
 
 J0 = JCase("j0", 6)
 J1728 = JCase("j1728", 4)
-
-
-def jcase_from_tag(tag: Union[str, int]) -> JCase:
-    key = str(tag).lower()
-    if key in ("0", "j0"):
-        return J0
-    if key in ("1728", "j1728"):
-        return J1728
-    raise ValidationError(f"unknown j-case {tag!r} (expected 0 or 1728)")
+JCASES = {"0": J0, "1728": J1728}  # by the j-invariant, as the CLI's --jcase names it
 
 
 class Place(NamedTuple):

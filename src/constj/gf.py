@@ -149,8 +149,6 @@ def make_field(p: int, i: int = 1) -> FieldContext:
     """
     if not isinstance(p, int) or not is_prime(p) or p <= 3:
         raise ValidationError("p must be prime > 3")
-    if not isinstance(i, int) or i < 1:
-        raise ValidationError("extension degree must be a positive integer")
     if i == 1:
         return FieldContext(p=p, degree=1, modulus=(0, 1), q=p)
     for tail in product(range(1, p), *[range(p)] * (i - 1)):

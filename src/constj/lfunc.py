@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
-from .count import _MAX_FIELD_Q, CountCache, CountSeries, count_series
+from .count import CountCache, CountSeries, count_series
 from .curve import CurveSpec, EigenDims, covers, eigenspace_dims
 from .errors import (
     BranchInconsistencyError,
@@ -38,7 +38,6 @@ from .errors import (
     ValidationError,
 )
 from .forms import FactoredForm, J0, JCase
-from .gf import is_prime
 
 def _value(poly: list[int], x: int) -> int:
     return sum(c * x**i for i, c in enumerate(poly))
@@ -125,9 +124,7 @@ class LPolynomial(NamedTuple):
             raise InvariantViolation("reciprocal root off the sqrt(q) circle")
 
     def power_sum(self, i: int) -> int:
-        """Sum of i-th powers of the reciprocal roots, by Newton's identities."""
-        if i < 1:
-            raise ValidationError("power sum index must be positive")
+        """Sum of i-th powers (i >= 1) of the reciprocal roots, by Newton's identities."""
         c = self.coeffs
         deg = self.degree
         sums: list[int] = []
@@ -167,8 +164,6 @@ def lpolynomial(
         )
     known = known or LPolynomial(coeffs=(1,), q=q, g=0)
     g_new = g_tot - known.g
-    if len(series.counts) < g_new:
-        raise ValidationError(f"need counts up to level {g_new}, have {len(series.counts)}")
     where = f"count data inconsistent for cover a={curve.a} over F_{q}"
 
     sums = [
@@ -272,14 +267,6 @@ def zeta_bundle(f: FactoredForm, cache: Optional[CountCache] = None) -> ZetaBund
 
     needed = [required_level(c) for c in curves]
     counted = [min(needed[0], f.k - 1), *needed[1:]]
-    for c, n in zip(curves, counted):
-        i = next((i for i in range(1, n + 1) if p**i > _MAX_FIELD_Q), None)
-        if i is not None:
-            raise ValidationError(
-                f"counting cover a={c.a} at level {i} needs F_q with q = {p}^{i} = {p**i}, "
-                f"above the field-size limit {_MAX_FIELD_Q}"
-            )
-
     full_series, *sub_series = count_series(curves, counted, cache=cache)
     sub_lpolys = [lpolynomial(s)[0] for s in sub_series]
     denom = (1,)
@@ -361,9 +348,8 @@ def e_curve_trace(jcase: JCase, p: int) -> int:
     p = 1 mod e (e = 3, 4).  Then Euclid on (p, r), r a square root of -d
     (d = 3, 1) from an e-th root of unity w != +-1, stops at the first x
     with x^2 <= p = x^2 + d y^2.  The trace is +-2x, or +-2y for j = 1728
-    when x is even, signed so that 3 (j = 0) or 8 divides p + 1 - t."""
-    if p <= 3 or not is_prime(p):
-        raise ValidationError("p must be prime > 3")
+    when x is even, signed so that 3 (j = 0) or 8 divides p + 1 - t.
+    p is a form's prime, so a prime > 3."""
     e, d, torsion = (3, 3, 3) if jcase == J0 else (4, 1, 8)
     if p % e != 1:
         return 0

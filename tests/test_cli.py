@@ -19,7 +19,7 @@ import constj.lfunc as lfunc_mod
 import constj.surface as surface_mod
 from constj.cli import _default_roots, build_parser, main, render_json
 from constj.curve import CurveSpec
-from constj.forms import FactoredForm, jcase_from_tag
+from constj.forms import JCASES, FactoredForm
 from constj.taxonomy import catalog, enumerate_patterns
 
 
@@ -207,6 +207,22 @@ def test_verify_prime_below_five_exits_one_before_the_roots(capsys, p, pattern):
     assert err == "error: p must be prime > 3\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--p", "5", "--pattern", "2,2,2,2,2,1,1"],
+         "pattern needs 7 distinct roots but P^1(F_5) is too small"),
+        (["--p", "5", "--pattern", ","], "form must have positive degree"),
+        (["--p", "7", "--pattern", "5,5,2", "--roots", "0,1,7"], "root 7 out of range for F_7"),
+    ],
+    ids=["more-roots-than-points", "empty-pattern", "root-past-p"],
+)
+def test_refusal_exits_one_with_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["verify", *argv])
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"  # one line, no traceback
+
+
 def test_verify_non_catalog_pattern_exit_one(capsys):
     code, _, err = run_cli(capsys, ["verify", "--p", "5", "--pattern", "3,3,3,3"])
     assert code == 1
@@ -355,7 +371,7 @@ def test_field_size_limit_exits_one(capsys, monkeypatch):
     def no_count(*args, **kwargs):
         raise AssertionError("counted before the field-size limit was checked")
 
-    monkeypatch.setattr(lfunc_mod, "count_series", no_count)
+    monkeypatch.setattr(count_mod, "count_points", no_count)
     code, _, err = run_cli(
         capsys,
         ["zeta", "--jcase", "1728", "--p", "2003", "--pattern", "3,3,3,3",
@@ -432,7 +448,7 @@ def test_one_form_gives_one_report_however_its_pairs_are_spelled(data, shared_ca
     # infinity name one form, so every format renders the same bytes
     jcase = data.draw(st.sampled_from(["0", "1728"]), label="jcase")
     pattern = data.draw(
-        st.sampled_from([row.pattern for row in catalog(jcase_from_tag(jcase))]), label="pattern"
+        st.sampled_from([row.pattern for row in catalog(JCASES[jcase])]), label="pattern"
     )
     p = data.draw(st.sampled_from([p for p in (5, 7, 11, 13) if len(pattern) <= p + 1]), label="p")
     names = data.draw(st.permutations(["inf", *map(str, range(p))]), label="roots")
@@ -495,7 +511,7 @@ def test_grammar_fuzz_exits_zero_or_one_with_an_error_line(data, shared_cache):
             mults = st.sampled_from([str(m) for m in range(1, 6)] + _OTHER_MULTIPLICITIES)
             pattern = draw(st.lists(mults, min_size=1, max_size=k_max), label="pattern")
         else:
-            patterns = [m for m in enumerate_patterns(jcase_from_tag(jcase)) if len(m) <= k_max]
+            patterns = [m for m in enumerate_patterns(JCASES[jcase]) if len(m) <= k_max]
             pattern = [str(m) for m in draw(st.sampled_from(patterns[::-1]), label="pattern")]
         argv += ["--p", p, "--pattern", ",".join(pattern), "--cache-dir", str(shared_cache)]
         if draw(st.booleans()):
@@ -526,12 +542,21 @@ def test_default_roots_build_only_the_roots_they_return():
     assert peak < 64 * 1024
 
 
-def test_default_roots_at_a_prime_past_the_field_size_limit_exit_one(capsys):
+def test_default_roots_at_a_prime_past_the_field_size_limit_exit_one(capsys, monkeypatch):
+    # q = p is in (2^27, 2^28]: F_p itself is refused, at level 1, and a
+    # limit loosened to twice its value would refuse only F_{p^2}
+    def no_count(*args, **kwargs):
+        raise AssertionError("counted a field past the field-size limit")
+
+    monkeypatch.setattr(count_mod, "count_points", no_count)
     code, out, err = run_cli(
         capsys, ["zeta", "--jcase", "1728", "--p", "134217757", "--pattern", "3,3,3,3"]
     )
     assert code == 1 and out == ""
-    assert "field-size limit 134217728" in err
+    assert err == (
+        "error: counting cover a=4 at level 1 needs F_q with q = 134217757^1 = 134217757, "
+        "above the field-size limit 134217728\n"
+    )
 
 
 def test_big_integers_become_strings():

@@ -5,7 +5,6 @@ from math import gcd
 import pytest
 
 from constj.curve import CurveSpec, covers, eigenspace_dims
-from constj.errors import ValidationError
 from constj.forms import J0, J1728
 from constj.taxonomy import enumerate_patterns
 
@@ -142,8 +141,3 @@ def test_covers_are_the_full_cover_then_the_subcovers(f5553, f1728_3333):
     assert [c.a for c in covers(f1728_3333)] == [4, 2]
     assert all(c.f is f5553 for c in covers(f5553))
 
-
-@pytest.mark.parametrize("a", [4, 5, 12])
-def test_curvespec_refuses_an_order_that_does_not_divide_the_exponent(f5553, a):
-    with pytest.raises(ValidationError, match=f"cover order {a} must divide 6"):
-        CurveSpec(f5553, a)

@@ -94,11 +94,6 @@ def test_make_field_rejects_bad_p(bad):
         make_field(bad, 1)
 
 
-def test_make_field_rejects_bad_degree():
-    with pytest.raises(ValidationError):
-        make_field(5, 0)
-
-
 def test_make_field_reproducible():
     a = make_field.__wrapped__(7, 4)
     b = make_field.__wrapped__(7, 4)

@@ -15,7 +15,6 @@ from constj.errors import (
     BranchInconsistencyError,
     CountDataError,
     InvariantViolation,
-    ValidationError,
 )
 from constj.forms import J0, J1728, Place, form_from_roots, parse_form
 from constj.gf import is_prime
@@ -175,8 +174,6 @@ def test_e_curve_traces():
     assert e_curve_trace(J0, 11) == 0  # 11 = 5 mod 6
     assert e_curve_trace(J1728, 7) == 0
     assert e_curve_trace(J1728, 5) == -2  # 5 = 1 mod 4: ordinary
-    with pytest.raises(ValidationError):
-        e_curve_trace(J0, 9)
 
 
 def test_e_curve_trace_matches_euler_criterion_below_3000():
@@ -516,7 +513,4 @@ def test_lpolynomial_with_known_factor_matches_plain(f5553):
     assert lpolynomial(five, known=known) == (plain, bundle.new_factor)
     (two,) = count_series((curve,), (2,))
     assert lpolynomial(two, known=known) == (plain, bundle.new_factor)
-    (one,) = count_series((curve,), (1,))
-    with pytest.raises(ValidationError, match="need counts up to level 2"):
-        lpolynomial(one, known=known)
 

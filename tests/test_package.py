@@ -1,4 +1,5 @@
-"""Package-wide checks: every definition in src/ has a caller in src/, no
+"""Package-wide checks: every definition in src/ has a caller in src/,
+every refusal in src/ is reached from the CLI or kept for a named reason, no
 function takes a prime beside a record that carries it, the README's
 library example runs and prints what it says, every record is immutable,
 numpy is loaded only by a count that sweeps a field, and no run loads
@@ -56,6 +57,81 @@ def _unreferenced(src: Path) -> list[str]:
 
 def test_every_definition_in_src_has_a_caller_in_src():
     assert sorted(_unreferenced(SRC)) == sorted(ALLOWED_UNREFERENCED)
+
+
+# every raise of ValidationError in src/, as "module.function: a piece of its
+# message": the tier-1 test that reaches it through cli.main, or why it stays
+# unreached.  The grammar fuzz is derandomized, so what it reaches is fixed.
+_FUZZ = "test_cli.py::test_grammar_fuzz_exits_zero_or_one_with_an_error_line"
+_REFUSAL_TEST = "test_cli.py::test_refusal_exits_one_with_one_error_line"
+_PLACE_TOKEN = "kept: checks places built in code; the place token of ROADMAP item 7 reaches it"
+REFUSALS = {
+    "cli._default_roots: distinct roots": f"{_REFUSAL_TEST}[more-roots-than-points]",
+    "cli._parse_run_config: bad pattern": _FUZZ,
+    "cli.run_pipeline: no rational partner": "test_cli.py::test_verify_non_catalog_pattern_exit_one",
+    "count.CountCache._load: not readable": "test_cli.py::test_unusable_cache_dir_exits_one",
+    "count.CountCache.put: not writable": "test_cli.py::test_unusable_cache_dir_exits_one",
+    "count.count_series: field-size limit": "test_cli.py::test_field_size_limit_exits_one",
+    "forms.Place.from_poly: monic": _PLACE_TOKEN,
+    "forms.parse_form: out of range": _PLACE_TOKEN,
+    "forms.parse_form: reducible": _PLACE_TOKEN,
+    "forms.parse_form: multiplicity": _FUZZ,
+    "forms.parse_form: repeated place": _PLACE_TOKEN,
+    "forms.parse_form: not divisible": _FUZZ,
+    "forms.parse_form: positive degree": f"{_REFUSAL_TEST}[empty-pattern]",
+    "forms.form_from_roots: multiplicities but": _FUZZ,
+    "forms.form_from_roots: not an element": "test_cli.py::test_verify_non_integer_root_exit_one",
+    "forms.form_from_roots: out of range": f"{_REFUSAL_TEST}[root-past-p]",
+    "forms.form_from_roots: pairwise distinct": "test_cli.py::test_verify_duplicate_root_exit_one",
+    "gf.is_prime: too large": _FUZZ,
+    "gf.make_field: prime > 3": "test_cli.py::test_verify_bad_prime_exit_one",
+    "lfunc.lpolynomial: permuted by Frobenius":
+        "test_cli.py::test_zeta_conjugate_components_need_the_right_prime",
+    "lfunc.exact_quotient: constant term 1": "kept: wrapped by bench/tracer.py",
+}
+
+
+def _refusals(src: Path) -> list[tuple[str, str]]:
+    """(module.function, source of the message) of each raise ValidationError(...)."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                    and getattr(child.exc.func, "id", None) == "ValidationError"):
+                found.append((owner, ast.unparse(child.exc.args[0])))
+            visit(child, owner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return found
+
+
+def test_every_refusal_in_src_is_in_the_refusal_map():
+    sites = _refusals(SRC)
+    matches = {}
+    for key in REFUSALS:
+        owner, piece = key.split(": ", 1)
+        matches[key] = [site for site in sites if site[0] == owner and piece in site[1]]
+    assert {key: found for key, found in matches.items() if len(found) != 1} == {}
+    assert sorted(site for found in matches.values() for site in found) == sorted(sites)
+
+
+def test_every_refusal_test_runs_the_cli():
+    for reached_by in {v for v in REFUSALS.values() if not v.startswith("kept: ")}:
+        file, test = reached_by.split("::")
+        name, _, case = test.partition("[")
+        source = (ROOT / "tests" / file).read_text()
+        (node,) = [n for n in ast.parse(source).body
+                   if isinstance(n, ast.FunctionDef) and n.name == name]
+        called = {n.func.id for n in ast.walk(node)
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        assert called & {"main", "run_cli"}, reached_by
+        if case:
+            assert f'"{case[:-1]}"' in source, reached_by  # the case's id
 
 
 # records that carry their prime, f.p: a function that takes one takes no p,

@@ -35,10 +35,22 @@ the benchmark's tracer wraps it.
     lfunc: level i has N, ... predicts M          (a) WRONG_CACHED[1-2-...], [3-2-...]
     lfunc: Cornacchia finds no x^2 + d y^2 = p    (b) cornacchia-wrong-square-root
     cli: FAILURE, verify's supersingularity gate  (b) verify-gate-on-report-only
+    count: field-size limit (exit 1)              (a) FIELD_LIMIT
+                                                  (b) field-size-limit-loosened
 
 CACHED_WEIL is tests/test_cli.py::
     test_cached_count_past_weil_bound_names_cover_prime_and_file
 WRONG_CACHED is tests/test_cli.py::test_wrong_cached_full_cover_count_exits_two
+FIELD_LIMIT is tests/test_cli.py::test_field_size_limit_exits_one.
+
+The exit-1 refusals (ValidationError) each map to the test that reaches
+them through the CLI, or to why they stay, in tests/test_package.py's
+REFUSALS.  The field-size limit alone also has a mutant, as its bound is
+a number no refusal text shows: at p = 134217757, in (2^27, 2^28], the
+loosened limit refuses level 2 where F_p itself is past the limit, and
+tests/test_cli.py::
+    test_default_roots_at_a_prime_past_the_field_size_limit_exit_one
+pins level 1.
 
 The other mutants are regressions that earlier changes found by hand:
 a wrong sweep rotation, an unaligned chunk step, the zeroes left in the
@@ -129,6 +141,12 @@ MUTANTS = [
         "    x, r = p, (2 * w + 1 if jcase == J0 else w)\n",
         "    x, r = p, (2 * w - 1 if jcase == J0 else w)\n",
         ("tests/test_lfunc.py",),
+    ),
+    Mutant(
+        "field-size-limit-loosened", "src/constj/count.py",
+        "if p**i > _MAX_FIELD_Q), None)\n",
+        "if p**i > 2 * _MAX_FIELD_Q), None)\n",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "verify-gate-on-report-only", "src/constj/cli.py",
