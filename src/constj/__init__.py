@@ -10,7 +10,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (  # noqa: F401
-    BranchInconsistencyError,
     CountDataError,
     InvariantViolation,
     ValidationError,

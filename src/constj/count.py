@@ -327,7 +327,7 @@ def _assert_weil(curve: CurveSpec, i: int, n_points: int, source: Optional[Path]
     its file."""
     p = curve.f.p
     q = p**i
-    r_q = gcd(curve.components, q - 1)
+    r_q = curve.rational_components(i)
     g_tot = curve.total_genus
     if (n_points - r_q * (q + 1)) ** 2 > 4 * g_tot * g_tot * q:
         read_from = f"; count read from {source}" if source is not None else ""

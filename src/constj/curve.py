@@ -54,6 +54,12 @@ class CurveSpec(_CoverFields):
         """
         return gcd(self.a, *(m for _, m in self.f.places))
 
+    def rational_components(self, i: int) -> int:
+        """Components that Frobenius fixes over F_{p^i}, p = f.p.  With
+        r = components, f = G^r and u^a = f splits into u^(a/r) = zeta G over
+        the r-th roots of unity zeta, gcd(r, p^i - 1) of which lie in F_{p^i}."""
+        return gcd(self.components, self.f.p**i - 1)
+
     @cached_property
     def h1_dim(self) -> int:
         """dim H^1 of the smooth model: 2 * (components - 1 + genus)."""

@@ -11,7 +11,3 @@ class InvariantViolation(RuntimeError):
 
 class CountDataError(InvariantViolation):
     """Point-count data is inconsistent with an integral zeta numerator."""
-
-
-class BranchInconsistencyError(InvariantViolation):
-    """The eigenspace factor division left a nonzero remainder."""

@@ -3,11 +3,12 @@
 Every cover is over the prime field of its form, F_p with p = f.p, so
 every numerator built here has q = p and its Newton polygon reads the
 p-adic valuations of the coefficients unscaled.  The numerator of the zeta
-function of a (possibly disconnected, with F_p-rational components) smooth
-projective curve is reconstructed from power sums s_i = r(p^i + 1) - N(p^i)
-via Newton's identities, with the upper half filled in by the functional
-equation c_{2g-i} = p^{g-i} c_i: c_0 = 1 and that equation hold by
-construction, for a product of two numerators too, so nothing re-checks them.
+function of a (possibly disconnected) smooth projective curve is
+reconstructed from power sums s_i = r_i(p^i + 1) - N(p^i), r_i the
+components Frobenius fixes over F_{p^i}, via Newton's identities, with the
+upper half filled in by the functional equation c_{2g-i} = p^{g-i} c_i:
+c_0 = 1 and that equation hold by construction, for a product of two
+numerators too, so nothing re-checks them.
 Every division must be exact; a non-integral coefficient means the counts
 are wrong and is reported as such.  Each rebuilt factor is checked to be a
 Weil polynomial by a Sturm count on integers alone: no float, no Fraction.
@@ -31,12 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .count import CountCache, CountSeries, count_series
 from .curve import CurveSpec, EigenDims, covers, eigenspace_dims
-from .errors import (
-    BranchInconsistencyError,
-    CountDataError,
-    InvariantViolation,
-    ValidationError,
-)
+from .errors import CountDataError, InvariantViolation, ValidationError
 from .forms import FactoredForm, J0, JCase
 
 def _value(poly: list[int], x: int) -> int:
@@ -145,7 +141,7 @@ def lpolynomial(
 
     With a known factor of genus g_k, a Weil polynomial, only the other
     factor is reconstructed and checked, from the power sums
-    r(q^i + 1) - N_i - s_i(known) at levels 1..g - g_k; the numerator is
+    r_i(q^i + 1) - s_i(known) - N_i at levels 1..g - g_k; the numerator is
     their product.  Without one, both are the whole numerator.  Counts
     beyond that level, when present, are checked against the numerator
     (functional-equation redundancy); any mismatch or non-integral
@@ -154,21 +150,11 @@ def lpolynomial(
     curve = series.curve
     q = curve.f.p
     g_tot = curve.total_genus
-    r = curve.components
-    if g_tot == 0:
-        trivial = LPolynomial(coeffs=(1,), q=q, g=0)
-        return trivial, trivial
-    if r > 1 and (q - 1) % r != 0:
-        raise ValidationError(
-            f"{r} components are permuted by Frobenius over F_{q}; reconstruction unsupported"
-        )
     known = known or LPolynomial(coeffs=(1,), q=q, g=0)
     g_new = g_tot - known.g
     where = f"count data inconsistent for cover a={curve.a} over F_{q}"
 
-    sums = [
-        r * (q**i + 1) - n - known.power_sum(i) for i, n in enumerate(series.counts[:g_new], 1)
-    ]
+    sums = [predicted_count(curve, known, i) - n for i, n in enumerate(series.counts[:g_new], 1)]
     coeffs = [1]
     for j in range(1, g_new + 1):
         num = -(sums[j - 1] + sum(coeffs[t] * sums[j - t - 1] for t in range(1, j)))
@@ -183,11 +169,10 @@ def lpolynomial(
         new.check_root_moduli()
     except InvariantViolation as exc:
         raise CountDataError(f"{where}: levels 1..{g_new} give a factor with a {exc}") from exc
-    lpoly = new
-    if known.g:  # a product of Weil polynomials is one
-        lpoly = LPolynomial(coeffs=poly_mul(new.coeffs, known.coeffs), q=q, g=g_tot)
+    # a product of Weil polynomials is one
+    lpoly = LPolynomial(coeffs=poly_mul(new.coeffs, known.coeffs), q=q, g=g_tot)
     for i, n_actual in enumerate(series.counts[g_new:], g_new + 1):
-        predicted = predicted_count(lpoly, r, i)
+        predicted = predicted_count(curve, lpoly, i)
         if predicted != n_actual:
             raise CountDataError(
                 f"{where}: level {i} has {n_actual}, "
@@ -196,8 +181,10 @@ def lpolynomial(
     return lpoly, new
 
 
-def predicted_count(lpoly: LPolynomial, components: int, i: int) -> int:
-    return components * (lpoly.q**i + 1) - lpoly.power_sum(i)
+def predicted_count(curve: CurveSpec, lpoly: LPolynomial, i: int) -> int:
+    """r_i(p^i + 1) - s_i(lpoly), r_i = curve.rational_components(i): the
+    count N(p^i) that lpoly predicts when it is curve's numerator."""
+    return curve.rational_components(i) * (lpoly.q**i + 1) - lpoly.power_sum(i)
 
 
 def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -218,10 +205,10 @@ def exact_quotient(numerator: tuple[int, ...], denominator: tuple[int, ...]) -> 
     if denominator[0] != 1 or numerator[0] != 1:
         raise ValidationError("expected constant term 1 on both sides")
     if len(numerator) < len(denominator):
-        raise BranchInconsistencyError("denominator degree exceeds numerator degree")
+        raise InvariantViolation("denominator degree exceeds numerator degree")
     quot, rem = _pseudo_divmod(numerator[::-1], denominator[::-1])
     if any(rem):
-        raise BranchInconsistencyError(
+        raise InvariantViolation(
             "branch-correction inconsistency: eigenspace factor division has a remainder"
         )
     return tuple(quot[::-1])
@@ -275,11 +262,9 @@ def zeta_bundle(f: FactoredForm, cache: Optional[CountCache] = None) -> ZetaBund
     known = LPolynomial(coeffs=denom, q=p, g=sum(lp.g for lp in sub_lpolys))
 
     full_lpoly, new = lpolynomial(full_series, known=known)
-    # r(q^i + 1) - s_i of a Weil polynomial, r_q = r (lpolynomial refuses
-    # r not dividing p - 1): within the Weil bound, so not checked again
+    # r_i(q^i + 1) - s_i of a Weil polynomial: within the Weil bound, so not checked again
     predicted = tuple(
-        predicted_count(full_lpoly, full.components, i)
-        for i in range(counted[0] + 1, needed[0] + 1)
+        predicted_count(full, full_lpoly, i) for i in range(counted[0] + 1, needed[0] + 1)
     )
     full_series = CountSeries(curve=full, counts=full_series.counts + predicted)
     return ZetaBundle(

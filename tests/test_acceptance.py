@@ -276,7 +276,7 @@ def test_criterion_9_oracle_battery():
             g_tot = curve.total_genus
             if 0 < g_tot <= 4:
                 assert len(series.counts) >= g_tot + 1
-                assert predicted_count(lp, curve.components, g_tot + 1) == series.counts[g_tot]
+                assert predicted_count(curve, lp, g_tot + 1) == series.counts[g_tot]
                 redundant += 1
     assert redundant >= 5
 

@@ -214,8 +214,19 @@ def test_verify_prime_below_five_exits_one_before_the_roots(capsys, p, pattern):
          "pattern needs 7 distinct roots but P^1(F_5) is too small"),
         (["--p", "5", "--pattern", ","], "form must have positive degree"),
         (["--p", "7", "--pattern", "5,5,2", "--roots", "0,1,7"], "root 7 out of range for F_7"),
+        (["--p", "7", "--pattern", "5,x"], "bad pattern '5,x'"),
+        (["--p", "7", "--pattern", "6,6"], "place s: multiplicity 6 > 5"),
+        (["--p", "7", "--pattern", "5,5"], "degree 10 is not divisible by 6"),
+        (["--p", "7", "--pattern", "5,5,2", "--roots", "0,1"], "3 multiplicities but 2 roots"),
+        (["--p", "3317044064679887385961981", "--pattern", "5,5,2"],
+         "3317044064679887385961981 is too large: "
+         "primality is decided below 3317044064679887385961981"),
     ],
-    ids=["more-roots-than-points", "empty-pattern", "root-past-p"],
+    ids=[
+        "more-roots-than-points", "empty-pattern", "root-past-p", "bad-pattern",
+        "multiplicity-past-exponent", "degree-not-divisible", "fewer-roots-than-places",
+        "prime-past-the-primality-limit",
+    ],
 )
 def test_refusal_exits_one_with_one_error_line(capsys, argv, message):
     code, out, err = run_cli(capsys, ["verify", *argv])
@@ -241,12 +252,14 @@ def test_zeta_allows_non_catalog_patterns(capsys):
     assert report["counts"]["6"] == []  # rational cover: nothing to count
 
 
-def test_zeta_conjugate_components_need_the_right_prime(capsys):
-    # u^6 = w^3 splits into three conjugate components over F_5 (3 does not
-    # divide q - 1); the tool refuses cleanly
-    code, _, err = run_cli(capsys, ["zeta", "--p", "5", "--pattern", "3,3,3,3"])
-    assert code == 1
-    assert "Frobenius" in err
+def test_zeta_counts_only_the_components_frobenius_fixes(capsys):
+    # u^6 = w^3 splits into three components u^2 = zeta w; over F_5 only
+    # zeta = 1 is rational (3 does not divide 5 - 1), over F_25 all three are
+    code, out, _ = run_cli(
+        capsys, ["zeta", "--p", "5", "--pattern", "3,3,3,3", "--format", "json"]
+    )
+    assert code == 0
+    assert json.loads(out)["lfunctions"]["new_factor"] == [1, 0, 6, 0, 25]
     # over F_7 the components are rational and the division oracle still holds
     code, out, _ = run_cli(
         capsys, ["zeta", "--p", "7", "--pattern", "3,3,3,3", "--format", "json"]

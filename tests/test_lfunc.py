@@ -11,13 +11,9 @@ import constj.lfunc as lfunc_mod
 from constj.cli import main
 from constj.count import CountCache, CountSeries, count_series
 from constj.curve import CurveSpec, covers, eigenspace_dims
-from constj.errors import (
-    BranchInconsistencyError,
-    CountDataError,
-    InvariantViolation,
-)
+from constj.errors import CountDataError, InvariantViolation
 from constj.forms import J0, J1728, Place, form_from_roots, parse_form
-from constj.gf import is_prime
+from constj.gf import is_prime, make_field
 from constj.lfunc import (
     LPolynomial,
     Verdict,
@@ -36,7 +32,7 @@ from constj.lfunc import (
 )
 from constj.taxonomy import catalog
 
-from conftest import concrete_form, float_root_moduli_ok
+from conftest import concrete_form, float_root_moduli_ok, smooth_model_counts
 from oracle import (
     _frac_divmod,
     e_curve_trace_by_euler,
@@ -93,14 +89,28 @@ def test_predicted_count_reproduces_extra_level(f5553):
     curve = CurveSpec(f5553, 6)
     (series,) = count_series((curve,), (5,))
     lp = lpolynomial(series)[0]
-    assert predicted_count(lp, curve.components, 5) == series.counts[4]
+    assert predicted_count(curve, lp, 5) == series.counts[4]
+
+
+@pytest.mark.parametrize("p, top", [(5, 5), (11, 3)])
+def test_numerators_predict_the_smooth_model_past_the_counted_levels(p, top):
+    # the covers of orders 6 and 3 of (3,3,3,3) split into 3 components
+    # over the algebraic closure; at p = 2 mod 3 Frobenius fixes one at odd
+    # levels and all three at even ones, and each numerator predicts both
+    f = concrete_form(J0, (3, 3, 3, 3), p=p)
+    bundle = zeta_bundle(f)
+    orders = [c.a for c in bundle.curves]
+    for i in range(1, top + 1):
+        oracle = smooth_model_counts(f, orders, make_field(p, i))
+        predicted = tuple(predicted_count(c, lp, i) for c, lp in zip(bundle.curves, bundle.lpolys))
+        assert predicted == oracle, i
 
 
 def test_exact_quotient_and_remainder_error():
     a = (1, 2, 1)
     b = (1, 1)
     assert exact_quotient(poly_mul(a, b), b) == a
-    with pytest.raises(BranchInconsistencyError, match="remainder"):
+    with pytest.raises(InvariantViolation, match="remainder"):
         exact_quotient((1, 2, 2), (1, 1))
 
 
@@ -449,7 +459,7 @@ def test_exact_quotient_matches_the_rational_division(a, b, bump):
     if len(b) > 1:  # b has degree >= 1 and b(0) = 1: it does not divide bump x
         off = (product[0], product[1] + bump, *product[2:])
         assert any(_frac_divmod([Fraction(c) for c in off], [Fraction(c) for c in b])[1])
-        with pytest.raises(BranchInconsistencyError, match="remainder"):
+        with pytest.raises(InvariantViolation, match="remainder"):
             exact_quotient(off, b)
 
 

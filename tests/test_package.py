@@ -61,13 +61,12 @@ def test_every_definition_in_src_has_a_caller_in_src():
 
 # every raise of ValidationError in src/, as "module.function: a piece of its
 # message": the tier-1 test that reaches it through cli.main, or why it stays
-# unreached.  The grammar fuzz is derandomized, so what it reaches is fixed.
-_FUZZ = "test_cli.py::test_grammar_fuzz_exits_zero_or_one_with_an_error_line"
+# unreached.  A fuzz's draws do not count: a Hypothesis release can change them.
 _REFUSAL_TEST = "test_cli.py::test_refusal_exits_one_with_one_error_line"
 _PLACE_TOKEN = "kept: checks places built in code; the place token of ROADMAP item 7 reaches it"
 REFUSALS = {
     "cli._default_roots: distinct roots": f"{_REFUSAL_TEST}[more-roots-than-points]",
-    "cli._parse_run_config: bad pattern": _FUZZ,
+    "cli._parse_run_config: bad pattern": f"{_REFUSAL_TEST}[bad-pattern]",
     "cli.run_pipeline: no rational partner": "test_cli.py::test_verify_non_catalog_pattern_exit_one",
     "count.CountCache._load: not readable": "test_cli.py::test_unusable_cache_dir_exits_one",
     "count.CountCache.put: not writable": "test_cli.py::test_unusable_cache_dir_exits_one",
@@ -75,18 +74,16 @@ REFUSALS = {
     "forms.Place.from_poly: monic": _PLACE_TOKEN,
     "forms.parse_form: out of range": _PLACE_TOKEN,
     "forms.parse_form: reducible": _PLACE_TOKEN,
-    "forms.parse_form: multiplicity": _FUZZ,
+    "forms.parse_form: multiplicity": f"{_REFUSAL_TEST}[multiplicity-past-exponent]",
     "forms.parse_form: repeated place": _PLACE_TOKEN,
-    "forms.parse_form: not divisible": _FUZZ,
+    "forms.parse_form: not divisible": f"{_REFUSAL_TEST}[degree-not-divisible]",
     "forms.parse_form: positive degree": f"{_REFUSAL_TEST}[empty-pattern]",
-    "forms.form_from_roots: multiplicities but": _FUZZ,
+    "forms.form_from_roots: multiplicities but": f"{_REFUSAL_TEST}[fewer-roots-than-places]",
     "forms.form_from_roots: not an element": "test_cli.py::test_verify_non_integer_root_exit_one",
     "forms.form_from_roots: out of range": f"{_REFUSAL_TEST}[root-past-p]",
     "forms.form_from_roots: pairwise distinct": "test_cli.py::test_verify_duplicate_root_exit_one",
-    "gf.is_prime: too large": _FUZZ,
+    "gf.is_prime: too large": f"{_REFUSAL_TEST}[prime-past-the-primality-limit]",
     "gf.make_field: prime > 3": "test_cli.py::test_verify_bad_prime_exit_one",
-    "lfunc.lpolynomial: permuted by Frobenius":
-        "test_cli.py::test_zeta_conjugate_components_need_the_right_prime",
     "lfunc.exact_quotient: constant term 1": "kept: wrapped by bench/tracer.py",
 }
 

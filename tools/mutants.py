@@ -15,9 +15,9 @@ fail.  The exit status is 0 when every mutant is killed and 1 otherwise.
 The raise audit.  Every raise of InvariantViolation or CountDataError left
 in src/ (no RuntimeError is raised there) either (a) is reached by a test
 through the CLI or the count cache, or (b) is the named target of a mutant
-below.  exact_quotient's two BranchInconsistencyError raises are outside
-the audit: no code in src/ calls exact_quotient, and it stays only while
-the benchmark's tracer wraps it.
+below.  exact_quotient's two InvariantViolation raises are outside the
+audit: no code in src/ calls exact_quotient, and it stays only while the
+benchmark's tracer wraps it.
 
     check (module: message)                       kind and what reaches it
     count: no generator found                     (b) generator-cofactor-of-one
@@ -58,8 +58,9 @@ histogram, a pseudo-remainder that can flip Sturm signs, gcd(a, q-1) in
 place of gcd(a, m, q-1) at a zero, a count cached before its Weil check,
 non-ASCII digits read as a root, the genus recomputed on every read, a
 Newton hull that keeps a point above its chord, the theorem's congruence
-read as p = 1, the cache trusting another version's record, and a JSON
-integer past 2^53 written unquoted.
+read as p = 1, the cache trusting another version's record, a JSON
+integer past 2^53 written unquoted, and every component of a disconnected
+cover counted as fixed by Frobenius.
 """
 
 from __future__ import annotations
@@ -237,6 +238,12 @@ MUTANTS = [
         "json-ints-past-2-53-unquoted", "src/constj/cli.py",
         "        out(f'\"{obj}\"' if abs(obj) > _JSON_INT_LIMIT else int.__repr__(obj))\n",
         "        out(int.__repr__(obj))\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "rational-components-all-fixed", "src/constj/curve.py",
+        "        return gcd(self.components, self.f.p**i - 1)\n",
+        "        return self.components\n",
         ("tests/test_cli.py",),
     ),
 ]
