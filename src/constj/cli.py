@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
-from . import count, curve, forms, lfunc, surface, taxonomy
+from . import count, forms, lfunc, surface, taxonomy
 from .errors import InvariantViolation, ValidationError
 from .gf import make_field
 
@@ -132,8 +132,7 @@ def _write(payload: dict, fmt: str, render_text: Callable[[dict], str]) -> None:
 # catalog
 
 def _catalog_payload(jcase: forms.JCase) -> dict:
-    rows = [dict(row._asdict(), surface_class=row.surface_class.value)
-            for row in taxonomy.catalog(jcase)]
+    rows = [row._asdict() for row in taxonomy.catalog(jcase)]
     excluded = [
         {"pattern": pat, "note": "X_f rational - excluded"}
         for pat in taxonomy.enumerate_patterns(jcase)
@@ -216,11 +215,11 @@ def _curve_section(bundle: lfunc.ZetaBundle) -> dict:
         "h1_dim": {str(c.a): c.h1_dim for c in covers},
         "chi_singular": {str(c.a): c.chi_singular for c in covers},
         "branch_correction": {str(c.a): c.branch_correction for c in covers},
-        "eigenspace_dims": list(bundle.dims.dims),
+        "eigenspace_dims": list(bundle.dims),
     }
 
 
-def _surface_section(f: forms.FactoredForm, dims: curve.EigenDims) -> dict:
+def _surface_section(f: forms.FactoredForm, dims: tuple[int, ...]) -> dict:
     def one(inv: surface.SurfaceInvariants) -> dict:
         return dict(inv._asdict(), fibers=[fb.symbol for fb in inv.fibers])
 
@@ -235,18 +234,18 @@ def _surface_section(f: forms.FactoredForm, dims: curve.EigenDims) -> dict:
 def _taxonomy_section(f: forms.FactoredForm) -> dict:
     row = taxonomy.catalog_row(f.pattern, f.jcase)
     if row is not None:
-        return dict(row._asdict(), surface_class=row.surface_class.value, in_catalog=True)
+        return dict(row._asdict(), in_catalog=True)
     return {
         "pattern": list(f.pattern),
         "n": f.n,
         "k": f.k,
-        "surface_class": taxonomy.classify_Xf(f.pattern).value,
+        "surface_class": taxonomy.classify_Xf(f.pattern),
         "in_catalog": False,
     }
 
 
-def _polygon_json(poly: lfunc.NewtonPolygon) -> list[list[str]]:
-    return [[str(slope), str(length)] for slope, length in poly.segments]
+def _polygon_json(poly: lfunc.Polygon) -> list[list[str]]:
+    return [[str(slope), str(length)] for slope, length in poly]
 
 
 def run_pipeline(

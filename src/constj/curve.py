@@ -19,7 +19,7 @@ from math import gcd
 from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolation
-from .forms import FactoredForm, J0
+from .forms import FactoredForm
 
 
 class _CoverFields(NamedTuple):
@@ -92,36 +92,20 @@ def covers(f: FactoredForm) -> tuple[CurveSpec, ...]:
     return tuple(CurveSpec(f, a) for a in orders)
 
 
-class EigenDims(NamedTuple):
-    """Dimensions of the deck-transformation eigenspaces of H^1 of the full
-    cover, indexed by j = 1 .. exponent-1 (not by the tuple's positions)."""
-
-    exponent: int
-    dims: tuple[int, ...]
-
-    def __getitem__(self, j: int) -> int:
-        if not 1 <= j <= self.exponent - 1:
-            raise IndexError(f"eigenspace index {j} out of range")
-        return self.dims[j - 1]
-
-
-def eigenspace_dims(curves: Sequence[CurveSpec]) -> EigenDims:
-    """Eigenspace dimensions from the H^1 dimensions of covers(f).
-
-    The fixed spaces of the subgroups are the H^1 of the subcovers, so the
-    primitive part has dimension h1(full) - sum of the subcover h1's, split
-    evenly between the two primitive eigenvalues; it always equals k - 2 on
-    each.
-    """
-    full, *subs = curves
-    f = full.f
-    h1 = {c.a: c.h1_dim for c in subs}
-    primitive2 = full.h1_dim - sum(h1.values())
-    d1 = f.k - 2
-    if primitive2 != 2 * d1:
-        raise InvariantViolation(
-            f"primitive eigenspace dimension {primitive2 / 2:g} != k - 2 = {d1} "
-            f"for pattern {f.pattern}"
-        )
-    dims = (d1, h1[3] // 2, h1[2], h1[3] // 2, d1) if f.jcase == J0 else (d1, h1[2], d1)
-    return EigenDims(exponent=full.a, dims=dims)
+def eigenspace_dims(curves: Sequence[CurveSpec]) -> tuple[int, ...]:
+    """dim V_j of H^1 of the full cover u^a = f of covers(f), j = 1 .. a-1:
+    the zeroes with a not dividing j*m, less 2, or 0 if none (Bouw, "The
+    p-rank of ramified covers of curves", 2001).  Each cover u^a' = f is the
+    quotient by the subgroup of order a/a', so its Riemann-Hurwitz h1 must
+    be the sum of the V_j with a/a' dividing j, and is checked to be."""
+    f, a = curves[0]
+    dims = tuple(max(0, sum(pl.degree for pl, m in f.places if j * m % a) - 2)
+                 for j in range(1, a))
+    for c in curves:
+        h1 = sum(dims[a // c.a - 1 :: a // c.a])
+        if h1 != c.h1_dim:
+            raise InvariantViolation(
+                f"cover a={c.a}: eigenspaces give h1 = {h1}, Riemann-Hurwitz {c.h1_dim}, "
+                f"for pattern {f.pattern}"
+            )
+    return dims

@@ -31,9 +31,12 @@ from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .count import CountCache, CountSeries, count_series
-from .curve import CurveSpec, EigenDims, covers, eigenspace_dims
+from .curve import CurveSpec, covers, eigenspace_dims
 from .errors import CountDataError, InvariantViolation, ValidationError
 from .forms import FactoredForm, J0, JCase
+
+Polygon = tuple[tuple[Fraction, int], ...]  # (slope, length) segments of a Newton polygon
+
 
 def _value(poly: list[int], x: int) -> int:
     return sum(c * x**i for i, c in enumerate(poly))
@@ -79,7 +82,10 @@ class LPolynomial(NamedTuple):
 
     coeffs: tuple[int, ...]
     q: int
-    g: int
+
+    @property
+    def g(self) -> int:
+        return len(self.coeffs) // 2
 
     @property
     def degree(self) -> int:
@@ -149,9 +155,8 @@ def lpolynomial(
     """
     curve = series.curve
     q = curve.f.p
-    g_tot = curve.total_genus
-    known = known or LPolynomial(coeffs=(1,), q=q, g=0)
-    g_new = g_tot - known.g
+    known = known or LPolynomial(coeffs=(1,), q=q)
+    g_new = curve.total_genus - known.g
     where = f"count data inconsistent for cover a={curve.a} over F_{q}"
 
     sums = [predicted_count(curve, known, i) - n for i, n in enumerate(series.counts[:g_new], 1)]
@@ -164,13 +169,13 @@ def lpolynomial(
     for i in range(g_new - 1, -1, -1):
         coeffs.append(q ** (g_new - i) * coeffs[i])
 
-    new = LPolynomial(coeffs=tuple(coeffs), q=q, g=g_new)
+    new = LPolynomial(coeffs=tuple(coeffs), q=q)
     try:
         new.check_root_moduli()
     except InvariantViolation as exc:
         raise CountDataError(f"{where}: levels 1..{g_new} give a factor with a {exc}") from exc
     # a product of Weil polynomials is one
-    lpoly = LPolynomial(coeffs=poly_mul(new.coeffs, known.coeffs), q=q, g=g_tot)
+    lpoly = LPolynomial(coeffs=poly_mul(new.coeffs, known.coeffs), q=q)
     for i, n_actual in enumerate(series.counts[g_new:], g_new + 1):
         predicted = predicted_count(curve, lpoly, i)
         if predicted != n_actual:
@@ -231,8 +236,8 @@ class ZetaBundle(NamedTuple):
     series: tuple[CountSeries, ...]
     lpolys: tuple[LPolynomial, ...]
     new_factor: LPolynomial
-    dims: EigenDims
-    polygons: tuple[NewtonPolygon, ...]  # of the lpolys, then of the new factor
+    dims: tuple[int, ...]  # dim V_j for j = 1 .. a-1
+    polygons: tuple[Polygon, ...]  # of the lpolys, then of the new factor
 
 
 def zeta_bundle(f: FactoredForm, cache: Optional[CountCache] = None) -> ZetaBundle:
@@ -250,7 +255,7 @@ def zeta_bundle(f: FactoredForm, cache: Optional[CountCache] = None) -> ZetaBund
     p = f.p
     curves = covers(f)
     full = curves[0]
-    dims = eigenspace_dims(curves)  # the one check of dim V_1 = k - 2, the new genus
+    dims = eigenspace_dims(curves)  # checks every cover's h1 before any count
 
     needed = [required_level(c) for c in curves]
     counted = [min(needed[0], f.k - 1), *needed[1:]]
@@ -259,7 +264,7 @@ def zeta_bundle(f: FactoredForm, cache: Optional[CountCache] = None) -> ZetaBund
     denom = (1,)
     for lp in sub_lpolys:
         denom = poly_mul(denom, lp.coeffs)
-    known = LPolynomial(coeffs=denom, q=p, g=sum(lp.g for lp in sub_lpolys))
+    known = LPolynomial(coeffs=denom, q=p)
 
     full_lpoly, new = lpolynomial(full_series, known=known)
     # r_i(q^i + 1) - s_i of a Weil polynomial: within the Weil bound, so not checked again
@@ -281,13 +286,6 @@ def zeta_bundle(f: FactoredForm, cache: Optional[CountCache] = None) -> ZetaBund
 # ---------------------------------------------------------------------------
 # Newton polygons and the supersingularity verdict
 
-class NewtonPolygon(NamedTuple):
-    """Slope/length pairs of the lower convex hull of (i, v_p(c_i)): the
-    hull runs from c_0 to c_{2g}, slopes strictly increasing."""
-
-    segments: tuple[tuple[Fraction, int], ...]
-
-
 def _v_p(n: int, p: int) -> int:
     v = 0
     while n % p == 0:
@@ -296,8 +294,9 @@ def _v_p(n: int, p: int) -> int:
     return v
 
 
-def newton_polygon(lpoly: LPolynomial) -> NewtonPolygon:
-    """Lower hull of the p-adic valuations, p = q: every numerator here is
+def newton_polygon(lpoly: LPolynomial) -> Polygon:
+    """(slope, length) segments of the lower hull of (i, v_p(c_i)), p = q,
+    from c_0 to c_{2g}, slopes strictly increasing: every numerator here is
     over the prime field, so v(q) = 1 and the slopes need no scaling."""
     p = lpoly.q
     pts = [(i, _v_p(c, p)) for i, c in enumerate(lpoly.coeffs) if c != 0]
@@ -319,12 +318,12 @@ def newton_polygon(lpoly: LPolynomial) -> NewtonPolygon:
             segments[-1] = (slope, segments[-1][1] + length)
         else:
             segments.append((slope, length))
-    return NewtonPolygon(segments=tuple(segments))
+    return tuple(segments)
 
 
-def is_pure_half(polygon: NewtonPolygon) -> bool:
+def is_pure_half(polygon: Polygon) -> bool:
     """True when the polygon is slope 1/2 alone (vacuous for L = 1)."""
-    return all(slope == Fraction(1, 2) for slope, _ in polygon.segments)
+    return all(slope == Fraction(1, 2) for slope, _ in polygon)
 
 
 def e_curve_trace(jcase: JCase, p: int) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .curve import EigenDims
 from .forms import FactoredForm, J0
 
 
@@ -81,11 +80,11 @@ def invariants(f: FactoredForm) -> SurfaceInvariants:
     )
 
 
-def ns_perp_check(inv: SurfaceInvariants, dims: EigenDims) -> bool:
+def ns_perp_check(inv: SurfaceInvariants, dims: tuple[int, ...]) -> bool:
     """Dimension form of 'the divisor classes fill all of h^{1,1}'.
 
     b2 minus the Neron-Severi dimension (2 + fiber contributions + MW rank)
     must equal 2 p_g, and that in turn must match twice the primitive
     eigenspace dimension of the cover curve.  inv and dims are of one form.
     """
-    return inv.ns_perp_dim == 2 * inv.p_g == 2 * dims[1]
+    return inv.ns_perp_dim == 2 * inv.p_g == 2 * dims[0]

@@ -8,18 +8,11 @@ on k, the number of distinct zeroes.
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple, Optional
 
 from .forms import JCase
 
 Pattern = tuple[int, ...]
-
-
-class SurfaceClass(enum.Enum):
-    RATIONAL = "rational"
-    K3 = "K3"
-    KODAIRA_DIM_1 = "kodaira-dimension-1"
 
 
 def enumerate_patterns(jcase: JCase) -> list[Pattern]:
@@ -44,13 +37,13 @@ def enumerate_patterns(jcase: JCase) -> list[Pattern]:
     return sorted(found, key=lambda t: (len(t), tuple(-m for m in t)))
 
 
-def classify_Xf(pattern: Pattern) -> SurfaceClass:
+def classify_Xf(pattern: Pattern) -> str:
     k = len(pattern)
     if k == 2:
-        return SurfaceClass.RATIONAL
+        return "rational"
     if k == 3:
-        return SurfaceClass.K3
-    return SurfaceClass.KODAIRA_DIM_1
+        return "K3"
+    return "kodaira-dimension-1"
 
 
 def is_partner_rational(pattern: Pattern, jcase: JCase) -> bool:
@@ -66,7 +59,7 @@ class CatalogRow(NamedTuple):
     pattern: Pattern
     n: int
     k: int
-    surface_class: SurfaceClass
+    surface_class: str
     torelli_failure_expected: bool
     supersingular_congruence: str
 
@@ -83,7 +76,7 @@ def catalog_row(pattern: Pattern, jcase: JCase) -> Optional[CatalogRow]:
         k=k,
         surface_class=classify_Xf(pattern),
         torelli_failure_expected=k > 3,
-        supersingular_congruence="p = 5 mod 6" if jcase.exponent == 6 else "p = 3 mod 4",
+        supersingular_congruence=f"p = {jcase.exponent - 1} mod {jcase.exponent}",
     )
 
 

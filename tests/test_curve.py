@@ -1,11 +1,12 @@
 """Cover invariants: genus, singular Euler characteristic, eigenspace dims."""
 
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
 
 from constj.curve import CurveSpec, covers, eigenspace_dims
-from constj.forms import J0, J1728
+from constj.forms import J0, J1728, Place, parse_form
 from constj.taxonomy import enumerate_patterns
 
 from conftest import concrete_form
@@ -98,21 +99,21 @@ def test_disconnected_cover_bookkeeping():
     assert CurveSpec(f, 2).genus == -1  # Euler-characteristic value of two P^1s
     assert CurveSpec(f, 2).h1_dim == 0
     assert CurveSpec(f, 6).h1_dim == 4
-    assert eigenspace_dims(covers(f)).dims == (1, 1, 0, 1, 1)
+    assert eigenspace_dims(covers(f)) == (1, 1, 0, 1, 1)
 
 
 def test_eigenspace_dims_examples(f5553):
     dims = eigenspace_dims(covers(f5553))
-    assert dims.dims == (2, 1, 2, 1, 2)
-    assert dims[1] == f5553.k - 2
+    assert dims == (2, 1, 2, 1, 2)
+    assert dims[0] == f5553.k - 2
     full = concrete_form(J0, (5, 5, 5, 5, 5, 5))
-    assert eigenspace_dims(covers(full))[1] == 4
+    assert eigenspace_dims(covers(full))[0] == 4
 
     f1728 = concrete_form(J1728, (3, 3, 3, 3))
     dims1728 = eigenspace_dims(covers(f1728))
-    assert dims1728.dims == (2, 2, 2)
-    assert dims1728[2] == 2 * CurveSpec(f1728, 2).genus
-    assert sum(dims1728.dims) == CurveSpec(f1728, 4).h1_dim == 6
+    assert dims1728 == (2, 2, 2)
+    assert dims1728[1] == 2 * CurveSpec(f1728, 2).genus
+    assert sum(dims1728) == CurveSpec(f1728, 4).h1_dim == 6
 
 
 @pytest.mark.parametrize("jcase", [J0, J1728])
@@ -122,9 +123,52 @@ def test_eigenspace_dims_symmetric_and_consistent(jcase):
         f = concrete_form(jcase, pattern)
         dims = eigenspace_dims(covers(f))
         for j in range(1, n_exp):
-            assert dims[j] == dims[n_exp - j]
-        assert dims[1] == f.k - 2
-        assert sum(dims.dims) == CurveSpec(f, n_exp).h1_dim
+            assert dims[j - 1] == dims[n_exp - j - 1]
+        assert dims[0] == f.k - 2
+        assert sum(dims) == CurveSpec(f, n_exp).h1_dim
+
+
+def h1_layout_oracle(f):
+    """dim V_j read off the covers' h1 alone, a route apart from the closed
+    form: k - 2 on the primitive j, h1(u^2 = f) on j = a/2, and, for the
+    j-invariant 0 family, half of h1(u^3 = f) on each of j = 2, 4."""
+    h1 = {c.a: c.h1_dim for c in covers(f)}
+    d1 = f.k - 2
+    return (d1, h1[3] // 2, h1[2], h1[3] // 2, d1) if f.jcase == J0 else (d1, h1[2], d1)
+
+
+def _small_patterns():
+    """Every multiset of multiplicities in [1, a-1] of size 2..8 whose sum
+    a divides, for both j-cases: 258 patterns."""
+    return [
+        (jcase, pattern)
+        for jcase in (J0, J1728)
+        for k in range(2, 9)
+        for pattern in combinations_with_replacement(range(jcase.max_mult, 0, -1), k)
+        if sum(pattern) % jcase.exponent == 0
+    ]
+
+
+def test_eigenspace_dims_closed_form_matches_the_h1_layout():
+    cases = _small_patterns()
+    assert len(cases) == 258
+    for jcase, pattern in cases:
+        f = concrete_form(jcase, pattern, p=11)
+        assert eigenspace_dims(covers(f)) == h1_layout_oracle(f), (jcase.tag, pattern)
+
+
+@pytest.mark.parametrize(
+    "jcase,places,p,dims",
+    [
+        (J1728, [(Place.linear(0, 7), 2), (Place.from_poly((1, 0, 1), 7), 3)], 7, (1, 0, 1)),
+        (J0, [(Place.infinity(), 3), (Place.linear(4, 5), 1), (Place.from_poly((1, 4, 1), 5), 1)],
+         5, (2, 1, 2, 1, 2)),
+    ],
+    ids=["j1728-332-quadratic3", "j0-3111-quadratic1"],
+)
+def test_eigenspace_dims_count_a_quadratic_place_twice(jcase, places, p, dims):
+    f = parse_form(jcase, places, p=p)
+    assert eigenspace_dims(covers(f)) == dims == h1_layout_oracle(f)
 
 
 def test_curvespec_derived_values(f5553):

@@ -195,11 +195,9 @@ RECORDS = [
     "forms.Place",
     "forms.FactoredForm",
     "curve.CurveSpec",
-    "curve.EigenDims",
     "count.CountSeries",
     "lfunc.LPolynomial",
     "lfunc.ZetaBundle",
-    "lfunc.NewtonPolygon",
     "lfunc.Verdict",
     "surface.FiberType",
     "surface.SurfaceInvariants",
@@ -228,11 +226,9 @@ def one_of_each_record(f5553):
         f5553.places[0][0],
         f5553,
         bundle.curves[0],
-        bundle.dims,
         bundle.series[0],
         bundle.lpolys[0],
         bundle,
-        bundle.polygons[0],
         lfunc.verdict_from_bundle(bundle),
         inv.fibers[0],
         inv,

@@ -61,14 +61,13 @@ def taxonomy_section_oracle(f) -> dict:
     )
     if row is not None:
         data = row._asdict()
-        data["surface_class"] = row.surface_class.value
         data["in_catalog"] = True
         return data
     return {
         "pattern": list(f.pattern),
         "n": f.n,
         "k": f.k,
-        "surface_class": taxonomy.classify_Xf(f.pattern).value,
+        "surface_class": taxonomy.classify_Xf(f.pattern),
         "in_catalog": False,
     }
 

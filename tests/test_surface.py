@@ -73,7 +73,7 @@ def test_ns_perp_check_on_every_catalog_pattern(jcase):
         f = concrete_form(jcase, row.pattern)
         inv, dims = invariants(f), eigenspace_dims(covers(f))
         assert ns_perp_check(inv, dims), row.pattern
-        assert inv.ns_perp_dim == 2 * dims[1]
+        assert inv.ns_perp_dim == 2 * dims[0]
 
 
 def test_ns_perp_examples():

@@ -6,7 +6,6 @@ import pytest
 
 from constj.forms import J0, J1728
 from constj.taxonomy import (
-    SurfaceClass,
     catalog,
     classify_Xf,
     enumerate_patterns,
@@ -63,15 +62,15 @@ def test_pattern_arithmetic(jcase):
 
 
 def test_classification():
-    assert classify_Xf((5, 1)) == SurfaceClass.RATIONAL
-    assert classify_Xf((5, 5, 2)) == SurfaceClass.K3
-    assert classify_Xf((5, 5, 5, 3)) == SurfaceClass.KODAIRA_DIM_1
+    assert classify_Xf((5, 1)) == "rational"
+    assert classify_Xf((5, 5, 2)) == "K3"
+    assert classify_Xf((5, 5, 5, 3)) == "kodaira-dimension-1"
 
 
 def test_classification_rational_iff_absent_from_catalog():
     rows = {row.pattern for row in catalog(J0)}
     for pattern in enumerate_patterns(J0):
-        if classify_Xf(pattern) == SurfaceClass.RATIONAL:
+        if classify_Xf(pattern) == "rational":
             assert pattern not in rows
         else:
             assert pattern in rows

@@ -27,7 +27,9 @@ benchmark's tracer wraps it.
     count: Weil bound violated                    (a) CACHED_WEIL
                                                   (b) weil-bound-refuses-its-edge,
                                                       weil-bound-loosened
-    curve: primitive eigenspace dimension         (b) h1-without-components-term
+    curve: cover a=...: eigenspaces give h1 = N,  (a) PATCHED_H1
+           Riemann-Hurwitz M                      (b) h1-without-components-term,
+                                                      eigenspace-dims-count-places
     lfunc: reciprocal root off the sqrt(q)        (a) WRONG_CACHED[1-8-...]
            circle, re-raised by lpolynomial       (b) root-check-counts-too-few
            as a CountDataError
@@ -41,6 +43,8 @@ benchmark's tracer wraps it.
 CACHED_WEIL is tests/test_cli.py::
     test_cached_count_past_weil_bound_names_cover_prime_and_file
 WRONG_CACHED is tests/test_cli.py::test_wrong_cached_full_cover_count_exits_two
+PATCHED_H1 is tests/test_lfunc.py::
+    test_patched_h1_exits_2_with_the_eigenspace_message
 FIELD_LIMIT is tests/test_cli.py::test_field_size_limit_exits_one.
 
 The exit-1 refusals (ValidationError) each map to the test that reaches
@@ -130,6 +134,12 @@ MUTANTS = [
         "        return 2 * (self.components - 1 + self.genus)\n",
         "        return 2 * (self.components + self.genus)\n",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "eigenspace-dims-count-places", "src/constj/curve.py",
+        "    dims = tuple(max(0, sum(pl.degree for pl, m in f.places if j * m % a) - 2)\n",
+        "    dims = tuple(max(0, sum(1 for pl, m in f.places if j * m % a) - 2)\n",
+        ("tests/test_curve.py", "tests/test_lfunc.py"),
     ),
     Mutant(
         "root-check-counts-too-few", "src/constj/lfunc.py",
