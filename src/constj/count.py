@@ -14,12 +14,12 @@ digits, X being the companion matrix of the modulus.  Such products test
 a batch of generator candidates at once, shift the table walk, and run
 Horner's rule for places of degree > 1; a linear place x + c0 only
 rotates the lowest digit, so its classes are the table's with the columns
-of a (rows, p) block rotated by c0.  Zeroes of f are found where a place
-vanishes and receive the branch-corrected local count
-#{Y : Y^gcd(a,m) = local unit}.  The sweep already sums every place's
-class at every point, so at a zero of one place the other places' sum is
-the unit's class up to an m-th power, which a gcd(a, m, q-1)-th power
-test cannot see: the zeroes need no field arithmetic of their own.
+of a (rows, p) block rotated by c0 (over F_p, shifted by c0).  Zeroes
+of f are found where a place vanishes and receive the branch-corrected
+local count #{Y : Y^gcd(a,m) = local unit}.  The sweep already sums every
+place's class at every point, so at a zero of one place the other
+places' sum is the unit's class up to an m-th power, which a
+gcd(a, m, q-1)-th power test cannot see: no field arithmetic at zeroes.
 
 numpy is imported inside the functions that touch arrays (the digit and
 matrix helpers, find_generator, power_class_table, _place_value_codes,
@@ -235,13 +235,14 @@ def _sweep_chunk(
 ) -> tuple[np.ndarray, list[tuple[int, list[int]]]]:
     """Histogram of dlog f mod D over the points of [lo, hi) where f does
     not vanish, plus the zeroes of f seen there: per place, the class mod D
-    of the other places' product at each of its roots.  lo and hi are
-    multiples of p, so the chunk's classes are a (rows, p) block whose last
-    axis is the lowest digit; x + c0 vanishes only at the constant -c0."""
+    of the other places' product at each of its roots.  Over F_{p^i},
+    i > 1, lo and hi are multiples of p, so the chunk's classes are a
+    (rows, p) block whose last axis is the lowest digit, and x + c0 vanishes
+    only at the constant -c0; over F_p it shifts the codes, in any piece."""
     import numpy as np
 
     p = ctx.p
-    block = cls[lo:hi].astype(np.int32).reshape(-1, p)
+    block = cls[lo:hi].astype(np.int32).reshape(-1, min(p, hi - lo))
     acc = np.zeros_like(block)
     flat = acc.reshape(-1)  # a view: places of degree > 1 add to it by code
     seen: set[int] = set()  # positions of the zeroes found so far
@@ -249,8 +250,11 @@ def _sweep_chunk(
     for place_idx, (pl, m) in enumerate(places):
         if pl.at_infinity:
             continue  # value 1 at every finite point
-        if pl.degree == 1:
-            c0 = pl.poly[0]
+        c0 = pl.poly[0]
+        if pl.degree == 1 and ctx.degree == 1:  # F_p: x + c0 shifts the codes
+            flat += m * cls.take(np.arange(lo + c0, hi + c0), mode="wrap").astype(np.int32)
+            at = [x - lo for x in [(-c0) % p] if lo <= x < hi]
+        elif pl.degree == 1:
             acc[:, : p - c0] += m * block[:, c0:]
             acc[:, p - c0 :] += m * block[:, :c0]
             at = [(-c0) % p] if lo == 0 else []
@@ -279,13 +283,13 @@ def _sweep_chunk(
 def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, ...]:
     """F_q-point counts of the smooth projective models of covers of one
     form, in the order given, from one sweep of P^1(F_q) in chunks of
-    max(p, _CHUNK // p * p) points, whose bounds are multiples of p."""
+    _CHUNK points over F_p, else max(p, _CHUNK // p * p), multiples of p."""
     import numpy as np
 
     f = curves[0].f  # count_series passes covers of one form and make_field(f.p, i)
     q = ctx.q
     cls, d_cls = power_class_table(ctx)
-    step = max(ctx.p, _CHUNK // ctx.p * ctx.p)
+    step = _CHUNK if ctx.degree == 1 else max(ctx.p, _CHUNK // ctx.p * ctx.p)
     hist = np.zeros(d_cls, dtype=np.int64)
     by_place: dict[int, list[int]] = {}
     for lo in range(0, q, step):
@@ -405,6 +409,10 @@ class CountCache:
         self._load().update(((i, key), n) for key, n in counts.items())
 
 
+def field_fits(p: int, i: int) -> bool:  # F_{p^i} is within the limit a count may sweep
+    return p**i <= _MAX_FIELD_Q
+
+
 def count_series(
     curves: Sequence[CurveSpec],
     levels: Sequence[int],
@@ -422,7 +430,7 @@ def count_series(
     """
     p = curves[0].f.p
     top = max(levels, default=0)
-    over = next((i for i in range(1, top + 1) if p**i > _MAX_FIELD_Q), None)
+    over = next((i for i in range(1, top + 1) if not field_fits(p, i)), None)
     if over is not None:
         a = next(c.a for c, n in zip(curves, levels) if n >= over)
         raise ValidationError(

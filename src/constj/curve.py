@@ -109,3 +109,9 @@ def eigenspace_dims(curves: Sequence[CurveSpec]) -> tuple[int, ...]:
                 f"for pattern {f.pattern}"
             )
     return dims
+
+
+def hodge_number(f: FactoredForm, j: int) -> int:
+    """f_j = dim H^{1,0}(V_j) of u^a = f: a f_j = -a + sum of deg ((-j m) mod a)."""
+    a = f.jcase.exponent
+    return sum(pl.degree * (-j * m % a) for pl, m in f.places) // a - 1

@@ -16,24 +16,25 @@ Integer polynomials are divided by one helper, _pseudo_divmod: the Sturm
 chain takes its remainders, and the roots at the ends of [0, 4q] and
 exact_quotient, on reversed polynomials, its quotients by monic divisors.
 
-The interesting part of H^1 of the full cover is the primitive eigenspace
-factor: the full numerator is that factor times the subcover numerators.
-The factor, of degree 2(k-2), is rebuilt from the full cover's power sums
-at levels 1..k-2 minus those of the subcover numerators, so the full cover
-is counted only at low levels; every level counted beyond k-2 must match
-the product, and a mismatch aborts the run.
+The primitive factor of V_1 + V_{a-1}, of degree 2(k-2), is rebuilt from the
+full cover's power sums at levels 1..k-2 minus those of the subcovers, each
+counted to its total genus, at most k-2, and checked by the mu-ordinary
+polygon (Moonen, 2004) and the Hasse-Witt matrices mod p, which read no count.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
-from .count import CountCache, CountSeries, count_series
-from .curve import CurveSpec, covers, eigenspace_dims
+from .count import CountCache, CountSeries, count_series, field_fits
+from .curve import CurveSpec, covers, eigenspace_dims, hodge_number
 from .errors import CountDataError, InvariantViolation, ValidationError
 from .forms import FactoredForm, J0, JCase
+from .gf import _poly_trim
 
 Polygon = tuple[tuple[Fraction, int], ...]  # (slope, length) segments of a Newton polygon
 
@@ -148,10 +149,9 @@ def lpolynomial(
     With a known factor of genus g_k, a Weil polynomial, only the other
     factor is reconstructed and checked, from the power sums
     r_i(q^i + 1) - s_i(known) - N_i at levels 1..g - g_k; the numerator is
-    their product.  Without one, both are the whole numerator.  Counts
-    beyond that level, when present, are checked against the numerator
-    (functional-equation redundancy); any mismatch or non-integral
-    coefficient raises CountDataError.
+    their product.  Without one, both are the whole numerator.  A
+    non-integral coefficient or a root off the Weil circle raises
+    CountDataError.
     """
     curve = series.curve
     q = curve.f.p
@@ -175,15 +175,7 @@ def lpolynomial(
     except InvariantViolation as exc:
         raise CountDataError(f"{where}: levels 1..{g_new} give a factor with a {exc}") from exc
     # a product of Weil polynomials is one
-    lpoly = LPolynomial(coeffs=poly_mul(new.coeffs, known.coeffs), q=q)
-    for i, n_actual in enumerate(series.counts[g_new:], g_new + 1):
-        predicted = predicted_count(curve, lpoly, i)
-        if predicted != n_actual:
-            raise CountDataError(
-                f"{where}: level {i} has {n_actual}, "
-                f"the numerator from levels 1..{g_new} predicts {predicted}"
-            )
-    return lpoly, new
+    return LPolynomial(coeffs=poly_mul(new.coeffs, known.coeffs), q=q), new
 
 
 def predicted_count(curve: CurveSpec, lpoly: LPolynomial, i: int) -> int:
@@ -223,7 +215,7 @@ def exact_quotient(numerator: tuple[int, ...], denominator: tuple[int, ...]) -> 
 # full pipeline bundles
 
 def required_level(curve: CurveSpec) -> int:
-    """Levels to count: the total genus, plus one redundancy level when small."""
+    """Levels a report lists, counted or predicted: the total genus, plus one when small."""
     g_tot = curve.total_genus
     return g_tot + 1 if 0 < g_tot <= 4 else g_tot
 
@@ -241,46 +233,152 @@ class ZetaBundle(NamedTuple):
 
 
 def zeta_bundle(f: FactoredForm, cache: Optional[CountCache] = None) -> ZetaBundle:
-    """Count the covers of f over F_p, p = f.p, and reconstruct their
-    numerators.
-
-    The covers are counted together, one sweep per level.  The subcovers
-    are counted to their required levels.  The full cover is
-    counted only to level min(required level, k-1): its primitive factor,
-    of degree 2(k-2), comes from the power sums at levels 1..k-2 minus those
-    of the subcover numerators, level k-1 is checked against the product,
-    and the levels up to the required one are filled in with predicted
-    counts.
-    """
-    p = f.p
+    """Count the covers of f over F_p, p = f.p, together, one sweep per
+    level: the full cover to level dim V_1 = k-2, each subcover to its total
+    genus; rebuild, check, and fill each series with predicted counts."""
     curves = covers(f)
-    full = curves[0]
     dims = eigenspace_dims(curves)  # checks every cover's h1 before any count
 
-    needed = [required_level(c) for c in curves]
-    counted = [min(needed[0], f.k - 1), *needed[1:]]
+    counted = [dims[0], *(c.total_genus for c in curves[1:])]
     full_series, *sub_series = count_series(curves, counted, cache=cache)
     sub_lpolys = [lpolynomial(s)[0] for s in sub_series]
-    denom = (1,)
-    for lp in sub_lpolys:
-        denom = poly_mul(denom, lp.coeffs)
-    known = LPolynomial(coeffs=denom, q=p)
-
-    full_lpoly, new = lpolynomial(full_series, known=known)
+    denom = reduce(poly_mul, (lp.coeffs for lp in sub_lpolys), (1,))
+    full_lpoly, new = lpolynomial(full_series, known=LPolynomial(coeffs=denom, q=f.p))
+    lpolys = (full_lpoly, *sub_lpolys)
+    polygons = tuple(newton_polygon(lp) for lp in (*lpolys, new))
+    _check_new_factor(f, dims[0], new, polygons[-1])
     # r_i(q^i + 1) - s_i of a Weil polynomial: within the Weil bound, so not checked again
-    predicted = tuple(
-        predicted_count(full, full_lpoly, i) for i in range(counted[0] + 1, needed[0] + 1)
+    series = tuple(
+        CountSeries(curve=c, counts=s.counts + tuple(
+            predicted_count(c, lp, i) for i in range(len(s.counts) + 1, required_level(c) + 1)))
+        for c, s, lp in zip(curves, (full_series, *sub_series), lpolys)
     )
-    full_series = CountSeries(curve=full, counts=full_series.counts + predicted)
-    return ZetaBundle(
-        f=f,
-        curves=curves,
-        series=(full_series, *sub_series),
-        lpolys=(full_lpoly, *sub_lpolys),
-        new_factor=new,
-        dims=dims,
-        polygons=tuple(newton_polygon(lp) for lp in (full_lpoly, *sub_lpolys, new)),
-    )
+    return ZetaBundle(f, curves, series, lpolys, new, dims, polygons)
+
+
+def _check_new_factor(f: FactoredForm, dim: int, new: LPolynomial, polygon: Polygon) -> None:
+    """The new factor, of V_1 + V_{a-1} of dimension dim each: the orbits O
+    of {1, a-1} under p have the mu-ordinary slopes #{j in O : f_j < s}/|O|,
+    s = 1..dim, |O| times each, and those with a slope 0 are checked mod p."""
+    a, p = f.jcase.exponent, f.p
+    hodge = {j: hodge_number(f, j) for j in (1, a - 1)}
+    orbits = ((1,), (a - 1,)) if p % a == 1 else ((1, a - 1),)
+    twice = sorted(2 * sum(hodge[j] < s for j in orb) // len(orb)  # |O| <= 2
+                   for orb in orbits for _ in orb for s in range(1, dim + 1))
+    mu = tuple((Fraction(t, 2), twice.count(t)) for t in sorted(set(twice)))
+    above, x, y = True, 0, 0
+    for slope, length in polygon:  # on or above at each vertex is on or above everywhere
+        x, y = x + length, y + 2 * slope.numerator * length // slope.denominator
+        above = above and y >= sum(twice[:x])
+    definite = hodge[1] * hodge[a - 1] == 0
+    if polygon != mu if definite else not (above and y == sum(twice)):
+        newton_text, mu_text = ("[" + ", ".join(f"{s} x{n}" for s, n in poly) + "]"
+                                for poly in (polygon, mu))
+        raise InvariantViolation(
+            f"new factor over F_{p}: Newton polygon {newton_text} "
+            f"{'is not' if definite else 'lies below'} the mu-ordinary polygon {mu_text} "
+            f"of the orbits {', '.join(map(str, map(set, orbits)))} "
+            f"(f_1 = {hodge[1]}, f_{a - 1} = {hodge[a - 1]})"
+        )
+    slope_zero = [orb for orb in orbits if all(hodge[j] for j in orb)]
+    if not slope_zero or not field_fits(p, f.k - 1):  # cheaper than a level-(k-1) sweep
+        return
+    counted, route = new.coeffs, (1,)
+    for orb in slope_zero:  # chi^c acts on V_{a-c}: the orbit of j is that of c = a - j
+        route = poly_mul(route, tuple(orbit_factor_mod_p(f, a, a - orb[0])))
+        if not any(pl.at_infinity for pl, _ in f.places):  # a | c m_inf: 1 - T^|O| more
+            counted = poly_mul(counted, (1, *[0] * (len(orb) - 1), -1))
+    counted, route = (_poly_trim([c % p for c in poly]) for poly in (counted, route))
+    if counted != route:
+        raise InvariantViolation(
+            f"new factor over F_{p}: mod p the counts give {counted}, the Hasse-Witt matrices "
+            f"of the orbits {', '.join(map(str, map(set, slope_zero)))} give {route}"
+        )
+
+
+# ---------------------------------------------------------------------------
+# the Hasse-Witt route: an orbit's factor mod p from f, on Kronecker products
+
+def _mul_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """a b mod p in 4- or 8-byte slots (8 hold any sum where F_{p^(k-1)} fits)."""
+    code = "I" if min(len(a), len(b)) * (p - 1) ** 2 < 256 ** array("I").itemsize else "Q"
+    a_int, b_int = (int.from_bytes(array(code, poly).tobytes(), "little") for poly in (a, b))
+    out = (a_int * b_int).to_bytes((len(a) + len(b) - 1) * array(code).itemsize, "little")
+    return [v % p for v in array(code, out)]
+
+
+@lru_cache(maxsize=None)
+def _inverses(p: int) -> tuple[int, ...]:
+    """1/j mod p for j = 0..p-1 (0 for j = 0), from 1/j = -(p // j)/(p mod j)."""
+    inv = [0, 1]
+    for j in range(2, p):
+        inv.append(-(p // j) * inv[p % j] % p)
+    return tuple(inv)
+
+
+def _power_mod_p(poly: tuple[int, ...], s: int, p: int) -> list[int]:
+    """poly^s mod p, s < p: for x + c0 by the binomial theorem, C(s, j) c0^j
+    from the coefficient before it."""
+    if len(poly) > 2:  # by squaring: P^s = (P^(s // 2))^2 P^(s mod 2)
+        half = _power_mod_p(poly, s // 2, p) if s > 1 else [1]
+        return _mul_mod_p(_mul_mod_p(half, half, p), list(poly) if s % 2 else [1], p)
+    inv, out, c0 = _inverses(p), [1], poly[0]
+    for j in range(1, s + 1):
+        out.append(out[-1] * c0 * (s - j + 1) * inv[j] % p)
+    return out[::-1]
+
+
+def _reverse_charpoly(m: list[list[int]], p: int) -> list[int]:
+    """det(1 - T m) mod p, lowest first: m is similar to a Hessenberg h, and
+    det(x - m) = P_n, P_{k+1} = x P_k - sum_{i <= k} h_ik h_{i+1,i}..h_{k,k-1} P_i."""
+    n, h = len(m), [row[:] for row in m]
+    for j in range(n - 2):
+        for piv in [i for i in range(j + 1, n) if h[i][j]][:1]:  # a pivot, if column j has one
+            h[j + 1], h[piv] = h[piv], h[j + 1]
+            for row in h:
+                row[j + 1], row[piv] = row[piv], row[j + 1]
+            for i in range(j + 2, n):
+                u = h[i][j] * pow(h[j + 1][j], -1, p) % p
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], h[j + 1])]
+                for row in h:
+                    row[j + 1] = (row[j + 1] + u * row[i]) % p
+    polys = [[1]]  # P_k, highest coefficient first
+    for k in range(n):
+        nxt, prod = [*polys[k], 0], 1
+        for i in range(k, -1, -1):
+            for t, c in enumerate(polys[i]):
+                nxt[t + k - i + 1] -= h[i][k] * prod * c
+            prod = prod * h[i][i - 1] % p  # h_{i,i-1}..h_{k,k-1} for the next i
+        polys.append([c % p for c in nxt])
+    return polys[n]
+
+
+def orbit_factor_mod_p(f: FactoredForm, a: int, c: int) -> list[int]:
+    """det(1 - T^|O| H_e1 H_e2) mod p, lowest first: the factor of the orbit
+    O = {c, c'} of chi^c under p, times 1 - T^|O| when a | c m_inf (Manin,
+    1961).  H_e[u][v] = [x^(p u - v)] f_c^e, u, v = 1..B, f_c the finite P^m
+    with a not dividing c m, e1 = (p c - c')/a, e2 = (p c' - c)/a (H_e1 alone
+    when c' = c) and B = max ceil(e deg f_c / (p - 1))."""
+    p, c2 = f.p, f.p * c % a
+    places = [(pl.poly, m) for pl, m in f.places if not pl.at_infinity and c * m % a]
+    exps = [(p * c - c2) // a] if c2 == c else [(p * c - c2) // a, (p * c2 - c) // a]
+    size = max(-(-e * sum((len(poly) - 1) * m for poly, m in places) // (p - 1)) for e in exps)
+    mats = []
+    for e in exps:  # f_c^e = low(x) high(x^p): P^(m e) = P^s P(x^p)^t, s < p
+        low, high = [1], [1]
+        for poly, m in places:
+            t, s = divmod(m * e, p)
+            low = _mul_mod_p(low, _power_mod_p(poly, s, p), p)
+            high = _mul_mod_p(high, _power_mod_p(poly, t, p), p) if t else high
+        if len(high) > 1:  # times high(x^p)
+            low = _mul_mod_p(low, [v for h in high for v in (h, *[0] * (p - 1))], p)
+        power = [0] * size + low + [0] * p * size  # row u is [x^(p u - 1)] down to [x^(p u - B)]
+        mats.append([power[p * u : p * u + size][::-1] for u in range(1, size + 1)])
+    m = mats[0] if len(mats) == 1 else [[sum(x * y for x, y in zip(row, col))
+                                         for col in zip(*mats[1])] for row in mats[0]]
+    out = [0] * (len(exps) * size + 1)
+    out[:: len(exps)] = _reverse_charpoly([[v % p for v in row] for row in m], p)
+    return out
 
 
 # ---------------------------------------------------------------------------

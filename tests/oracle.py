@@ -13,6 +13,12 @@ constj finds the trace of the family's elliptic curve in closed form, by
 Cornacchia's algorithm; e_curve_trace_by_euler counts its points, testing
 each x for a square by Euler's criterion, and trace_fits_group_order checks
 a trace past the reach of a count by multiplying points of the curve.
+hasse_witt_numerator_mod_p rebuilds a whole cover numerator mod p from the
+Hasse-Witt matrices of every Frobenius orbit of characters: it raises f_c
+to the full power e with numpy convolutions, where constj splits each
+place's power as P^s P(x^p)^t on Python integers and computes only the
+orbits the new factor needs, and it takes determinants by Berkowitz's
+division-free algorithm, where constj reduces to Hessenberg form.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
+
+import numpy as np
 
 from constj.errors import ValidationError
 from constj.forms import J0, FactoredForm, JCase, Place
@@ -403,3 +411,77 @@ def trace_fits_group_order(jcase: JCase, p: int, t: int, points: int = 4) -> boo
     return all(_ec_mul(p + 1 - t, pt, a, p) is None for pt in found) and (
         t == 0 or any(_ec_mul(p + 1 + t, pt, a, p) is not None for pt in found)
     )
+
+
+# ---------------------------------------------------------------------------
+# every cover numerator mod p from f alone: the Hasse-Witt route
+
+
+def _power_mod(poly: list[int], e: int, p: int) -> list[int]:
+    """poly^e mod p by squaring, each product one numpy convolution."""
+    out, base = np.array([1], dtype=np.int64), np.array(poly, dtype=np.int64)
+    while e:
+        if e & 1:
+            out = np.convolve(out, base) % p
+        base, e = np.convolve(base, base) % p, e >> 1
+    return out.tolist()
+
+
+def _berkowitz(m: list[list[int]], p: int) -> list[int]:
+    """det(1 - T m) mod p, lowest first, by Berkowitz's algorithm: the
+    characteristic polynomial of each leading block is a Toeplitz matrix,
+    built from the block's border, times that of the block before it."""
+    poly = [1]  # det(x - A_r), highest first
+    for r in range(len(m)):
+        col = [m[i][r] for i in range(r)]  # the border above a_rr
+        row = m[r][:r]
+        toeplitz = [1, -m[r][r]]
+        for _ in range(r):
+            toeplitz.append(-sum(x * y for x, y in zip(row, col)) % p)
+            col = [sum(m[i][j] * col[j] for j in range(r)) % p for i in range(r)]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(len(poly))
+                    if 0 <= i - j < len(toeplitz)) % p for i in range(len(poly) + 1)]
+    return poly
+
+
+def hasse_witt_numerator_mod_p(f: FactoredForm, a: int) -> list[int]:
+    """The zeta numerator of u^a = f mod p, lowest first, trailing zeroes
+    dropped: the product over the orbits O = {c, c'} of c = 1..a-1 under
+    multiplication by p of det(1 - T^|O| H_e1 H_e2), with H_e1 alone when
+    c' = c, divided by 1 - T^|O| when a divides c m_inf, and 1 when no
+    finite place P^m has a not dividing c m and a divides c m_inf."""
+    p = f.p
+    m_inf = next((m for pl, m in f.places if pl.at_infinity), 0)
+    out, seen = [1], set()
+    for c in range(1, a):
+        c2 = p * c % a
+        if c in seen:
+            continue
+        seen |= {c, c2}
+        f_c = [1]
+        for pl, m in f.places:
+            if not pl.at_infinity and c * m % a:
+                f_c = [v % p for v in poly_mul(tuple(f_c), tuple(_power_mod(list(pl.poly), m, p)))]
+        if len(f_c) == 1 and c * m_inf % a == 0:
+            continue
+        exps = [(p * c - c2) // a] if c2 == c else [(p * c - c2) // a, (p * c2 - c) // a]
+        size = max(-(-e * (len(f_c) - 1) // (p - 1)) for e in exps)
+        mats = []
+        for e in exps:
+            power = _power_mod(f_c, e, p)
+            mats.append([[power[p * u - v] if 0 <= p * u - v < len(power) else 0
+                          for v in range(1, size + 1)] for u in range(1, size + 1)])
+        mat = mats[0] if len(mats) == 1 else [
+            [sum(x * y for x, y in zip(row, col)) % p for col in zip(*mats[1])] for row in mats[0]]
+        factor = [0] * (len(exps) * size + 1)
+        factor[:: len(exps)] = _berkowitz(mat, p)
+        if c * m_inf % a == 0:  # divide by 1 - T^|O| in F_p[T]; the remainder must vanish
+            k = len(exps)
+            for i in range(len(factor) - k):
+                factor[i + k] = (factor[i + k] + factor[i]) % p
+            assert not any(v % p for v in factor[len(factor) - k :]), "1 - T^|O| does not divide"
+            factor = factor[: len(factor) - k]
+        out = [v % p for v in poly_mul(tuple(out), tuple(factor))]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out

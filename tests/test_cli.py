@@ -352,46 +352,103 @@ def test_help_exits_zero(capsys):
     assert "--pattern" in out
 
 
+def _tamper_cached_count(capsys, argv, cache_dir, p, level, delta):
+    """Run argv to fill the count cache, then append a record that moves the
+    full cover's count at level by delta (the last record wins)."""
+    assert run_cli(capsys, argv)[0] == 0
+    (cache_file,) = cache_dir.glob("*.counts")
+    (record,) = [
+        line for line in cache_file.read_text().splitlines()
+        if line.startswith(f"{p} {level} ") and ":a=6 " in line
+    ]
+    p_col, i, key, value, version = record.split()
+    with cache_file.open("a") as fh:
+        fh.write(f"{p_col} {i} {key} {int(value) + delta} {version}\n")
+
+
 @pytest.mark.parametrize(
     "level, delta, message",
     [
         (1, 1, "coefficient 2 (levels 1..2) is not integral"),
-        (1, 2, "level 3 has 104, the numerator from levels 1..2 predicts 130"),
-        (3, 2, "level 3 has 106, the numerator from levels 1..2 predicts 104"),
+        pytest.param(1, 2, "Newton polygon [0 x2, 1 x2] is not the mu-ordinary polygon [1/2 x4]",
+                     id="1-2-mu-ordinary"),
         (1, 8, "levels 1..2 give a factor with a reciprocal root off the sqrt(q) circle"),
     ],
 )
 def test_wrong_cached_full_cover_count_exits_two(capsys, tmp_path, level, delta, message):
-    # (5,5,5,3)/F_5 has k = 4: the full cover is counted at levels 1..3,
-    # levels 1..2 give the new factor and level 3 is the redundancy check
+    # (5,5,5,3)/F_5 has k = 4: the full cover is counted at levels 1..2,
+    # which give the new factor; p = 5 is inert, so its polygon must be
+    # the mu-ordinary one, pure slope 1/2
     argv = ["verify", "--p", "5", "--pattern", "5,5,5,3", "--cache-dir", str(tmp_path)]
-    assert run_cli(capsys, argv)[0] == 0
-    (cache_file,) = tmp_path.glob("*.counts")
-    (record,) = [
-        line for line in cache_file.read_text().splitlines()
-        if line.startswith(f"5 {level} ") and ":a=6 " in line
-    ]
-    p, i, key, value, version = record.split()
-    with cache_file.open("a") as fh:  # the last record wins
-        fh.write(f"{p} {i} {key} {int(value) + delta} {version}\n")
+    _tamper_cached_count(capsys, argv, tmp_path, 5, level, delta)
     code, _, err = run_cli(capsys, argv)
     assert code == 2
-    assert "cover a=6 over F_5" in err and message in err
+    assert "over F_5" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "command, p, message",
+    [
+        ("zeta", 5, "new factor over F_5: Newton polygon [0 x2, 1 x2] is not the mu-ordinary "
+                    "polygon [1/2 x4] of the orbits {1, 5} (f_1 = 0, f_5 = 2)"),
+        ("verify", 7, "new factor over F_7: mod p the counts give [1, 0, 5], the Hasse-Witt "
+                      "matrices of the orbits {5} give [1, 0, 4]"),
+    ],
+    ids=["mu-ordinary", "hasse-witt"],
+)
+def test_wrong_count_at_the_last_level_read_exits_two(capsys, tmp_path, command, p, message):
+    # 2 more at level 2 of (5,5,5,3) gives an integral Weil factor, and no
+    # later level is counted to re-check it: the inert p = 5 row is caught
+    # by its polygon, the split p = 7 row by the new factor mod p
+    argv = [command, "--p", str(p), "--pattern", "5,5,5,3", "--cache-dir", str(tmp_path)]
+    _tamper_cached_count(capsys, argv, tmp_path, p, 2, 2)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"HARD FAILURE: {message}\n"
 
 
 def test_field_size_limit_exits_one(capsys, monkeypatch):
-    # F_{2003^3} for the order-4 cover: refused before anything is counted
+    # the new factor of (3,3,2,2,2) needs F_{2003^3} for the order-4 cover:
+    # refused before anything is counted
     def no_count(*args, **kwargs):
         raise AssertionError("counted before the field-size limit was checked")
 
     monkeypatch.setattr(count_mod, "count_points", no_count)
     code, _, err = run_cli(
-        capsys,
-        ["zeta", "--jcase", "1728", "--p", "2003", "--pattern", "3,3,3,3",
-         "--roots", "0,1,3,inf"],
+        capsys, ["zeta", "--jcase", "1728", "--p", "2003", "--pattern", "3,3,2,2,2"]
     )
     assert code == 1
     assert "a=4 at level 3" in err and "limit 134217728" in err
+
+
+@pytest.mark.parametrize(
+    "argv, new_factor, fields",
+    [
+        (["zeta", "--jcase", "1728", "--p", "2003", "--pattern", "3,3,3,3", "--roots", "0,1,3,inf"],
+         [1, 0, 4006, 0, 4012009], [2003, 2003**2]),
+        (["zeta", "--p", "23", "--pattern", "3,3,3,3,2,2,2"],
+         [1, 0, 19, 0, 610, 0, 14030, 0, 231173, 0, 6436343], [23**i for i in range(1, 6)]),
+        (["verify", "--p", "11551", "--pattern", "5,5,2"], [1, 148, 11551], [11551]),
+    ],
+    ids=["j1728-3333-p2003", "j0-3333222-p23", "j0-552-p11551"],
+)
+def test_rows_whose_level_k_minus_1_is_past_the_limit_answer(capsys, monkeypatch, argv,
+                                                              new_factor, fields):
+    # the full cover is counted to level k - 2 only; F_{p^(k-1)} is past
+    # the field-size limit in each row, which exited 1 while level k - 1
+    # was counted to re-check the numerator
+    swept = []
+    sweep = count_mod.count_points
+
+    def counted(curves, ctx):
+        swept.append(ctx.q)
+        return sweep(curves, ctx)
+
+    monkeypatch.setattr(count_mod, "count_points", counted)
+    code, out, err = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["lfunctions"]["new_factor"] == new_factor
+    assert swept == fields
 
 
 GOLDEN = Path(__file__).parent / "data"

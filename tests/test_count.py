@@ -181,6 +181,20 @@ def test_many_chunk_sweep_matches_smooth_model(monkeypatch, f5553):
     assert swept == smooth_model_counts(f5553, orders, ctx)
 
 
+@pytest.mark.parametrize("chunk", [8, 36, 37])
+def test_prime_field_sweeps_in_pieces_shorter_than_p(monkeypatch, chunk):
+    # F_37 in pieces of 8 (the last one 5 long), of 36, or whole: over F_p
+    # a linear place's classes are the table's shifted by its constant, and
+    # its zero may sit in any piece
+    monkeypatch.setattr(count_mod, "_CHUNK", chunk)
+    places = [(Place.infinity(), 2), (Place.linear(0, 37), 5), (Place.linear(30, 37), 4),
+              (Place.linear(12, 37), 3), (Place.from_poly((2, 0, 1), 37), 2)]
+    f = parse_form(J0, places, p=37)
+    ctx = make_field(37, 1)
+    curves = covers(f)
+    assert count_points(curves, ctx) == smooth_model_counts(f, [c.a for c in curves], ctx)
+
+
 LINEAR_SWEEP_FIELDS = [(5, 1), (5, 2), (5, 3), (5, 4), (7, 1), (7, 2), (7, 3), (13, 2)]
 
 
@@ -643,12 +657,11 @@ def test_flagship_bundle_sweeps_once_and_builds_one_table_per_field(monkeypatch)
     monkeypatch.setattr(count_mod, "count_points", counted)
     count_mod.power_class_table.cache_clear()
     zeta_bundle(f)
-    # the genus-2 and genus-4 subcovers need levels 1..3 and 1..5, the full
-    # cover levels 1..k-1 = 1..5
-    assert calls == [(5, (6, 2, 3)), (25, (6, 2, 3)), (125, (6, 2, 3)), (625, (6, 3)),
-                     (3125, (6, 3))]
+    # the genus-2 and genus-4 subcovers are counted to levels 2 and 4, the
+    # full cover to k-2 = 4: 5 + 25 + 125 + 625 = 780 points
+    assert calls == [(5, (6, 2, 3)), (25, (6, 2, 3)), (125, (6, 3)), (625, (6, 3))]
     info = count_mod.power_class_table.cache_info()
-    assert (info.misses, info.hits) == (5, 0)
+    assert (info.misses, info.hits) == (4, 0)
 
 
 def test_both_j_cases_share_one_table():

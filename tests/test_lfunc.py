@@ -68,13 +68,29 @@ def test_lpolynomial_full_cover(f5553):
     assert all(isinstance(c, int) for c in lp.coeffs)
 
 
-def test_lpolynomial_redundancy_detects_bad_counts(f5553):
-    curve = CurveSpec(f5553, 6)
-    (series,) = count_series((curve,), (5,))
-    # perturb the redundancy level by a Weil-legal amount
-    tampered = tuple(n if i != 5 else n + 6 for i, n in enumerate(series.counts, 1))
-    with pytest.raises(CountDataError, match="inconsistent"):
-        lpolynomial(CountSeries(curve=curve, counts=tampered))
+@pytest.mark.parametrize(
+    "p, cover, level, delta, message",
+    [(5, 0, 2, 2, "mu-ordinary"), (5, 1, 1, 1, "mu-ordinary"), (7, 0, 2, 2, "Hasse-Witt"),
+     (7, 1, 1, 2, "Hasse-Witt"), (13, 2, 1, 3, "Hasse-Witt")],
+    ids=["inert-a6", "inert-a2", "split-a6", "split-a2", "split-a3"],
+)
+def test_new_factor_checks_catch_a_wrong_count(monkeypatch, p, cover, level, delta, message):
+    # a wrong count that still gives integral Weil numerators, at a level
+    # they read: with no level counted past them, the polygon (inert p) or
+    # the new factor mod p (split p) catches it, whichever cover it is of
+    f = concrete_form(J0, (5, 5, 5, 3), p)
+    real = lfunc_mod.count_series
+
+    def tampered(curves, levels, cache=None):
+        series = list(real(curves, levels, cache=cache))
+        counts = list(series[cover].counts)
+        counts[level - 1] += delta
+        series[cover] = CountSeries(curve=series[cover].curve, counts=tuple(counts))
+        return tuple(series)
+
+    monkeypatch.setattr(lfunc_mod, "count_series", tampered)
+    with pytest.raises(InvariantViolation, match=message):
+        zeta_bundle(f)
 
 
 def test_lpolynomial_integrality_guard(f5553):
@@ -88,7 +104,7 @@ def test_lpolynomial_integrality_guard(f5553):
 def test_predicted_count_reproduces_extra_level(f5553):
     curve = CurveSpec(f5553, 6)
     (series,) = count_series((curve,), (5,))
-    lp = lpolynomial(series)[0]
+    lp = lpolynomial(CountSeries(curve=curve, counts=series.counts[:4]))[0]
     assert predicted_count(curve, lp, 5) == series.counts[4]
 
 
@@ -514,12 +530,13 @@ def test_exact_root_check_agrees_with_float_oracle(jcase, pattern, p, roots):
 @pytest.mark.parametrize("jcase, pattern, p", _full_genus_route_cases())
 def test_bundle_matches_full_genus_route(jcase, pattern, p):
     # the oracle counts the full cover to its required level, reconstructs
-    # its numerator from those counts alone and divides out the subcovers
+    # its numerator from the first g counts alone and divides out the
+    # subcovers; the bundle counted only to k - 2 and predicted the rest
     f = concrete_form(jcase, pattern, p)
     bundle = zeta_bundle(f)
     full = bundle.curves[0]
     (series,) = count_series((full,), (required_level(full),))
-    numerator = lpolynomial(series)[0]
+    numerator = lpolynomial(CountSeries(curve=full, counts=series.counts[: full.total_genus]))[0]
     denom = (1,)
     for lp in bundle.lpolys[1:]:
         denom = poly_mul(denom, lp.coeffs)
@@ -530,12 +547,11 @@ def test_bundle_matches_full_genus_route(jcase, pattern, p):
 
 def test_lpolynomial_with_known_factor_matches_plain(f5553):
     curve = CurveSpec(f5553, 6)
-    (five,) = count_series((curve,), (5,))
-    plain = lpolynomial(five)[0]
+    (four,) = count_series((curve,), (4,))
+    plain = lpolynomial(four)[0]
     bundle = zeta_bundle(f5553)
     known = LPolynomial(coeffs=poly_mul(bundle.lpolys[1].coeffs, bundle.lpolys[2].coeffs), q=5)
-    # levels 1..k-2 = 1..2 determine the factor; 3..5 are checked against it
-    assert lpolynomial(five, known=known) == (plain, bundle.new_factor)
+    # the genus-4 cover needs levels 1..4, its new factor levels 1..k-2 = 1..2
     (two,) = count_series((curve,), (2,))
     assert lpolynomial(two, known=known) == (plain, bundle.new_factor)
 

@@ -34,7 +34,12 @@ benchmark's tracer wraps it.
            circle, re-raised by lpolynomial       (b) root-check-counts-too-few
            as a CountDataError
     lfunc: coefficient j is not integral          (a) WRONG_CACHED[1-1-...]
-    lfunc: level i has N, ... predicts M          (a) WRONG_CACHED[1-2-...], [3-2-...]
+    lfunc: new factor: Newton polygon ... is not  (a) WRONG_CACHED[1-2-mu-ordinary],
+           (lies below) the mu-ordinary polygon       WRONG_READ[mu-ordinary]
+                                                  (b) mu-ordinary-check-removed
+    lfunc: new factor: mod p the counts give      (a) WRONG_READ[hasse-witt]
+           ..., the Hasse-Witt matrices give ...  (b) hasse-witt-check-removed,
+                                                      hasse-witt-orbit-of-c-one-only
     lfunc: Cornacchia finds no x^2 + d y^2 = p    (b) cornacchia-wrong-square-root
     cli: FAILURE, verify's supersingularity gate  (b) verify-gate-on-report-only
     count: field-size limit (exit 1)              (a) FIELD_LIMIT
@@ -43,6 +48,7 @@ benchmark's tracer wraps it.
 CACHED_WEIL is tests/test_cli.py::
     test_cached_count_past_weil_bound_names_cover_prime_and_file
 WRONG_CACHED is tests/test_cli.py::test_wrong_cached_full_cover_count_exits_two
+WRONG_READ is tests/test_cli.py::test_wrong_count_at_the_last_level_read_exits_two
 PATCHED_H1 is tests/test_lfunc.py::
     test_patched_h1_exits_2_with_the_eigenspace_message
 FIELD_LIMIT is tests/test_cli.py::test_field_size_limit_exits_one.
@@ -64,7 +70,10 @@ non-ASCII digits read as a root, the genus recomputed on every read, a
 Newton hull that keeps a point above its chord, the theorem's congruence
 read as p = 1, the cache trusting another version's record, a JSON
 integer past 2^53 written unquoted, and every component of a disconnected
-cover counted as fixed by Frobenius.
+cover counted as fixed by Frobenius.  hasse-witt-orbit-of-c-one-only
+computes, at split p, only the orbit of the character c = 1: that passes
+every catalog row, and fails a row whose two orbits both have a slope 0,
+such as j = 0 (4,4,2,2) at p = 7.
 """
 
 from __future__ import annotations
@@ -155,9 +164,27 @@ MUTANTS = [
     ),
     Mutant(
         "field-size-limit-loosened", "src/constj/count.py",
-        "if p**i > _MAX_FIELD_Q), None)\n",
-        "if p**i > 2 * _MAX_FIELD_Q), None)\n",
+        "    return p**i <= _MAX_FIELD_Q\n",
+        "    return p**i <= 2 * _MAX_FIELD_Q\n",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "mu-ordinary-check-removed", "src/constj/lfunc.py",
+        "    if polygon != mu if definite else not (above and y == sum(twice)):\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_wrong_count_at_the_last_level_read_exits_two",),
+    ),
+    Mutant(
+        "hasse-witt-check-removed", "src/constj/lfunc.py",
+        "    if counted != route:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_wrong_count_at_the_last_level_read_exits_two",),
+    ),
+    Mutant(
+        "hasse-witt-orbit-of-c-one-only", "src/constj/lfunc.py",
+        "    slope_zero = [orb for orb in orbits if all(hodge[j] for j in orb)]\n",
+        "    slope_zero = [orbits[-1]]\n",
+        ("tests/test_hasse_witt.py",),
     ),
     Mutant(
         "verify-gate-on-report-only", "src/constj/cli.py",
@@ -176,8 +203,8 @@ MUTANTS = [
     ),
     Mutant(
         "sweep-chunk-unaligned", "src/constj/count.py",
-        "    step = max(ctx.p, _CHUNK // ctx.p * ctx.p)\n",
-        "    step = max(ctx.p, _CHUNK)\n",
+        "    step = _CHUNK if ctx.degree == 1 else max(ctx.p, _CHUNK // ctx.p * ctx.p)\n",
+        "    step = _CHUNK if ctx.degree == 1 else max(ctx.p, _CHUNK)\n",
         ("tests/test_count.py",),
     ),
     Mutant(
