@@ -242,9 +242,9 @@ def _sweep_chunk(
     import numpy as np
 
     p = ctx.p
-    block = cls[lo:hi].astype(np.int32).reshape(-1, min(p, hi - lo))
-    acc = np.zeros_like(block)
-    flat = acc.reshape(-1)  # a view: places of degree > 1 add to it by code
+    flat = np.zeros(hi - lo, dtype=np.int32)  # places add to it by code
+    if ctx.degree > 1:  # linear places rotate the columns of the chunk's block
+        block, acc = cls[lo:hi].astype(np.int32).reshape(-1, p), flat.reshape(-1, p)
     seen: set[int] = set()  # positions of the zeroes found so far
     hits: list[tuple[int, int, list[int]]] = []
     for place_idx, (pl, m) in enumerate(places):
@@ -272,7 +272,7 @@ def _sweep_chunk(
     # at its own zeroes a place added m times the sentinel cls[0]: take it out
     sentinel = int(cls[0])
     zeros = [(idx, [(int(flat[x]) - m * sentinel) % d_cls for x in at]) for idx, m, at in hits]
-    # away from the zeroes acc < D * (sum of m): drop the zeroes from the
+    # away from the zeroes flat < D * (sum of m): drop the zeroes from the
     # histogram and fold it mod D, with no division per point
     span = d_cls * (1 + sum(m for pl, m in places if not pl.at_infinity))
     hist = np.bincount(flat, minlength=span)

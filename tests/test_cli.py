@@ -367,15 +367,18 @@ def _tamper_cached_count(capsys, argv, cache_dir, p, level, delta):
 
 
 @pytest.mark.parametrize(
-    "level, delta, message",
+    "level, delta, message, subject",
     [
-        (1, 1, "coefficient 2 (levels 1..2) is not integral"),
+        (1, 1, "coefficient 2 (levels 1..2) is not integral", "cover a=6 over F_5"),
         pytest.param(1, 2, "Newton polygon [0 x2, 1 x2] is not the mu-ordinary polygon [1/2 x4]",
-                     id="1-2-mu-ordinary"),
-        (1, 8, "levels 1..2 give a factor with a reciprocal root off the sqrt(q) circle"),
+                     "new factor over F_5", id="1-2-mu-ordinary"),
+        (1, 8, "levels 1..2 give a factor with a reciprocal root off the sqrt(q) circle",
+         "cover a=6 over F_5"),
     ],
 )
-def test_wrong_cached_full_cover_count_exits_two(capsys, tmp_path, level, delta, message):
+def test_wrong_cached_full_cover_count_exits_two(
+    capsys, tmp_path, level, delta, message, subject
+):
     # (5,5,5,3)/F_5 has k = 4: the full cover is counted at levels 1..2,
     # which give the new factor; p = 5 is inert, so its polygon must be
     # the mu-ordinary one, pure slope 1/2
@@ -383,7 +386,7 @@ def test_wrong_cached_full_cover_count_exits_two(capsys, tmp_path, level, delta,
     _tamper_cached_count(capsys, argv, tmp_path, 5, level, delta)
     code, _, err = run_cli(capsys, argv)
     assert code == 2
-    assert "over F_5" in err and message in err
+    assert f"{subject}: {message}" in err
 
 
 @pytest.mark.parametrize(
