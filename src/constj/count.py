@@ -10,22 +10,21 @@ the residue of f(P), and each cover reads its count off the histogram.  The
 table is built by walking the cyclic group F_q* once on integer element
 codes.  Every field product on this path is a deg x deg matrix over F_p
 applied to blocks of digits: the matrix of c is sum of c_k X^k over its
-digits, X being the companion matrix of the modulus.  Such products test
-a batch of generator candidates at once, shift the table walk, and run
-Horner's rule for places of degree > 1; a linear place x + c0 only
-rotates the lowest digit, so its classes are the table's with the columns
-of a (rows, p) block rotated by c0 (over F_p, shifted by c0).  Zeroes
-of f are found where a place vanishes and receive the branch-corrected
-local count #{Y : Y^gcd(a,m) = local unit}.  The sweep already sums every
-place's class at every point, so at a zero of one place the other
-places' sum is the unit's class up to an m-th power, which a
+digits, X being the companion matrix of the modulus.  Such products shift
+the table walk and run Horner's rule for places of degree > 1; a linear
+place x + c0 only rotates the lowest digit, so its classes are the table's
+with the columns of a (rows, p) block rotated by c0 (over F_p, shifted by
+c0).  Zeroes of f are found where a place vanishes and receive the
+branch-corrected local count #{Y : Y^gcd(a,m) = local unit}.  The sweep
+already sums every place's class at every point, so at a zero of one place
+the other places' sum is the unit's class up to an m-th power, which a
 gcd(a, m, q-1)-th power test cannot see: no field arithmetic at zeroes.
 
 numpy is imported inside the functions that touch arrays (the digit and
-matrix helpers, find_generator, power_class_table, _place_value_codes,
-_sweep_chunk and count_points), so it loads on the first count that misses
-the cache: a row read from the count cache, the catalog and the usage and
-validation errors found before a count never load it.
+matrix helpers, power_class_table, _place_value_codes, _sweep_chunk and
+count_points), so it loads on the first count that misses the cache: a row
+read from the count cache, the catalog and the usage and validation errors
+found before a count never load it.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from . import __version__ as TOOL_VERSION
 from .curve import CurveSpec
 from .errors import InvariantViolation, ValidationError
 from .forms import FactoredForm
-from .gf import FieldContext, make_field
+from .gf import FieldContext, _poly_powmod, make_field
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,11 +75,9 @@ def _codes_of(block: np.ndarray, ctx: FieldContext) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _x_powers(ctx: FieldContext) -> np.ndarray:
-    """The matrices over F_p of multiplication by X^k, k < deg, as one
-    read-only stack, built once per field; X is the companion matrix:
-    X^(deg-1) goes to X^deg = -sum c_k X^k."""
+def _x_powers(ctx: FieldContext) -> list[np.ndarray]:
+    """The matrices over F_p of multiplication by X^k, k < deg; X is the
+    companion matrix: X^(deg-1) goes to X^deg = -sum c_k X^k."""
     import numpy as np
 
     deg, p = ctx.degree, ctx.p
@@ -89,22 +86,15 @@ def _x_powers(ctx: FieldContext) -> np.ndarray:
     mats = [np.eye(deg, dtype=np.int64)]
     for _ in range(1, deg):
         mats.append(companion @ mats[-1] % p)
-    stack = np.stack(mats)
-    stack.flags.writeable = False
-    return stack
+    return mats
 
 
-def _matrices(codes: np.ndarray, ctx: FieldContext) -> np.ndarray:
-    """The (M, deg, deg) stack of the matrices of multiplication by the
-    elements with the given codes: sum of c_k X^k over their digits c_k.
-
-    Multiplication by c is F_p-linear, so one product with its matrix
-    multiplies a whole (deg, M) block of digits by c.  Below _MAX_FIELD_Q no
-    sum of deg products of digits, deg (p-1)^2, reaches 2^63.
-    """
-    import numpy as np
-
-    return np.tensordot(_digits(codes, ctx).T, _x_powers(ctx), axes=1) % ctx.p
+def _matrix(code: int, ctx: FieldContext) -> np.ndarray:
+    """The deg x deg matrix over F_p of multiplication by the element with
+    the given code, sum of c_k X^k over its digits c_k: one product with it
+    multiplies a whole (deg, M) block of digits.  Below _MAX_FIELD_Q no sum
+    of deg products of digits, deg (p-1)^2, reaches 2^63."""
+    return sum(code // ctx.p**k % ctx.p * x_pow for k, x_pow in enumerate(_x_powers(ctx))) % ctx.p
 
 
 # ---------------------------------------------------------------------------
@@ -125,40 +115,17 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def find_generator(ctx: FieldContext) -> int:
-    """Code of the smallest-code generator of F_q*; deterministic.
-
-    Multiplication by c is F_p-linear, so c^e = 1 exactly when M_c^e = I,
-    M_c being its matrix (see _matrices).  Candidates are tested a batch at
-    a time on the (B, deg, deg) stack of their matrices, built from the
-    field's X^k stack: the squarings M^(2^k) are shared by every cofactor
-    (q-1)/ell, and each cofactor power is applied to the vector of 1.  The
-    batches start at 8 codes and double, as a generator is usually among
-    the first few candidates.
-    """
-    import numpy as np
-
-    order = ctx.q - 1
+    """Code of the smallest-code generator of F_q*: the first code c, from 2
+    over F_p and from p otherwise (constants never generate an extension),
+    with c^((q-1)/ell) != 1 for every prime ell dividing q-1, each power taken
+    by gf's polynomial arithmetic on the digits of c modulo the modulus."""
+    order, p, modulus = ctx.q - 1, ctx.p, list(ctx.modulus)
     cofactors = [order // ell for ell in _prime_factors(order)]
-    deg, p = ctx.degree, ctx.p
-    one = np.eye(deg, 1, dtype=np.int64)  # the digits of 1, as a column
-    lo = 2 if deg == 1 else p  # constants never generate an extension
-    size = 8
-    while lo < ctx.q:
-        codes = np.arange(lo, min(lo + size, ctx.q), dtype=np.int64)
-        squares = [_matrices(codes, ctx)]  # M^(2^k)
-        for _ in range(1, max(cofactors).bit_length()):
-            squares.append(squares[-1] @ squares[-1] % p)
-        generates = np.ones(codes.size, dtype=bool)
-        for cf in cofactors:
-            power = one
-            for k in range(cf.bit_length()):
-                if cf >> k & 1:
-                    power = squares[k] @ power % p
-            generates &= (power != one).any(axis=(1, 2))
-        if generates.any():
-            return int(codes[generates.argmax()])
-        lo += size
-        size *= 2
+    one = [1] + [0] * (ctx.degree - 1)
+    for code in range(2 if ctx.degree == 1 else p, ctx.q):
+        digits = [code // p**k % p for k in range(ctx.degree)]
+        if all(_poly_powmod(digits, cf, modulus, p) != one for cf in cofactors):
+            return code
     raise InvariantViolation("no generator found; field construction is broken")
 
 
@@ -177,7 +144,7 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
 
     q = ctx.q
     d_cls = gcd(_CLASS_MODULUS, q - 1)
-    g_mat = _matrices(np.array([find_generator(ctx)]), ctx)[0]
+    g_mat = _matrix(find_generator(ctx), ctx)
 
     block_cap = min(q - 1, _WALK_BLOCK)
     digits = np.eye(ctx.degree, 1, dtype=np.int64)  # the block g^0, g^1, ... as digit columns
@@ -193,7 +160,7 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
     cls[block] = phase
     # g^(block size) is g times the block's last power: the block size need
     # not be a power of 2, so it is not the last doubling step
-    shift = _matrices(block[-1:], ctx)[0] @ g_mat % ctx.p
+    shift = _matrix(int(block[-1]), ctx) @ g_mat % ctx.p
     for idx in range(block_cap, q - 1, block_cap):
         digits = shift @ digits
         digits %= ctx.p  # in place: a second temporary per segment costs ~0.5 s on F_{5^10}
@@ -215,12 +182,12 @@ def _place_value_codes(pl, codes: np.ndarray, ctx: FieldContext) -> np.ndarray:
     deg p^2."""
     import numpy as np
 
-    x_blk = _digits(codes, ctx)
+    x_blk, x_pows = _digits(codes, ctx), _x_powers(ctx)
     acc = x_blk.copy()  # the place is monic: its first Horner step is 1 x
     for c in reversed(pl.poly[1:-1]):
         acc[0] = (acc[0] + c) % ctx.p
         prod = np.zeros_like(acc)
-        for x_k, x_pow in zip(x_blk, _x_powers(ctx)):
+        for x_k, x_pow in zip(x_blk, x_pows):
             term = x_pow @ acc
             term %= ctx.p
             term *= x_k

@@ -111,7 +111,7 @@ def eigenspace_dims(curves: Sequence[CurveSpec]) -> tuple[int, ...]:
     return dims
 
 
-def hodge_number(f: FactoredForm, j: int) -> int:
-    """f_j = dim H^{1,0}(V_j) of u^a = f: a f_j = -a + sum of deg ((-j m) mod a)."""
-    a = f.jcase.exponent
-    return sum(pl.degree * (-j * m % a) for pl, m in f.places) // a - 1
+def hodge_number(pattern: Sequence[int], a: int, j: int) -> int:
+    """f_j = dim H^{1,0}(V_j) of u^a = f, f with one multiplicity m per
+    geometric zero in pattern: a f_j = -a + sum of ((-j m) mod a)."""
+    return sum(-j * m % a for m in pattern) // a - 1

@@ -261,7 +261,7 @@ def _check_new_factor(f: FactoredForm, dim: int, new: LPolynomial, polygon: Poly
     of {1, a-1} under p have the mu-ordinary slopes #{j in O : f_j < s}/|O|,
     s = 1..dim, |O| times each, and those with a slope 0 are checked mod p."""
     a, p = f.jcase.exponent, f.p
-    hodge = {j: hodge_number(f, j) for j in (1, a - 1)}
+    hodge = {j: hodge_number(f.pattern, a, j) for j in (1, a - 1)}
     orbits = ((1,), (a - 1,)) if p % a == 1 else ((1, a - 1),)
     twice = sorted(2 * sum(hodge[j] < s for j in orb) // len(orb)  # |O| <= 2
                    for orb in orbits for _ in orb for s in range(1, dim + 1))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from .curve import hodge_number
 from .forms import JCase
 
 Pattern = tuple[int, ...]
@@ -75,7 +76,7 @@ def catalog_row(pattern: Pattern, jcase: JCase) -> Optional[CatalogRow]:
         n=sum(pattern) // jcase.exponent,
         k=k,
         surface_class=classify_Xf(pattern),
-        torelli_failure_expected=k > 3,
+        torelli_failure_expected=hodge_number(pattern, jcase.exponent, 1) == 0 and k > 3,
         supersingular_congruence=f"p = {jcase.exponent - 1} mod {jcase.exponent}",
     )
 

@@ -471,7 +471,7 @@ def test_code_multiplier_matches_field_mul(field, data):
     h_code = data.draw(st.integers(0, ctx.q - 1), label="h")
     xs = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=40), label="x")
     h = ctx.from_code(h_code)
-    (h_mat,) = count_mod._matrices(np.array([h_code]), ctx)
+    h_mat = count_mod._matrix(h_code, ctx)
     got = count_mod._codes_of(h_mat @ count_mod._digits(np.array(xs), ctx) % ctx.p, ctx)
     assert got.tolist() == [ctx.code(ctx.mul(h, ctx.from_code(x))) for x in xs]
 
@@ -545,6 +545,16 @@ def test_find_generator_is_the_smallest_code_of_full_order(p, i):
     )
     generator = count_mod.find_generator(ctx)
     assert type(generator) is int and generator == smallest
+
+
+@pytest.mark.parametrize(
+    "p,i,code",
+    [(5, 10, 6), (7, 9, 9), (13, 7, 15), (509, 3, 510), (11551, 2, 11556), (134217689, 1, 3)],
+)
+def test_find_generator_on_fields_too_large_for_the_scalar_walk(p, i, code):
+    # the smallest generator codes of fields whose orders the scalar oracle
+    # cannot walk, as found by a batched matrix search of candidates
+    assert count_mod.find_generator(make_field(p, i)) == code
 
 
 @pytest.mark.parametrize("p,i", [(1499, 2), (2003, 2), (50021, 1)])

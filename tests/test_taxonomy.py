@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from constj.curve import hodge_number
 from constj.forms import J0, J1728
 from constj.taxonomy import (
     catalog,
@@ -104,3 +105,18 @@ def test_catalog_row_counts_and_flags():
 
 def test_enumeration_is_stable():
     assert enumerate_patterns(J0) == enumerate_patterns(J0)
+
+
+@pytest.mark.parametrize("jcase", [J0, J1728])
+def test_f1_is_zero_exactly_for_a_rational_partner(jcase):
+    # the pattern of every form with k <= N + 1 zeroes (multiplicities
+    # 1..N-1 summing to a multiple of N): all the admissible patterns (k <= N)
+    # and the rest, whose partner is not rational
+    n_exp = jcase.exponent
+    patterns = [combo for k in range(2, n_exp + 2)
+                for combo in combinations_with_replacement(range(1, n_exp), k)
+                if sum(combo) % n_exp == 0]
+    assert brute_force_patterns(jcase) <= {tuple(sorted(c, reverse=True)) for c in patterns}
+    for pattern in patterns:
+        f_1 = hodge_number(pattern, n_exp, 1)
+        assert (f_1 == 0) == is_partner_rational(pattern, jcase), pattern

@@ -22,6 +22,7 @@ benchmark's tracer wraps it.
     check (module: message)                       kind and what reaches it
     count: no generator found                     (b) generator-cofactor-of-one
     count: power-class table incomplete           (b) generator-not-of-full-order
+                                                      (one cofactor test, not all)
     count: place ... shares a root                (b) sweep-shared-root-unchecked
     count: place ... has N roots, expected d      (b) horner-zeroes-cut-to-one
     count: Weil bound violated                    (a) CACHED_WEIL
@@ -110,8 +111,8 @@ MUTANTS = [
     ),
     Mutant(
         "generator-not-of-full-order", "src/constj/count.py",
-        "            return int(codes[generates.argmax()])\n",
-        "            return int(codes[0])\n",
+        "        if all(_poly_powmod(digits, cf, modulus, p) != one for cf in cofactors):\n",
+        "        if any(_poly_powmod(digits, cf, modulus, p) != one for cf in cofactors):\n",
         ("tests/test_count.py",),
     ),
     Mutant(
