@@ -279,6 +279,7 @@ def run_pipeline(
     if verdict_obj is not None:
         verdict_section = dict(
             verdict_obj._asdict(),
+            e_supersingular=verdict_obj.e_supersingular,
             surface_artin_supersingular=verdict_obj.surface_artin_supersingular,
         )
 

@@ -9,16 +9,16 @@ D = gcd(12, q-1), serves every cover of both j-cases: the sweep histograms
 the residue of f(P), and each cover reads its count off the histogram.  The
 table is built by walking the cyclic group F_q* once on integer element
 codes.  Every field product on this path is a deg x deg matrix over F_p
-applied to blocks of digits: the matrix of c is sum of c_k X^k over its
-digits, X being the companion matrix of the modulus.  Such products shift
-the table walk and run Horner's rule for places of degree > 1; a linear
-place x + c0 only rotates the lowest digit, so its classes are the table's
-with the columns of a (rows, p) block rotated by c0 (over F_p, shifted by
-c0).  Zeroes of f are found where a place vanishes and receive the
-branch-corrected local count #{Y : Y^gcd(a,m) = local unit}.  The sweep
-already sums every place's class at every point, so at a zero of one place
-the other places' sum is the unit's class up to an m-th power, which a
-gcd(a, m, q-1)-th power test cannot see: no field arithmetic at zeroes.
+applied to blocks of digits: column k of the matrix of c is c X^k reduced
+by gf's polynomial arithmetic.  Such products shift the table walk and run
+Horner's rule for places of degree > 1; a linear place x + c0 only rotates
+the lowest digit, so its classes are the table's with the columns of a
+(rows, p) block rotated by c0 (over F_p, shifted by c0).  Zeroes of f are
+found where a place vanishes and receive the branch-corrected local count
+#{Y : Y^gcd(a,m) = local unit}.  The sweep already sums every place's class
+at every point, so at a zero of one place the other places' sum is the
+unit's class up to an m-th power, which a gcd(a, m, q-1)-th power test
+cannot see: no field arithmetic at zeroes.
 
 numpy is imported inside the functions that touch arrays (the digit and
 matrix helpers, power_class_table, _place_value_codes, _sweep_chunk and
@@ -31,23 +31,24 @@ from __future__ import annotations
 
 import warnings
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
 from .curve import CurveSpec
 from .errors import InvariantViolation, ValidationError
-from .forms import FactoredForm
-from .gf import FieldContext, _poly_powmod, make_field
+from .forms import JCASES, FactoredForm
+from .gf import FieldContext, _poly_mulmod, _poly_powmod, make_field
 
 if TYPE_CHECKING:
     import numpy as np
 
 _CHUNK = 1 << 20  # points per sweep step
-_WALK_BLOCK = 1 << 16  # powers per table-walk block: the walk holds deg int64 digits of each
+# powers per table-walk block, a power of 2 so that its last doubling step shifts the walk
+_WALK_BLOCK = 1 << 16
 _MAX_FIELD_Q = 2**27  # largest field a count may sweep: a power-class table of q bytes
-_CLASS_MODULUS = 12  # lcm of the family exponents 6 and 4: every cover order divides it
+_CLASS_MODULUS = lcm(*(j.exponent for j in JCASES.values()))  # 12: every cover order divides it
 
 
 # ---------------------------------------------------------------------------
@@ -75,26 +76,21 @@ def _codes_of(block: np.ndarray, ctx: FieldContext) -> np.ndarray:
     return out
 
 
-def _x_powers(ctx: FieldContext) -> list[np.ndarray]:
-    """The matrices over F_p of multiplication by X^k, k < deg; X is the
-    companion matrix: X^(deg-1) goes to X^deg = -sum c_k X^k."""
-    import numpy as np
-
-    deg, p = ctx.degree, ctx.p
-    companion = np.eye(deg, k=-1, dtype=np.int64)
-    companion[:, -1] = [(-c) % p for c in ctx.modulus[:deg]]
-    mats = [np.eye(deg, dtype=np.int64)]
-    for _ in range(1, deg):
-        mats.append(companion @ mats[-1] % p)
-    return mats
+def _code_digits(code: int, ctx: FieldContext) -> list[int]:  # of one element, lowest first
+    return [code // ctx.p**k % ctx.p for k in range(ctx.degree)]
 
 
 def _matrix(code: int, ctx: FieldContext) -> np.ndarray:
     """The deg x deg matrix over F_p of multiplication by the element with
-    the given code, sum of c_k X^k over its digits c_k: one product with it
-    multiplies a whole (deg, M) block of digits.  Below _MAX_FIELD_Q no sum
-    of deg products of digits, deg (p-1)^2, reaches 2^63."""
-    return sum(code // ctx.p**k % ctx.p * x_pow for k, x_pow in enumerate(_x_powers(ctx))) % ctx.p
+    the given code, column k the digits of its product with X^k modulo the
+    modulus: one product with it multiplies a whole (deg, M) block of
+    digits.  Below _MAX_FIELD_Q no sum of deg products of digits,
+    deg (p-1)^2, reaches 2^63."""
+    import numpy as np
+
+    digits, modulus = _code_digits(code, ctx), list(ctx.modulus)
+    columns = [_poly_mulmod(digits, [0] * k + [1], modulus, ctx.p) for k in range(ctx.degree)]
+    return np.array(columns, dtype=np.int64).T
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +119,7 @@ def find_generator(ctx: FieldContext) -> int:
     cofactors = [order // ell for ell in _prime_factors(order)]
     one = [1] + [0] * (ctx.degree - 1)
     for code in range(2 if ctx.degree == 1 else p, ctx.q):
-        digits = [code // p**k % p for k in range(ctx.degree)]
+        digits = _code_digits(code, ctx)
         if all(_poly_powmod(digits, cf, modulus, p) != one for cf in cofactors):
             return code
     raise InvariantViolation("no generator found; field construction is broken")
@@ -135,34 +131,29 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
 
     T[0] (the zero element) is the sentinel 255.  Built once per field by
     walking the powers of a generator on integer codes: a block of the first
-    min(q-1, 2^16) powers is grown by doubling, then shifted along the group
-    by multiplying with g^(block size), each step one matrix product on the
-    block's digits.  count_series refuses a field above _MAX_FIELD_Q before
-    any table is asked for.  The table is shared by every caller and read-only.
+    min(q-1, _WALK_BLOCK) powers is grown by doubling, then shifted along
+    the group by the last doubling step, one matrix product per step.
+    count_series refuses a field above _MAX_FIELD_Q before any table is
+    asked for.  The table is shared by every caller and read-only.
     """
     import numpy as np
 
     q = ctx.q
     d_cls = gcd(_CLASS_MODULUS, q - 1)
-    g_mat = _matrix(find_generator(ctx), ctx)
 
     block_cap = min(q - 1, _WALK_BLOCK)
     digits = np.eye(ctx.degree, 1, dtype=np.int64)  # the block g^0, g^1, ... as digit columns
-    step = g_mat  # times g^(block size); the block doubles, so the step squares
+    step = _matrix(find_generator(ctx), ctx)  # times g^(block size): squares as the block doubles
     while digits.shape[1] < block_cap:
         head = step @ digits[:, : block_cap - digits.shape[1]] % ctx.p
         digits = np.concatenate([digits, head], axis=1)
         step = step @ step % ctx.p
-    block = _codes_of(digits, ctx)
 
     cls = np.full(q, 255, dtype=np.uint8)
     phase = (np.arange(block_cap) % d_cls).astype(np.uint8)
-    cls[block] = phase
-    # g^(block size) is g times the block's last power: the block size need
-    # not be a power of 2, so it is not the last doubling step
-    shift = _matrix(int(block[-1]), ctx) @ g_mat % ctx.p
-    for idx in range(block_cap, q - 1, block_cap):
-        digits = shift @ digits
+    cls[_codes_of(digits, ctx)] = phase
+    for idx in range(block_cap, q - 1, block_cap):  # only when block_cap = _WALK_BLOCK
+        digits = step @ digits
         digits %= ctx.p  # in place: a second temporary per segment costs ~0.5 s on F_{5^10}
         length = min(block_cap, q - 1 - idx)
         cls[_codes_of(digits[:, :length], ctx)] = (phase[:length] + idx % d_cls) % d_cls
@@ -178,11 +169,11 @@ def power_class_table(ctx: FieldContext) -> tuple[np.ndarray, int]:
 def _place_value_codes(pl, codes: np.ndarray, ctx: FieldContext) -> np.ndarray:
     """Codes of the values of a place of degree > 1 at the finite points
     given by codes: Horner, acc x = sum of x_k (X^k acc) over the digits of
-    x, with X^k acc reduced before it is scaled, so entries stay below
-    deg p^2."""
+    x, X^k being the matrix of the code p^k, with X^k acc reduced before it
+    is scaled, so entries stay below deg p^2."""
     import numpy as np
 
-    x_blk, x_pows = _digits(codes, ctx), _x_powers(ctx)
+    x_blk, x_pows = _digits(codes, ctx), [_matrix(ctx.p**k, ctx) for k in range(ctx.degree)]
     acc = x_blk.copy()  # the place is monic: its first Horner step is 1 x
     for c in reversed(pl.poly[1:-1]):
         acc[0] = (acc[0] + c) % ctx.p

@@ -129,9 +129,15 @@ class FieldContext(NamedTuple):
     """Immutable description of F_{p^degree}."""
 
     p: int
-    degree: int
     modulus: tuple[int, ...]  # monic, length degree+1, low degree first
-    q: int
+
+    @property
+    def degree(self) -> int:
+        return len(self.modulus) - 1
+
+    @property
+    def q(self) -> int:
+        return self.p**self.degree
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GF({self.p}^{self.degree})" if self.degree > 1 else f"GF({self.p})"
@@ -150,8 +156,8 @@ def make_field(p: int, i: int = 1) -> FieldContext:
     if not isinstance(p, int) or not is_prime(p) or p <= 3:
         raise ValidationError("p must be prime > 3")
     if i == 1:
-        return FieldContext(p=p, degree=1, modulus=(0, 1), q=p)
+        return FieldContext(p=p, modulus=(0, 1))
     for tail in product(range(1, p), *[range(p)] * (i - 1)):
         cand = tail + (1,)
         if poly_is_irreducible(cand, p):  # one of every degree exists, so the loop returns
-            return FieldContext(p=p, degree=i, modulus=cand, q=p**i)
+            return FieldContext(p=p, modulus=cand)

@@ -285,7 +285,7 @@ def _check_new_factor(f: FactoredForm, dim: int, new: LPolynomial, polygon: Poly
         return
     counted, route = new.coeffs, (1,)
     for orb in slope_zero:  # chi^c acts on V_{a-c}: the orbit of j is that of c = a - j
-        route = poly_mul(route, tuple(orbit_factor_mod_p(f, a, a - orb[0])))
+        route = poly_mul(route, tuple(orbit_factor_mod_p(f, a - orb[0])))
         if not any(pl.at_infinity for pl, _ in f.places):  # a | c m_inf: 1 - T^|O| more
             counted = poly_mul(counted, (1, *[0] * (len(orb) - 1), -1))
     counted, route = (_poly_trim([c % p for c in poly]) for poly in (counted, route))
@@ -353,13 +353,15 @@ def _reverse_charpoly(m: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
-def orbit_factor_mod_p(f: FactoredForm, a: int, c: int) -> list[int]:
+def orbit_factor_mod_p(f: FactoredForm, c: int) -> list[int]:
     """det(1 - T^|O| H_e1 H_e2) mod p, lowest first: the factor of the orbit
-    O = {c, c'} of chi^c under p, times 1 - T^|O| when a | c m_inf (Manin,
-    1961).  H_e[u][v] = [x^(p u - v)] f_c^e, u, v = 1..B, f_c the finite P^m
-    with a not dividing c m, e1 = (p c - c')/a, e2 = (p c' - c)/a (H_e1 alone
-    when c' = c) and B = max ceil(e deg f_c / (p - 1))."""
-    p, c2 = f.p, f.p * c % a
+    O = {c, c'} of chi^c under p, a = f's exponent, times 1 - T^|O| when
+    a | c m_inf (Manin, 1961).  H_e[u][v] = [x^(p u - v)] f_c^e, u, v = 1..B,
+    f_c the finite P^m with a not dividing c m, e1 = (p c - c')/a,
+    e2 = (p c' - c)/a (H_e1 alone when c' = c) and
+    B = max ceil(e deg f_c / (p - 1))."""
+    a, p = f.jcase.exponent, f.p
+    c2 = p * c % a
     places = [(pl.poly, m) for pl, m in f.places if not pl.at_infinity and c * m % a]
     exps = [(p * c - c2) // a] if c2 == c else [(p * c - c2) // a, (p * c2 - c) // a]
     size = max(-(-e * sum((len(poly) - 1) * m for poly, m in places) // (p - 1)) for e in exps)
@@ -450,8 +452,11 @@ def e_curve_trace(jcase: JCase, p: int) -> int:
 class Verdict(NamedTuple):
     theorem_applicable: bool
     curve_new_factor_pure: bool
-    e_supersingular: bool
     e_trace: int
+
+    @property
+    def e_supersingular(self) -> bool:
+        return self.e_trace == 0
 
     @property
     def surface_artin_supersingular(self) -> bool:
@@ -460,10 +465,8 @@ class Verdict(NamedTuple):
 
 def verdict_from_bundle(bundle: ZetaBundle) -> Verdict:
     f = bundle.f
-    trace = e_curve_trace(f.jcase, f.p)
     return Verdict(
         theorem_applicable=f.p % f.jcase.exponent == f.jcase.exponent - 1,  # p = -1 mod 6 or 4
         curve_new_factor_pure=is_pure_half(bundle.polygons[-1]),
-        e_supersingular=trace == 0,
-        e_trace=trace,
+        e_trace=e_curve_trace(f.jcase, f.p),
     )

@@ -8,6 +8,7 @@ on k, the number of distinct zeroes.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional
 
 from .curve import hodge_number
@@ -17,25 +18,13 @@ Pattern = tuple[int, ...]
 
 
 def enumerate_patterns(jcase: JCase) -> list[Pattern]:
-    """All admissible multiplicity multisets, sorted canonically.
-
-    Sorted by k, then by the descending multiplicity tuple itself descending,
-    so the two-zero patterns come first and (N-1, 1) leads its group.
-    """
-    n_exp = jcase.exponent
-    found: set[Pattern] = set()
-
-    def extend(partial: list[int], remaining: int, max_part: int) -> None:
-        if remaining == 0:
-            if len(partial) >= 2:
-                found.add(tuple(sorted((n_exp - c for c in partial), reverse=True)))
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            extend(partial + [part], remaining - part, part)
-
-    # partition sum(N - m_i) = N with parts N - m in [1, N-1]
-    extend([], n_exp, n_exp - 1)
-    return sorted(found, key=lambda t: (len(t), tuple(-m for m in t)))
+    """The multisets of k = 2..N multiplicities in [1, N-1] with a rational
+    partner, in the order the combinations come: by k, then by the
+    descending tuple itself descending, so (N-1, 1) leads the two-zero
+    patterns.  Each zero adds N - m >= 1 to the partner's degree N: k <= N."""
+    n_exp, descending = jcase.exponent, range(jcase.exponent - 1, 0, -1)
+    return [pat for k in range(2, n_exp + 1) for pat in combinations_with_replacement(descending, k)
+            if is_partner_rational(pat, jcase)]
 
 
 def classify_Xf(pattern: Pattern) -> str:

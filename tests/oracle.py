@@ -109,7 +109,7 @@ class ScalarField(FieldContext):
 
 def scalar_field(p: int, i: int = 1) -> ScalarField:
     ctx = make_field(p, i)
-    return ScalarField(ctx.p, ctx.degree, ctx.modulus, ctx.q)
+    return ScalarField(ctx.p, ctx.modulus)
 
 
 @dataclass(frozen=True)

@@ -460,7 +460,7 @@ def test_small_q_infinity_handling():
 # power-class table
 
 # degree 1 is a 1 x 1 matrix; p = 257 puts sums of digit products near
-# deg (p-1)^2; degrees 2..5 reduce X^k through their companion matrices
+# deg (p-1)^2; over degrees 2..5 gf reduces each column's c X^k mod the modulus
 MULTIPLIER_FIELDS = [(5, 1), (5, 2), (5, 5), (7, 4), (17, 1), (17, 3), (257, 1), (257, 2), (13, 3)]
 
 
@@ -506,11 +506,11 @@ def scalar_power_classes(ctx, modulus):
 
 @pytest.mark.parametrize("p,i", [(5, 1), (7, 1), (13, 1), (5, 2), (7, 2), (5, 3), (11, 3), (5, 4)])
 @pytest.mark.parametrize("exponent", [6, 4])
-@pytest.mark.parametrize("chunk", [1 << 20, 64, 48])
+@pytest.mark.parametrize("chunk", [1 << 20, 64, 32])
 def test_power_class_table_matches_scalar_walk(monkeypatch, p, i, exponent, chunk):
-    # a small chunk and walk block make the walk double its block and then
-    # shift it across several segments, the last one partial; at 48 the
-    # block's last doubling step is g^64, not the shift g^48
+    # a small chunk and walk block (a power of 2, as the walk shifts by its
+    # last doubling step) make the walk double its block and then shift it
+    # across several segments, the last one partial
     monkeypatch.setattr(count_mod, "_CHUNK", chunk)
     monkeypatch.setattr(count_mod, "_WALK_BLOCK", chunk)
     count_mod.power_class_table.cache_clear()

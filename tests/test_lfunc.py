@@ -287,7 +287,6 @@ def test_surface_verdict_is_the_conjunction_of_its_parts(pure, e_ss):
     v = Verdict(
         theorem_applicable=True,
         curve_new_factor_pure=pure,
-        e_supersingular=e_ss,
         e_trace=0 if e_ss else 2,
     )
     assert v.surface_artin_supersingular is (pure and e_ss)

@@ -22,7 +22,8 @@ benchmark's tracer wraps it.
     check (module: message)                       kind and what reaches it
     count: no generator found                     (b) generator-cofactor-of-one
     count: power-class table incomplete           (b) generator-not-of-full-order
-                                                      (one cofactor test, not all)
+                                                      (one cofactor test, not all),
+                                                      walk-block-not-a-power-of-two
     count: place ... shares a root                (b) sweep-shared-root-unchecked
     count: place ... has N roots, expected d      (b) horner-zeroes-cut-to-one
     count: Weil bound violated                    (a) CACHED_WEIL
@@ -114,6 +115,12 @@ MUTANTS = [
         "        if all(_poly_powmod(digits, cf, modulus, p) != one for cf in cofactors):\n",
         "        if any(_poly_powmod(digits, cf, modulus, p) != one for cf in cofactors):\n",
         ("tests/test_count.py",),
+    ),
+    Mutant(
+        "walk-block-not-a-power-of-two", "src/constj/count.py",
+        "_WALK_BLOCK = 1 << 16\n",
+        "_WALK_BLOCK = 3 << 14\n",
+        ("tests/test_count.py::test_power_class_table_large_p_no_overflow",),
     ),
     Mutant(
         "sweep-shared-root-unchecked", "src/constj/count.py",
