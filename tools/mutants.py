@@ -65,9 +65,10 @@ tests/test_cli.py::
 pins level 1.
 
 The other mutants are regressions that earlier changes found by hand:
-a wrong sweep rotation, an unaligned chunk step, the zeroes left in the
-histogram, a pseudo-remainder that can flip Sturm signs, gcd(a, q-1) in
-place of gcd(a, m, q-1) at a zero, a count cached before its Weil check,
+a wrong sweep rotation, an unaligned chunk step, a piece of F_p's row
+rotated as if it began the row, the zeroes left in the histogram, a
+pseudo-remainder that can flip Sturm signs, gcd(a, q-1) in place of
+gcd(a, m, q-1) at a zero, a count cached before its Weil check,
 non-ASCII digits read as a root, the genus recomputed on every read, a
 Newton hull that keeps a point above its chord, the theorem's congruence
 read as p = 1, the cache trusting another version's record, a JSON
@@ -203,16 +204,20 @@ MUTANTS = [
     # regressions found by hand in earlier changes
     Mutant(
         "sweep-rotates-by-minus-c0", "src/constj/count.py",
-        "            acc[:, : p - c0] += m * block[:, c0:]\n"
-        "            acc[:, p - c0 :] += m * block[:, :c0]\n",
-        "            acc[:, c0:] += m * block[:, : p - c0]\n"
-        "            acc[:, :c0] += m * block[:, p - c0 :]\n",
+        "            start = (lo + pl.poly[0]) % p\n",
+        "            start = (lo - pl.poly[0]) % p\n",
         ("tests/test_count.py",),
     ),
     Mutant(
+        "sweep-piece-offset-dropped", "src/constj/count.py",
+        "            start = (lo + pl.poly[0]) % p\n",
+        "            start = pl.poly[0] % p\n",
+        ("tests/test_count.py::test_prime_field_sweeps_in_pieces_shorter_than_p",),
+    ),
+    Mutant(
         "sweep-chunk-unaligned", "src/constj/count.py",
-        "    step = _CHUNK if ctx.degree == 1 else max(ctx.p, _CHUNK // ctx.p * ctx.p)\n",
-        "    step = _CHUNK if ctx.degree == 1 else max(ctx.p, _CHUNK)\n",
+        "    step = _CHUNK // ctx.p * ctx.p or _CHUNK\n",
+        "    step = _CHUNK\n",
         ("tests/test_count.py",),
     ),
     Mutant(
