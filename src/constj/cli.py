@@ -262,7 +262,7 @@ def run_pipeline(
     verdict_obj = lfunc.verdict_from_bundle(bundle) if with_verdict else None
 
     counts_section = {
-        str(c.a): [[i, n] for i, n in enumerate(s.counts, 1)]
+        str(c.a): [[i, n] for i, n in enumerate(s, 1)]
         for c, s in zip(bundle.curves, bundle.series)
     }
     lf_section = {

@@ -34,7 +34,7 @@ import warnings
 from functools import lru_cache
 from math import gcd, lcm
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__ as TOOL_VERSION
 from .curve import CurveSpec
@@ -293,11 +293,6 @@ def _assert_weil(curve: CurveSpec, i: int, n_points: int, source: Optional[Path]
 # ---------------------------------------------------------------------------
 # series and cache
 
-class CountSeries(NamedTuple):
-    curve: CurveSpec
-    counts: tuple[int, ...]  # N(p^i) at levels i = 1..n, in order
-
-
 class CountCache:
     """Append-only count file of one prime, DIR/p<p>.counts, shared by every
     form counted at p.  One record per line: p, level, curve key, count,
@@ -340,10 +335,10 @@ class CountCache:
     def get(self, i: int, key: str) -> Optional[int]:
         return self._load().get((i, key))
 
-    def put(self, i: int, counts: dict[str, int]) -> None:
-        """Append the counts at F_{p^i}, {curve key: count}, in one write;
-        the directory is made only when the open finds it missing."""
-        text = "".join(f"{self.p} {i} {key} {n} {TOOL_VERSION}\n" for key, n in counts.items())
+    def put(self, counts: dict[tuple[int, str], int]) -> None:
+        """Append counts, {(level, curve key): count}, in one write; the
+        directory is made only when the open finds it missing."""
+        text = "".join(f"{self.p} {i} {key} {n} {TOOL_VERSION}\n" for (i, key), n in counts.items())
         try:
             try:
                 fh = self.path.open("a")
@@ -355,7 +350,7 @@ class CountCache:
                 fh.flush()
         except OSError as exc:
             raise ValidationError(f"count cache {self.path} is not writable: {exc}") from exc
-        self._load().update(((i, key), n) for key, n in counts.items())
+        self._load().update(counts)
 
 
 def field_fits(p: int, i: int) -> bool:  # F_{p^i} is within the limit a count may sweep
@@ -366,16 +361,16 @@ def count_series(
     curves: Sequence[CurveSpec],
     levels: Sequence[int],
     cache: Optional[CountCache] = None,
-) -> tuple[CountSeries, ...]:
-    """Counts of covers of one form, cover c at levels 1..levels[c].
+) -> tuple[tuple[int, ...], ...]:
+    """N(p^1..p^levels[c]) for cover c of one form, in the order given.
 
     Walks the levels in turn: at each one, the covers the cache (the form's
-    count file) does not hold there are counted together in one sweep and
-    their counts appended to the cache in one write.  Every count is
-    checked against the Weil bound once, as it is read or counted: a fresh
-    count before it is written, so the cache never holds one out of bounds.
-    A level whose field is above _MAX_FIELD_Q is refused before any count
-    or cache read, naming the first cover that needs it.
+    count file) does not hold there are counted together in one sweep.
+    Every count is checked against the Weil bound once, as it is read or
+    counted; the fresh counts that pass are appended to the cache in one
+    write when the walk ends, or fails, so the cache never holds one out of
+    bounds.  A level whose field is above _MAX_FIELD_Q is refused before
+    any count or cache read, naming the first cover that needs it.
     """
     p = curves[0].f.p
     top = max(levels, default=0)
@@ -388,17 +383,21 @@ def count_series(
         )
     keys = [c.key() for c in curves]
     counts: list[list[int]] = [[] for _ in curves]
-    for i in range(1, top + 1):
-        due = [idx for idx, n in enumerate(levels) if i <= n]
-        found = {idx: cache.get(i, keys[idx]) for idx in due} if cache is not None else {}
-        missing = [idx for idx in due if found.get(idx) is None]
-        if missing:
-            fresh = count_points([curves[idx] for idx in missing], make_field(p, i))
-            found.update(zip(missing, fresh))
-        for idx in due:
-            source = cache.path if idx not in missing else None  # only a cached count has a file
-            _assert_weil(curves[idx], i, found[idx], source)
-            counts[idx].append(found[idx])
-        if missing and cache is not None:
-            cache.put(i, {keys[idx]: found[idx] for idx in missing})
-    return tuple(CountSeries(curve=c, counts=tuple(n)) for c, n in zip(curves, counts))
+    fresh: dict[tuple[int, str], int] = {}  # checked counts the cache lacks
+    try:
+        for i in range(1, top + 1):
+            due = [idx for idx, n in enumerate(levels) if i <= n]
+            found = {idx: cache.get(i, keys[idx]) for idx in due} if cache is not None else {}
+            missing = [idx for idx in due if found.get(idx) is None]
+            if missing:
+                swept = count_points([curves[idx] for idx in missing], make_field(p, i))
+                found.update(zip(missing, swept))
+            for idx in due:
+                source = cache.path if idx not in missing else None  # a cached count's file
+                _assert_weil(curves[idx], i, found[idx], source)
+                counts[idx].append(found[idx])
+            fresh.update(((i, keys[idx]), found[idx]) for idx in missing)
+    finally:
+        if fresh and cache is not None:
+            cache.put(fresh)
+    return tuple(map(tuple, counts))

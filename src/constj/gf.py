@@ -85,7 +85,7 @@ def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _poly_trim(a[:]), _poly_trim(b[:])
     while b != [0]:
-        inv_lead = pow(b[-1], p - 2, p)
+        inv_lead = pow(b[-1], -1, p)
         monic = [(c * inv_lead) % p for c in b]
         # a constant divisor leaves the empty remainder
         a, b = b, _poly_trim(_poly_rem(a, monic, p) or [0])

@@ -30,7 +30,7 @@ from functools import lru_cache, reduce
 from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
-from .count import CountCache, CountSeries, count_series, field_fits
+from .count import CountCache, count_series, field_fits
 from .curve import CurveSpec, covers, eigenspace_dims, hodge_number
 from .errors import CountDataError, InvariantViolation, ValidationError
 from .forms import FactoredForm, J0, JCase
@@ -141,25 +141,23 @@ class LPolynomial(NamedTuple):
 
 
 def lpolynomial(
-    series: CountSeries, known: Optional[LPolynomial] = None
-) -> tuple[LPolynomial, LPolynomial]:
-    """The zeta numerator of a cover over F_p, from its counts at levels
-    1..g, and its factor complementary to ``known``.
+    curve: CurveSpec, counts: Sequence[int], known: Optional[LPolynomial] = None
+) -> LPolynomial:
+    """The factor of the zeta numerator of a cover over F_p complementary
+    to ``known``, from the cover's counts N(p^i) at levels 1, 2, ...
 
     With a known factor of genus g_k, a Weil polynomial, only the other
     factor is reconstructed and checked, from the power sums
-    r_i(q^i + 1) - s_i(known) - N_i at levels 1..g - g_k; the numerator is
-    their product.  Without one, both are the whole numerator.  A
-    non-integral coefficient or a root off the Weil circle raises
-    CountDataError.
+    r_i(q^i + 1) - s_i(known) - N_i at levels 1..g - g_k.  Without one it
+    is the whole numerator.  A non-integral coefficient or a root off the
+    Weil circle raises CountDataError.
     """
-    curve = series.curve
     q = curve.f.p
     known = known or LPolynomial(coeffs=(1,), q=q)
     g_new = curve.total_genus - known.g
     where = f"count data inconsistent for cover a={curve.a} over F_{q}"
 
-    sums = [predicted_count(curve, known, i) - n for i, n in enumerate(series.counts[:g_new], 1)]
+    sums = [predicted_count(curve, known, i) - n for i, n in enumerate(counts[:g_new], 1)]
     coeffs = [1]
     for j in range(1, g_new + 1):
         num = -(sums[j - 1] + sum(coeffs[t] * sums[j - t - 1] for t in range(1, j)))
@@ -174,8 +172,7 @@ def lpolynomial(
         new.check_root_moduli()
     except InvariantViolation as exc:
         raise CountDataError(f"{where}: levels 1..{g_new} give a factor with a {exc}") from exc
-    # a product of Weil polynomials is one
-    return LPolynomial(coeffs=poly_mul(new.coeffs, known.coeffs), q=q), new
+    return new
 
 
 def predicted_count(curve: CurveSpec, lpoly: LPolynomial, i: int) -> int:
@@ -225,7 +222,7 @@ class ZetaBundle(NamedTuple):
 
     f: FactoredForm
     curves: tuple[CurveSpec, ...]
-    series: tuple[CountSeries, ...]
+    series: tuple[tuple[int, ...], ...]  # N(p^i) of each cover, i = 1..required_level
     lpolys: tuple[LPolynomial, ...]
     new_factor: LPolynomial
     dims: tuple[int, ...]  # dim V_j for j = 1 .. a-1
@@ -239,19 +236,18 @@ def zeta_bundle(f: FactoredForm, cache: Optional[CountCache] = None) -> ZetaBund
     curves = covers(f)
     dims = eigenspace_dims(curves)  # checks every cover's h1 before any count
 
-    counted = [dims[0], *(c.total_genus for c in curves[1:])]
-    full_series, *sub_series = count_series(curves, counted, cache=cache)
-    sub_lpolys = [lpolynomial(s)[0] for s in sub_series]
-    denom = reduce(poly_mul, (lp.coeffs for lp in sub_lpolys), (1,))
-    full_lpoly, new = lpolynomial(full_series, known=LPolynomial(coeffs=denom, q=f.p))
-    lpolys = (full_lpoly, *sub_lpolys)
+    counted = count_series(curves, [dims[0], *(c.total_genus for c in curves[1:])], cache=cache)
+    sub_lpolys = [lpolynomial(c, n) for c, n in zip(curves[1:], counted[1:])]
+    known = LPolynomial(coeffs=reduce(poly_mul, (lp.coeffs for lp in sub_lpolys), (1,)), q=f.p)
+    new = lpolynomial(curves[0], counted[0], known=known)
+    # a product of Weil polynomials is one
+    lpolys = (LPolynomial(coeffs=poly_mul(new.coeffs, known.coeffs), q=f.p), *sub_lpolys)
     polygons = tuple(newton_polygon(lp) for lp in (*lpolys, new))
     _check_new_factor(f, dims[0], new, polygons[-1])
     # r_i(q^i + 1) - s_i of a Weil polynomial: within the Weil bound, so not checked again
     series = tuple(
-        CountSeries(curve=c, counts=s.counts + tuple(
-            predicted_count(c, lp, i) for i in range(len(s.counts) + 1, required_level(c) + 1)))
-        for c, s, lp in zip(curves, (full_series, *sub_series), lpolys)
+        n + tuple(predicted_count(c, lp, i) for i in range(len(n) + 1, required_level(c) + 1))
+        for c, n, lp in zip(curves, counted, lpolys)
     )
     return ZetaBundle(f, curves, series, lpolys, new, dims, polygons)
 

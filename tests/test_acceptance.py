@@ -118,8 +118,8 @@ def test_criterion_3_supersingularity_full_size():
 
     full = bundle.series[0]
     assert bundle.curves[0].genus == 10
-    assert len(full.counts) == 10
-    assert serial_count == full.counts[9]
+    assert len(full) == 10
+    assert serial_count == full[9]
     assert bundle.new_factor.degree == 8
     assert is_pure_half(newton_polygon(bundle.new_factor))
     assert serial_elapsed < 600.0
@@ -131,9 +131,9 @@ def test_criterion_3_supersingularity_full_size():
     (rerun_count,) = count_points(bundle.curves[:1], ctx)
     rerun_elapsed = time.perf_counter() - started
     assert rerun_elapsed < 120.0
-    assert [s.counts for s in rerun.series] == [s.counts for s in bundle.series]
+    assert rerun.series == bundle.series
     assert rerun.new_factor.coeffs == bundle.new_factor.coeffs
-    assert rerun_count == full.counts[9]
+    assert rerun_count == full[9]
 
     _passline(
         3,
@@ -253,8 +253,8 @@ def test_criterion_9_oracle_battery():
 
     n_counts = 0
     for tag in ("small", "full", "j1728"):
-        for curve, series in zip(_bundle(tag).curves, _bundle(tag).series):
-            for i, n_pts in enumerate(series.counts, 1):
+        for curve, counts in zip(_bundle(tag).curves, _bundle(tag).series):
+            for i, n_pts in enumerate(counts, 1):
                 q = curve.f.p**i
                 r_q = gcd(curve.components, q - 1)
                 assert (n_pts - r_q * (q + 1)) ** 2 <= 4 * curve.total_genus**2 * q
@@ -272,11 +272,11 @@ def test_criterion_9_oracle_battery():
     redundant = 0
     for tag in ("small", "full", "j1728"):
         bundle = _bundle(tag)
-        for curve, series, lp in zip(bundle.curves, bundle.series, bundle.lpolys):
+        for curve, counts, lp in zip(bundle.curves, bundle.series, bundle.lpolys):
             g_tot = curve.total_genus
             if 0 < g_tot <= 4:
-                assert len(series.counts) >= g_tot + 1
-                assert predicted_count(curve, lp, g_tot + 1) == series.counts[g_tot]
+                assert len(counts) >= g_tot + 1
+                assert predicted_count(curve, lp, g_tot + 1) == counts[g_tot]
                 redundant += 1
     assert redundant >= 5
 

@@ -155,10 +155,10 @@ def test_partner_equality_subcovers(f5553):
 
 def test_weil_bound_enforced(tmp_path, f5553):
     curve = CurveSpec(f5553, 6)
-    (series,) = count_series((curve,), (3,), cache=CountCache(tmp_path, f5553))
+    (counts,) = count_series((curve,), (3,), cache=CountCache(tmp_path, f5553))
     # tamper: a count far outside the Weil interval must be rejected, at
     # its own level, when count_series reads it back
-    CountCache(tmp_path, f5553).put(2, {curve.key(): series.counts[1] + 10_000})
+    CountCache(tmp_path, f5553).put({(2, curve.key()): counts[1] + 10_000})
     with pytest.raises(InvariantViolation, match="Weil bound violated at level 2"):
         count_series((curve,), (3,), cache=CountCache(tmp_path, f5553))
 
@@ -270,8 +270,8 @@ def test_zero_whose_class_sum_falls_inside_the_histogram_is_left_out():
 def test_count_series_and_cache(tmp_path, f5553):
     cache = CountCache(tmp_path, f5553)
     curve = CurveSpec(f5553, 6)
-    (series,) = count_series((curve,), (4,), cache=cache)
-    assert len(series.counts) == 4
+    (counts,) = count_series((curve,), (4,), cache=cache)
+    assert len(counts) == 4
     assert cache.path.exists()
     lines = cache.path.read_text().splitlines()
     assert len(lines) == 4 and all(len(line.split()) == 5 for line in lines)
@@ -287,7 +287,7 @@ def test_count_series_and_cache(tmp_path, f5553):
         (again,) = count_series((curve,), (4,), cache=fresh)
     finally:
         count_mod.count_points = monkey_target
-    assert again.counts == series.counts
+    assert again == counts
 
 
 def test_fresh_count_past_the_weil_bound_is_never_cached(tmp_path, monkeypatch, f5553):
@@ -312,13 +312,13 @@ def test_fresh_count_past_the_weil_bound_is_never_cached(tmp_path, monkeypatch, 
 def test_cache_corruption_recounts_with_warning(tmp_path, f5553):
     cache = CountCache(tmp_path, f5553)
     curve = CurveSpec(f5553, 2)
-    (series,) = count_series((curve,), (2,), cache=cache)
+    (counts,) = count_series((curve,), (2,), cache=cache)
     cache.path.write_text("garbage line\n5 x {key} 1 v\n".format(key=curve.key()))
     fresh = CountCache(tmp_path, f5553)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         (again,) = count_series((curve,), (2,), cache=fresh)
-    assert again.counts == series.counts
+    assert again == counts
     # the prime's file is shared: only a line that names the form is this
     # run's to parse, and to warn about
     assert [str(w.message) for w in caught if "corrupt" in str(w.message)] == [
@@ -328,18 +328,18 @@ def test_cache_corruption_recounts_with_warning(tmp_path, f5553):
     # and the corrupt line left in the file still warns a later reader
     final = CountCache(tmp_path, f5553)
     with pytest.warns(UserWarning, match="corrupt cache record"):
-        assert final.get(1, curve.key()) == series.counts[0]
+        assert final.get(1, curve.key()) == counts[0]
 
 
 def test_cache_ignores_records_of_another_version(tmp_path, f5553):
     curve = CurveSpec(f5553, 2)
-    (series,) = count_series((curve,), (1,))
-    n = series.counts[0]
+    (counts,) = count_series((curve,), (1,))
+    n = counts[0]
     cache = CountCache(tmp_path, f5553)
     cache.path.write_text(f"5 1 {curve.key()} {n + 1} 0.0.0-stale\n")
     assert cache.get(1, curve.key()) is None
     (again,) = count_series((curve,), (1,), cache=cache)
-    assert again.counts == series.counts
+    assert again == counts
     # recounted and appended under this version, which a fresh reader trusts
     assert cache.path.read_text().splitlines()[1] == f"5 1 {curve.key()} {n} {TOOL_VERSION}"
     assert CountCache(tmp_path, f5553).get(1, curve.key()) == n
@@ -352,7 +352,7 @@ def test_cache_ignores_records_of_another_prime(tmp_path, f5553):
     cache = CountCache(tmp_path, f5553)
     cache.path.write_text(f"7 1 {curve.key()} 3 {TOOL_VERSION}\n")
     assert cache.get(1, curve.key()) is None
-    cache.put(1, {curve.key(): 6})
+    cache.put({(1, curve.key()): 6})
     assert cache.path.read_text().splitlines()[1] == f"5 1 {curve.key()} 6 {TOOL_VERSION}"
     assert CountCache(tmp_path, f5553).get(1, curve.key()) == 6
 
@@ -360,17 +360,17 @@ def test_cache_ignores_records_of_another_prime(tmp_path, f5553):
 def test_two_writers_interleave_and_the_last_record_wins(tmp_path, f5553):
     key6, key2 = CurveSpec(f5553, 6).key(), CurveSpec(f5553, 2).key()
     first, second = CountCache(tmp_path / "new", f5553), CountCache(tmp_path / "new", f5553)
-    first.put(1, {key6: 10})
-    second.put(1, {key2: 20})
-    second.put(1, {key6: 11})
-    first.put(2, {key6: 30})
-    first.put(1, {key2: 21})
+    first.put({(1, key6): 10})
+    second.put({(1, key2): 20})
+    second.put({(1, key6): 11})
+    first.put({(2, key6): 30})
+    first.put({(1, key2): 21})
     reader = CountCache(tmp_path / "new", f5553)
     assert reader._load() == {(1, key6): 11, (1, key2): 21, (2, key6): 30}
     assert len(reader.path.read_text().splitlines()) == 5
 
 
-def test_cold_count_series_appends_once_per_counted_level(tmp_path, monkeypatch):
+def test_cold_count_series_appends_once_per_row(tmp_path, monkeypatch):
     f = concrete_form(J0, (5, 5, 5, 3), p=7)
     curves = covers(f)
     cache = CountCache(tmp_path, f)
@@ -384,8 +384,8 @@ def test_cold_count_series_appends_once_per_counted_level(tmp_path, monkeypatch)
 
     monkeypatch.setattr(Path, "open", spy_open)
     count_series(curves, (3, 2, 1), cache=cache)
-    # levels 1..3 count 3, 2 and 1 covers: one append each, no read
-    assert opened == ["a", "a", "a"]
+    # levels 1..3 count 3, 2 and 1 covers: one append for all 6, no read
+    assert opened == ["a"]
     assert len(cache.path.read_text().splitlines()) == 6
 
 
@@ -433,9 +433,9 @@ def test_old_layout_cache_file_is_never_read(tmp_path, f5553):
     # of earlier versions is read: wrong counts and garbage in them change
     # nothing and raise no warning, and the counts go to the prime's file
     curve = CurveSpec(f5553, 6)
-    (series,) = count_series((curve,), (2,))
+    (counts,) = count_series((curve,), (2,))
     stale = "garbage line\n" + "".join(
-        f"5 {i} {curve.key()} {n + 1} {TOOL_VERSION}\n" for i, n in enumerate(series.counts, 1)
+        f"5 {i} {curve.key()} {n + 1} {TOOL_VERSION}\n" for i, n in enumerate(counts, 1)
     )
     old_files = [tmp_path / "counts.cache", tmp_path / f"{f5553.key()}.counts"]
     for old in old_files:
@@ -443,7 +443,7 @@ def test_old_layout_cache_file_is_never_read(tmp_path, f5553):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         (again,) = count_series((curve,), (2,), cache=CountCache(tmp_path, f5553))
-    assert again.counts == series.counts
+    assert again == counts
     assert all(old.read_text() == stale for old in old_files)
     assert len((tmp_path / "p5.counts").read_text().splitlines()) == 2
 
@@ -451,8 +451,8 @@ def test_old_layout_cache_file_is_never_read(tmp_path, f5553):
 def test_count_series_below_genus_is_fine_but_lfunc_rejects(f5553):
     # lpolynomial needs counts up to the new factor's genus, which
     # zeta_bundle's level plan supplies: only the count side is checked here
-    (series,) = count_series((CurveSpec(f5553, 6),), (2,))
-    assert len(series.counts) == 2
+    (counts,) = count_series((CurveSpec(f5553, 6),), (2,))
+    assert len(counts) == 2
 
 
 def test_small_q_infinity_handling():

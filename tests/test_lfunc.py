@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 import constj.count as count_mod
 import constj.lfunc as lfunc_mod
 from constj.cli import main
-from constj.count import CountCache, CountSeries, count_series
+from constj.count import CountCache, count_series
 from constj.curve import CurveSpec, covers, eigenspace_dims
 from constj.errors import CountDataError, InvariantViolation
 from constj.forms import J0, J1728, JCASES, Place, form_from_roots, parse_form
@@ -48,21 +48,24 @@ def test_lpolynomial_of_elliptic_curve():
         [(Place.infinity(), 3), (Place.linear(4, 5), 1), (Place.from_poly((1, 4, 1), 5), 1)],
         p=5,
     )
-    (series,) = count_series((CurveSpec(f, 2),), (2,))
-    lp = lpolynomial(series)[0]
+    curve = CurveSpec(f, 2)
+    (counts,) = count_series((curve,), (2,))
+    lp = lpolynomial(curve, counts)
     assert lp.coeffs == (1, 0, 5)  # trace zero: supersingular at p = 5
 
 
 def test_lpolynomial_of_rational_curve():
-    (series,) = count_series((CurveSpec(concrete_form(J0, (5, 1)), 6),), (0,))
-    lp = lpolynomial(series)[0]
+    curve = CurveSpec(concrete_form(J0, (5, 1)), 6)
+    (counts,) = count_series((curve,), (0,))
+    lp = lpolynomial(curve, counts)
     assert lp.coeffs == (1,)
     assert lp.degree == 0
 
 
 def test_lpolynomial_full_cover(f5553):
-    (series,) = count_series((CurveSpec(f5553, 6),), (5,))
-    lp = lpolynomial(series)[0]
+    curve = CurveSpec(f5553, 6)
+    (counts,) = count_series((curve,), (5,))
+    lp = lpolynomial(curve, counts)
     assert lp.degree == 8
     assert functional_equation_holds(lp)
     assert all(isinstance(c, int) for c in lp.coeffs)
@@ -83,9 +86,9 @@ def test_new_factor_checks_catch_a_wrong_count(monkeypatch, p, cover, level, del
 
     def tampered(curves, levels, cache=None):
         series = list(real(curves, levels, cache=cache))
-        counts = list(series[cover].counts)
+        counts = list(series[cover])
         counts[level - 1] += delta
-        series[cover] = CountSeries(curve=series[cover].curve, counts=tuple(counts))
+        series[cover] = tuple(counts)
         return tuple(series)
 
     monkeypatch.setattr(lfunc_mod, "count_series", tampered)
@@ -95,17 +98,17 @@ def test_new_factor_checks_catch_a_wrong_count(monkeypatch, p, cover, level, del
 
 def test_lpolynomial_integrality_guard(f5553):
     curve = CurveSpec(f5553, 6)
-    (series,) = count_series((curve,), (4,))
-    tampered = tuple(n if i != 3 else n + 1 for i, n in enumerate(series.counts, 1))
+    (counts,) = count_series((curve,), (4,))
+    tampered = tuple(n if i != 3 else n + 1 for i, n in enumerate(counts, 1))
     with pytest.raises(CountDataError):
-        lpolynomial(CountSeries(curve=curve, counts=tampered))
+        lpolynomial(curve, tampered)
 
 
 def test_predicted_count_reproduces_extra_level(f5553):
     curve = CurveSpec(f5553, 6)
-    (series,) = count_series((curve,), (5,))
-    lp = lpolynomial(CountSeries(curve=curve, counts=series.counts[:4]))[0]
-    assert predicted_count(curve, lp, 5) == series.counts[4]
+    (counts,) = count_series((curve,), (5,))
+    lp = lpolynomial(curve, counts[:4])
+    assert predicted_count(curve, lp, 5) == counts[4]
 
 
 @pytest.mark.parametrize("p, top", [(5, 5), (11, 3)])
@@ -341,9 +344,9 @@ def test_every_bundle_count_is_within_the_weil_bound(jcase, pattern, p, shared_c
     # Weil polynomial: this holds them, and every other count, to the bound
     f = concrete_form(jcase, pattern, p)
     bundle = zeta_bundle(f, cache=CountCache(shared_cache, f))
-    assert len(bundle.series[0].counts) == required_level(bundle.curves[0])
-    for curve, series in zip(bundle.curves, bundle.series):
-        for i, n in enumerate(series.counts, 1):
+    assert len(bundle.series[0]) == required_level(bundle.curves[0])
+    for curve, counts in zip(bundle.curves, bundle.series):
+        for i, n in enumerate(counts, 1):
             count_mod._assert_weil(curve, i, n)
 
 
@@ -534,23 +537,24 @@ def test_bundle_matches_full_genus_route(jcase, pattern, p):
     f = concrete_form(jcase, pattern, p)
     bundle = zeta_bundle(f)
     full = bundle.curves[0]
-    (series,) = count_series((full,), (required_level(full),))
-    numerator = lpolynomial(CountSeries(curve=full, counts=series.counts[: full.total_genus]))[0]
+    (counts,) = count_series((full,), (required_level(full),))
+    numerator = lpolynomial(full, counts[: full.total_genus])
     denom = (1,)
     for lp in bundle.lpolys[1:]:
         denom = poly_mul(denom, lp.coeffs)
     assert bundle.lpolys[0] == numerator
     assert bundle.new_factor.coeffs == exact_quotient(numerator.coeffs, denom)
-    assert bundle.series[0].counts == series.counts
+    assert bundle.series[0] == counts
 
 
 def test_lpolynomial_with_known_factor_matches_plain(f5553):
     curve = CurveSpec(f5553, 6)
     (four,) = count_series((curve,), (4,))
-    plain = lpolynomial(four)[0]
+    plain = lpolynomial(curve, four)
     bundle = zeta_bundle(f5553)
     known = LPolynomial(coeffs=poly_mul(bundle.lpolys[1].coeffs, bundle.lpolys[2].coeffs), q=5)
     # the genus-4 cover needs levels 1..4, its new factor levels 1..k-2 = 1..2
     (two,) = count_series((curve,), (2,))
-    assert lpolynomial(two, known=known) == (plain, bundle.new_factor)
+    new = lpolynomial(curve, two, known=known)
+    assert (poly_mul(new.coeffs, known.coeffs), new) == (plain.coeffs, bundle.new_factor)
 

@@ -133,7 +133,7 @@ def test_every_refusal_test_runs_the_cli():
 
 # records that carry their prime, f.p: a function that takes one takes no p,
 # and neither does a method of a class whose constructor takes one
-CARRIES_P = {"FactoredForm", "CurveSpec", "CountSeries", "ZetaBundle", "LPolynomial"}
+CARRIES_P = {"FactoredForm", "CurveSpec", "ZetaBundle", "LPolynomial"}
 
 
 def _params(node: ast.FunctionDef) -> list[ast.arg]:
@@ -195,7 +195,6 @@ RECORDS = [
     "forms.Place",
     "forms.FactoredForm",
     "curve.CurveSpec",
-    "count.CountSeries",
     "lfunc.LPolynomial",
     "lfunc.ZetaBundle",
     "lfunc.Verdict",
@@ -226,7 +225,6 @@ def one_of_each_record(f5553):
         f5553.places[0][0],
         f5553,
         bundle.curves[0],
-        bundle.series[0],
         bundle.lpolys[0],
         bundle,
         lfunc.verdict_from_bundle(bundle),

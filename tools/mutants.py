@@ -240,18 +240,16 @@ MUTANTS = [
     ),
     Mutant(
         "count-cached-before-weil-check", "src/constj/count.py",
-        "        for idx in due:\n"
-        "            source = cache.path if idx not in missing else None  # only a cached count has a file\n"
-        "            _assert_weil(curves[idx], i, found[idx], source)\n"
-        "            counts[idx].append(found[idx])\n"
-        "        if missing and cache is not None:\n"
-        "            cache.put(i, {keys[idx]: found[idx] for idx in missing})\n",
-        "        if missing and cache is not None:\n"
-        "            cache.put(i, {keys[idx]: found[idx] for idx in missing})\n"
-        "        for idx in due:\n"
-        "            source = cache.path if idx not in missing else None  # only a cached count has a file\n"
-        "            _assert_weil(curves[idx], i, found[idx], source)\n"
-        "            counts[idx].append(found[idx])\n",
+        "            for idx in due:\n"
+        "                source = cache.path if idx not in missing else None  # a cached count's file\n"
+        "                _assert_weil(curves[idx], i, found[idx], source)\n"
+        "                counts[idx].append(found[idx])\n"
+        "            fresh.update(((i, keys[idx]), found[idx]) for idx in missing)\n",
+        "            fresh.update(((i, keys[idx]), found[idx]) for idx in missing)\n"
+        "            for idx in due:\n"
+        "                source = cache.path if idx not in missing else None  # a cached count's file\n"
+        "                _assert_weil(curves[idx], i, found[idx], source)\n"
+        "                counts[idx].append(found[idx])\n",
         ("tests/test_count.py",),
     ),
     Mutant(
