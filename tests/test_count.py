@@ -389,6 +389,29 @@ def test_cold_count_series_appends_once_per_row(tmp_path, monkeypatch):
     assert len(cache.path.read_text().splitlines()) == 6
 
 
+def test_warm_count_series_appends_only_what_it_counted(tmp_path, monkeypatch):
+    f = concrete_form(J0, (5, 5, 5, 3), p=7)
+    curves = covers(f)
+    count_series(curves, (2, 1, 1), cache=CountCache(tmp_path, f))
+    appended = []
+    real_open = Path.open
+
+    def spy_open(path, *args, **kwargs):
+        mode = args[0] if args else kwargs.get("mode", "r")
+        if mode == "a":
+            appended.append(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", spy_open)
+    # a deeper run counts only level 3 of cover 0 and level 2 of cover 1
+    longer = count_series(curves, (3, 2, 1), cache=CountCache(tmp_path, f))
+    assert appended == [tmp_path / "p7.counts"]
+    assert len((tmp_path / "p7.counts").read_text().splitlines()) == 6
+    # a fully warm run appends nothing, not even an empty write
+    assert count_series(curves, (3, 2, 1), cache=CountCache(tmp_path, f)) == longer
+    assert appended == [tmp_path / "p7.counts"]
+
+
 def test_warm_read_opens_only_its_own_primes_file(tmp_path, monkeypatch, f5553):
     f552 = concrete_form(J0, (5, 5, 2))
     f7 = concrete_form(J0, (5, 5, 5, 3), p=7)
