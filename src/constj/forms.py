@@ -13,7 +13,6 @@ the place vanishes at (r : 1), and "inf" means it vanishes at (1 : 0).
 
 from __future__ import annotations
 
-import hashlib
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -141,8 +140,8 @@ class FactoredForm(_FormFields):
         return self._key
 
     @cached_property
-    def _key(self) -> str:  # hashed once per form: the cache and every cover key read it
-        return hashlib.sha256(self.serialize().encode()).hexdigest()[:16]
+    def _key(self) -> str:  # built once per form, whitespace-free: count records and cover keys hold it
+        return self.serialize()
 
 
 def _sort_places(places: Sequence[tuple[Place, int]]) -> tuple[tuple[Place, int], ...]:

@@ -697,7 +697,7 @@ def test_each_derived_number_is_computed_once_per_row(capsys, monkeypatch, tmp_p
     count("eigenspace_dims", curve_mod, lfunc_mod)
     count("invariants", surface_mod)
     count("newton_polygon", lfunc_mod)
-    count("serialize", FactoredForm)  # hashed into the form key
+    count("serialize", FactoredForm)  # the form key
     once = {
         "genus": covers,
         "components": covers,

@@ -453,22 +453,29 @@ def test_warm_read_opens_only_its_own_primes_file(tmp_path, monkeypatch, f5553):
 
 def test_old_layout_cache_file_is_never_read(tmp_path, f5553):
     # neither the single counts.cache nor a per-form <form key>.counts file
-    # of earlier versions is read: wrong counts and garbage in them change
-    # nothing and raise no warning, and the counts go to the prime's file
+    # of earlier versions is read, nor a record in the prime's file under the
+    # hash key earlier versions gave the form: wrong counts and garbage in
+    # them change nothing and raise no warning, and the counts are appended
+    # to the prime's file after the old records
     curve = CurveSpec(f5553, 6)
     (counts,) = count_series((curve,), (2,))
-    stale = "garbage line\n" + "".join(
-        f"5 {i} {curve.key()} {n + 1} {TOOL_VERSION}\n" for i, n in enumerate(counts, 1)
-    )
-    old_files = [tmp_path / "counts.cache", tmp_path / f"{f5553.key()}.counts"]
+
+    def records(key, shift):
+        return [f"5 {i} {key} {n + shift} {TOOL_VERSION}" for i, n in enumerate(counts, 1)]
+
+    hashed = records("522dcaf4f737f5e5:a=6", 1)  # f5553's key when it was a hash
+    stale = "\n".join(["garbage line", *hashed, *records(curve.key(), 1), ""])
+    old_files = [tmp_path / "counts.cache", tmp_path / "522dcaf4f737f5e5.counts"]
     for old in old_files:
         old.write_text(stale)
+    prime_file = tmp_path / "p5.counts"
+    prime_file.write_text("\n".join([*hashed, ""]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         (again,) = count_series((curve,), (2,), cache=CountCache(tmp_path, f5553))
     assert again == counts
     assert all(old.read_text() == stale for old in old_files)
-    assert len((tmp_path / "p5.counts").read_text().splitlines()) == 2
+    assert prime_file.read_text().splitlines() == hashed + records(curve.key(), 0)
 
 
 def test_count_series_below_genus_is_fine_but_lfunc_rejects(f5553):

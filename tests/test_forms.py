@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from constj.curve import CurveSpec
 from constj.errors import ValidationError
 from constj.forms import (
     FactoredForm, J0, J1728, Place, form_from_roots, parse_form
@@ -225,12 +226,13 @@ def test_serialization_is_canonical_and_stable(f5553):
 
 
 def test_form_key_of_mixed_places_is_pinned():
-    """Infinity, a linear and a quadratic place: the count-cache files and the
-    reports' meta.form_key depend on this exact serialization and key."""
+    """Infinity, a linear and a quadratic place: the count-cache records and
+    the reports' meta.form_key hold this exact serialization as the key."""
     f = parse_form(
         J0,
         [(Place.from_poly((1, 0, 1), 7), 1), (Place.linear(0, 7), 2), (Place.infinity(), 2)],
         p=7,
     )
     assert f.serialize() == "j0;p=7;[inf]^2;[0,1]^2;[1,0,1]^1"
-    assert f.key() == "fdbe77787791bb1e"
+    assert f.key() == "j0;p=7;[inf]^2;[0,1]^2;[1,0,1]^1"
+    assert not any(c.isspace() for c in CurveSpec(f, 6).key())  # a count record splits on it

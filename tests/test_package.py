@@ -3,7 +3,7 @@ every refusal in src/ is reached from the CLI or kept for a named reason, no
 function takes a prime beside a record that carries it, the README's
 library example runs and prints what it says, every record is immutable,
 numpy is loaded only by a count that sweeps a field, and no run loads
-dataclasses (or inspect, which numpy brings)."""
+dataclasses or hashlib (or inspect, which numpy brings)."""
 
 import ast
 import contextlib
@@ -244,9 +244,9 @@ def test_no_field_of_a_record_can_be_assigned(one_of_each_record, name):
 
 
 # runs constj.cli.main on argv in a fresh interpreter and reports, after the
-# process's own output, which of numpy, dataclasses and inspect were loaded
-# (this test process has them all)
-_WATCHED = ("numpy", "dataclasses", "inspect")
+# process's own output, which of numpy, dataclasses, inspect and hashlib were
+# loaded (this test process has them all)
+_WATCHED = ("numpy", "dataclasses", "inspect", "hashlib")
 _CHILD = f"""
 import sys
 import constj.cli
@@ -287,6 +287,6 @@ def test_only_a_cold_row_loads_numpy(tmp_path):
     golden = (ROOT / "tests" / "data" / "verify_j0_5553_p7.json").read_text()
     code, cold, loaded = _fresh_run(*argv)
     assert (code, cold, "numpy" in loaded) == (0, golden, True)
-    assert "dataclasses" not in loaded  # inspect may come with numpy
+    assert not {"dataclasses", "hashlib"} & loaded  # inspect may come with numpy
     code, warm, loaded = _fresh_run(*argv)
     assert (code, warm, loaded) == (0, golden, set())
