@@ -40,7 +40,7 @@ from . import __version__ as TOOL_VERSION
 from .curve import CurveSpec
 from .errors import InvariantViolation, ValidationError
 from .forms import JCASES, FactoredForm
-from .gf import FieldContext, _poly_mulmod, _poly_powmod, make_field
+from .gf import FieldContext, _poly_powmod, _poly_rem, _prime_factors, make_field
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,26 +79,12 @@ def _matrix(code: int, ctx: FieldContext) -> np.ndarray:
     import numpy as np
 
     digits, modulus = _code_digits(code, ctx), list(ctx.modulus)
-    columns = [_poly_mulmod(digits, [0] * k + [1], modulus, ctx.p) for k in range(ctx.degree)]
+    columns = [_poly_rem([0] * k + digits, modulus, ctx.p) for k in range(ctx.degree)]
     return np.array(columns, dtype=np.int64).T
 
 
 # ---------------------------------------------------------------------------
 # multiplicative structure: generator and power-class table
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
 
 def find_generator(ctx: FieldContext) -> int:
     """Code of the smallest-code generator of F_q*: the first code c, from 2

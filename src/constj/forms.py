@@ -30,9 +30,6 @@ class JCase(NamedTuple):
     def max_mult(self) -> int:
         return self.exponent - 1
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return self.tag
-
 
 J0 = JCase("j0", 6)
 J1728 = JCase("j1728", 4)
@@ -128,20 +125,19 @@ class FactoredForm(_FormFields):
         places = tuple((pl, n_exp - m) for pl, m in self.places)
         return FactoredForm(jcase=self.jcase, places=_sort_places(places), p=self.p)
 
-    def serialize(self) -> str:
-        """Canonical serialization: sorted places, lowest coefficient first."""
+    def key(self) -> str:
+        return self._key
+
+    @cached_property
+    def _key(self) -> str:
+        """Canonical serialization, built once per form: sorted places,
+        lowest coefficient first, no whitespace (count records and cover
+        keys hold it)."""
         parts = [self.jcase.tag, f"p={self.p}"]
         for pl, m in _sort_places(self.places):
             body = "inf" if pl.at_infinity else ",".join(str(c) for c in pl.poly)
             parts.append(f"[{body}]^{m}")
         return ";".join(parts)
-
-    def key(self) -> str:
-        return self._key
-
-    @cached_property
-    def _key(self) -> str:  # built once per form, whitespace-free: count records and cover keys hold it
-        return self.serialize()
 
 
 def _sort_places(places: Sequence[tuple[Place, int]]) -> tuple[tuple[Place, int], ...]:

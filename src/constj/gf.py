@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -39,8 +39,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 # ---------------------------------------------------------------------------
-# univariate polynomial helpers over F_p (coefficient lists, low degree first)
+# univariate polynomial helpers (coefficient lists, low degree first): poly_mul
+# multiplies integer polynomials, the others work over F_p
 
 def _poly_trim(a: list[int]) -> list[int]:
     while len(a) > 1 and a[-1] == 0:
@@ -48,36 +64,36 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The schoolbook product of two integer polynomials, lowest first."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_rem(out, mod, p)
+                out[i + j] += ai * bj
+    return tuple(out)
 
 
-def _poly_rem(a: list[int], mod: list[int], p: int) -> list[int]:
-    a = a[:]
+def _poly_rem(a: Sequence[int], mod: list[int], p: int) -> list[int]:
+    """a modulo the monic mod over F_p, padded to deg mod coefficients,
+    each reduced mod p once at the end."""
+    a = list(a)
     dm = len(mod) - 1
     for d in range(len(a) - 1, dm - 1, -1):
         c = a[d] % p
         if c:
-            for j in range(dm + 1):
-                a[d - dm + j] = (a[d - dm + j] - c * mod[j]) % p
-    del a[dm:]
-    while len(a) < dm:
-        a.append(0)
-    return a
+            for j in range(dm):  # the top term cancels and is dropped
+                a[d - dm + j] -= c * mod[j]
+    return [v % p for v in a[:dm]] + [0] * (dm - len(a))
 
 
 def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
     result = [1] + [0] * (len(mod) - 2)
-    base = _poly_rem(a[:], mod, p)
+    base = _poly_rem(a, mod, p)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
+            result = _poly_rem(poly_mul(result, base), mod, p)
+        base = _poly_rem(poly_mul(base, base), mod, p)
         e >>= 1
     return result
 
@@ -113,7 +129,7 @@ def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     minus_x[1] = (minus_x[1] - 1) % p
     if _poly_trim(minus_x[:]) != [0]:
         return False
-    for ell in {d for d in range(2, e + 1) if e % d == 0 and is_prime(d)}:
+    for ell in _prime_factors(e):
         diff = frob[e // ell - 1][:]
         diff[1] = (diff[1] - 1) % p
         g = _poly_gcd(mod, diff, p)
@@ -138,9 +154,6 @@ class FieldContext(NamedTuple):
     @property
     def q(self) -> int:
         return self.p**self.degree
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"GF({self.p}^{self.degree})" if self.degree > 1 else f"GF({self.p})"
 
 
 @lru_cache(maxsize=None)

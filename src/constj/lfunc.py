@@ -34,7 +34,7 @@ from .count import CountCache, count_series, field_fits
 from .curve import CurveSpec, covers, eigenspace_dims, hodge_number
 from .errors import CountDataError, InvariantViolation, ValidationError
 from .forms import FactoredForm, J0, JCase
-from .gf import _poly_trim
+from .gf import _poly_trim, poly_mul
 
 Polygon = tuple[tuple[Fraction, int], ...]  # (slope, length) segments of a Newton polygon
 
@@ -58,15 +58,13 @@ def _pseudo_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], l
     rem = list(num)
     quot = [0] * max(len(rem) - deg_d, 1)
     for shift in range(len(rem) - 1 - deg_d, -1, -1):
-        top = rem.pop() * sign
-        rem = [scale * v for v in rem]
+        top = rem[-1] * sign
+        rem = [scale * v for v in rem[:-1]]
         quot = [scale * v for v in quot]
         quot[shift] = top
         for j in range(deg_d):
             rem[shift + j] -= top * den[j]
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
+    return quot, _poly_trim(rem)
 
 
 def _sturm_remainder(num: list[int], den: list[int]) -> list[int]:
@@ -126,18 +124,14 @@ class LPolynomial(NamedTuple):
         if _sign_changes(chain, 0) - _sign_changes(chain, 4 * q) != len(s) - len(chain[-1]):
             raise InvariantViolation("reciprocal root off the sqrt(q) circle")
 
-    def power_sum(self, i: int) -> int:
-        """Sum of i-th powers (i >= 1) of the reciprocal roots, by Newton's identities."""
-        c = self.coeffs
-        deg = self.degree
+    def power_sums(self, n: int) -> list[int]:
+        """s_1..s_n, the sums of the i-th powers of the reciprocal roots, by
+        Newton's identities (c_j = 0 past the degree)."""
+        c = self.coeffs + (0,) * (n - self.degree)
         sums: list[int] = []
-        for j in range(1, i + 1):
-            if j <= deg:
-                val = -(j * c[j] + sum(c[t] * sums[j - t - 1] for t in range(1, j)))
-            else:
-                val = -sum(c[t] * sums[j - t - 1] for t in range(1, deg + 1))
-            sums.append(val)
-        return sums[i - 1]
+        for j in range(1, n + 1):
+            sums.append(-(j * c[j] + sum(c[t] * sums[j - t - 1] for t in range(1, j))))
+        return sums
 
 
 def lpolynomial(
@@ -157,7 +151,7 @@ def lpolynomial(
     g_new = curve.total_genus - known.g
     where = f"count data inconsistent for cover a={curve.a} over F_{q}"
 
-    sums = [predicted_count(curve, known, i) - n for i, n in enumerate(counts[:g_new], 1)]
+    sums = [pred - n for pred, n in zip(predicted_counts(curve, known, g_new), counts)]
     coeffs = [1]
     for j in range(1, g_new + 1):
         num = -(sums[j - 1] + sum(coeffs[t] * sums[j - t - 1] for t in range(1, j)))
@@ -175,19 +169,11 @@ def lpolynomial(
     return new
 
 
-def predicted_count(curve: CurveSpec, lpoly: LPolynomial, i: int) -> int:
-    """r_i(p^i + 1) - s_i(lpoly), r_i = curve.rational_components(i): the
-    count N(p^i) that lpoly predicts when it is curve's numerator."""
-    return curve.rational_components(i) * (lpoly.q**i + 1) - lpoly.power_sum(i)
-
-
-def poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
+def predicted_counts(curve: CurveSpec, lpoly: LPolynomial, n: int) -> tuple[int, ...]:
+    """r_i(p^i + 1) - s_i(lpoly) for i = 1..n, r_i = curve.rational_components(i):
+    the counts N(p^i) that lpoly predicts when it is curve's numerator."""
+    return tuple(curve.rational_components(i) * (lpoly.q**i + 1) - s
+                 for i, s in enumerate(lpoly.power_sums(n), 1))
 
 
 def exact_quotient(numerator: tuple[int, ...], denominator: tuple[int, ...]) -> tuple[int, ...]:
@@ -246,7 +232,7 @@ def zeta_bundle(f: FactoredForm, cache: Optional[CountCache] = None) -> ZetaBund
     _check_new_factor(f, dims[0], new, polygons[-1])
     # r_i(q^i + 1) - s_i of a Weil polynomial: within the Weil bound, so not checked again
     series = tuple(
-        n + tuple(predicted_count(c, lp, i) for i in range(len(n) + 1, required_level(c) + 1))
+        n + predicted_counts(c, lp, required_level(c))[len(n):]
         for c, n, lp in zip(curves, counted, lpolys)
     )
     return ZetaBundle(f, curves, series, lpolys, new, dims, polygons)

@@ -19,7 +19,7 @@ from constj.lfunc import (
     is_pure_half,
     newton_polygon,
     poly_mul,
-    predicted_count,
+    predicted_counts,
     verdict_from_bundle,
     zeta_bundle,
 )
@@ -276,7 +276,7 @@ def test_criterion_9_oracle_battery():
             g_tot = curve.total_genus
             if 0 < g_tot <= 4:
                 assert len(counts) >= g_tot + 1
-                assert predicted_count(curve, lp, g_tot + 1) == counts[g_tot]
+                assert predicted_counts(curve, lp, g_tot + 1)[g_tot] == counts[g_tot]
                 redundant += 1
     assert redundant >= 5
 

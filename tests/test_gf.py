@@ -75,6 +75,33 @@ def test_make_field_modulus_is_smallest_irreducible(p, i):
         assert not poly_is_irreducible(cand, p)
 
 
+def _moebius(n: int) -> int:
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, 4), (2, 6), (2, 8), (2, 9), (2, 12), (3, 4), (3, 6), (5, 4), (7, 3)]
+)
+def test_rabin_test_accepts_as_many_polynomials_as_gauss_counts(p, n):
+    # Gauss: (1/n) sum_{d | n} mu(d) p^(n/d) monic irreducibles of degree n
+    # over F_p, a count that reads no irreducibility test.  At n = 6 and 12 a
+    # test that reads only the prime divisor 2 of n also passes products of
+    # three irreducibles of degree n/3
+    from itertools import product
+
+    gauss = sum(_moebius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+    accepted = sum(poly_is_irreducible((*tail, 1), p) for tail in product(range(p), repeat=n))
+    assert accepted == gauss
+
+
 @pytest.mark.parametrize(
     "p,i,modulus",
     [

@@ -25,7 +25,7 @@ from constj.lfunc import (
     lpolynomial,
     newton_polygon,
     poly_mul,
-    predicted_count,
+    predicted_counts,
     required_level,
     verdict_from_bundle,
     zeta_bundle,
@@ -108,7 +108,7 @@ def test_predicted_count_reproduces_extra_level(f5553):
     curve = CurveSpec(f5553, 6)
     (counts,) = count_series((curve,), (5,))
     lp = lpolynomial(curve, counts[:4])
-    assert predicted_count(curve, lp, 5) == counts[4]
+    assert predicted_counts(curve, lp, 5) == counts
 
 
 @pytest.mark.parametrize("p, top", [(5, 5), (11, 3)])
@@ -121,7 +121,7 @@ def test_numerators_predict_the_smooth_model_past_the_counted_levels(p, top):
     orders = [c.a for c in bundle.curves]
     for i in range(1, top + 1):
         oracle = smooth_model_counts(f, orders, make_field(p, i))
-        predicted = tuple(predicted_count(c, lp, i) for c, lp in zip(bundle.curves, bundle.lpolys))
+        predicted = tuple(predicted_counts(c, lp, i)[-1] for c, lp in zip(bundle.curves, bundle.lpolys))
         assert predicted == oracle, i
 
 

@@ -139,7 +139,7 @@ def _other_forms():
     ]
 
 
-@pytest.mark.parametrize("f", _catalog_forms() + _other_forms(), ids=lambda f: f.serialize())
+@pytest.mark.parametrize("f", _catalog_forms() + _other_forms(), ids=lambda f: f.key())
 def test_sections_equal_the_asdict_oracles(f):
     assert _surface_section(f, eigenspace_dims(covers(f))) == surface_section_oracle(f)
     assert _taxonomy_section(f) == taxonomy_section_oracle(f)

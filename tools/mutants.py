@@ -77,6 +77,13 @@ cover counted as fixed by Frobenius.  hasse-witt-orbit-of-c-one-only
 computes, at split p, only the orbit of the character c = 1: that passes
 every catalog row, and fails a row whose two orbits both have a slope 0,
 such as j = 0 (4,4,2,2) at p = 7.
+
+Rabin's test raises nothing: it picks every field's modulus.  Its mutant,
+rabin-smallest-prime-divisor-only, reads only the smallest prime divisor
+of the degree, so products of three quadratics or three quartics pass;
+tests/test_gf.py counts the polynomials the test accepts against Gauss's
+formula, which reads no irreducibility test (3^6 gives 117, not 116, and
+2^12 gives 336, not 335).
 """
 
 from __future__ import annotations
@@ -107,8 +114,8 @@ MUTANTS = [
     # the raise audit's (b) targets
     Mutant(
         "generator-cofactor-of-one", "src/constj/count.py",
-        "    if n > 1:\n        out.append(n)\n    return out\n",
-        "    out.append(n)\n    return out\n",
+        "    cofactors = [order // ell for ell in _prime_factors(order)]\n",
+        "    cofactors = [order // ell for ell in _prime_factors(order) + [1]]\n",
         ("tests/test_count.py",),
     ),
     Mutant(
@@ -200,6 +207,13 @@ MUTANTS = [
         '    if command == "verify" and v.theorem_applicable and not v.surface_artin_supersingular:\n',
         '    if command == "report" and v.theorem_applicable and not v.surface_artin_supersingular:\n',
         ("tests/test_cli.py",),
+    ),
+    # Rabin's test, against Gauss's count of irreducibles
+    Mutant(
+        "rabin-smallest-prime-divisor-only", "src/constj/gf.py",
+        "    for ell in _prime_factors(e):\n",
+        "    for ell in _prime_factors(e)[:1]:\n",
+        ("tests/test_gf.py",),
     ),
     # regressions found by hand in earlier changes
     Mutant(
