@@ -88,13 +88,14 @@ def _poly_rem(a: Sequence[int], mod: list[int], p: int) -> list[int]:
 
 
 def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1] + [0] * (len(mod) - 2)
+    """a^e modulo mod over F_p for e >= 1, squaring from the top bit of e
+    down: no product by 1 and no square past the last bit."""
     base = _poly_rem(a, mod, p)
-    while e:
-        if e & 1:
-            result = _poly_rem(poly_mul(result, base), mod, p)
-        base = _poly_rem(poly_mul(base, base), mod, p)
-        e >>= 1
+    result = base
+    for bit in bin(e)[3:]:
+        result = _poly_rem(poly_mul(result, result), mod, p)
+        if bit == "1":
+            result = _poly_rem(poly_mul(base, result), mod, p)
     return result
 
 
