@@ -220,13 +220,10 @@ def _curve_section(bundle: lfunc.ZetaBundle) -> dict:
 
 
 def _surface_section(f: forms.FactoredForm, dims: tuple[int, ...]) -> dict:
-    def one(inv: surface.SurfaceInvariants) -> dict:
-        return dict(inv._asdict(), fibers=[fb.symbol for fb in inv.fibers])
-
     f_side = surface.invariants(f)
     return {
-        "f_side": one(f_side),
-        "partner": one(surface.invariants(f.complement())),
+        "f_side": f_side,
+        "partner": surface.invariants(f.complement()),
         "ns_perp_check": surface.ns_perp_check(f_side, dims),
     }
 

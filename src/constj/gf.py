@@ -116,8 +116,6 @@ def poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
         return False
     if e == 1:
         return True
-    if coeffs[0] % p == 0:  # divisible by x
-        return False
     mod = [c % p for c in coeffs]
     x = [0, 1]
     # x^(p^j) mod coeffs, iterated Frobenius

@@ -392,15 +392,9 @@ def newton_polygon(lpoly: LPolynomial) -> Polygon:
             else:
                 break
         hull.append(pt)
-    segments: list[tuple[Fraction, int]] = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
-        length = x2 - x1
-        if segments and segments[-1][0] == slope:
-            segments[-1] = (slope, segments[-1][1] + length)
-        else:
-            segments.append((slope, length))
-    return tuple(segments)
+    # no point the hull keeps lies on a chord, so consecutive slopes differ
+    return tuple((Fraction(y2 - y1, x2 - x1), x2 - x1)
+                 for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
 
 
 def is_pure_half(polygon: Polygon) -> bool:

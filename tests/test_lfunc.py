@@ -191,6 +191,12 @@ def test_newton_polygon_ordinary_shape():
     assert not is_pure_half(newton_polygon(lp))
 
 
+def test_newton_polygon_collinear_points_make_one_segment():
+    # (0, 0), (1, 1), (2, 2), (3, 3) lie on one line: the hull drops the two inner points
+    lp = LPolynomial(coeffs=(1, 7, 49, 343), q=7)
+    assert newton_polygon(lp) == ((Fraction(1), 3),)
+
+
 def test_newton_polygon_trivial():
     lp = LPolynomial(coeffs=(1,), q=5)
     assert newton_polygon(lp) == ()

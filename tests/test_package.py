@@ -198,8 +198,6 @@ RECORDS = [
     "lfunc.LPolynomial",
     "lfunc.ZetaBundle",
     "lfunc.Verdict",
-    "surface.FiberType",
-    "surface.SurfaceInvariants",
     "taxonomy.CatalogRow",
 ]
 
@@ -218,7 +216,6 @@ def test_the_record_list_names_every_public_record_in_src():
 @pytest.fixture(scope="module")
 def one_of_each_record(f5553):
     bundle = lfunc.zeta_bundle(f5553)
-    inv = surface.invariants(f5553)
     made = [
         gf.make_field(5, 2),
         f5553.jcase,
@@ -228,8 +225,6 @@ def one_of_each_record(f5553):
         bundle.lpolys[0],
         bundle,
         lfunc.verdict_from_bundle(bundle),
-        inv.fibers[0],
-        inv,
         taxonomy.catalog_row(f5553.pattern, f5553.jcase),
     ]
     return {f"{type(r).__module__.split('.')[-1]}.{type(r).__name__}": r for r in made}

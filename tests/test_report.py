@@ -3,7 +3,9 @@
 The oracles are the earlier implementations kept verbatim: a two-pass
 ``json.dumps(..., indent=2, sort_keys=True)`` over a payload whose keys were
 made str and whose ints past 2^53 were made strings, and sections built by
-each record's ``_asdict()`` and a scan of the whole catalog.
+each record's ``_asdict()`` and a scan of the whole catalog.  The surface
+oracle keeps the fiber records and the invariants arithmetic that the
+package replaced with one fiber table and a dict.
 """
 
 import json
@@ -12,11 +14,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
 
-from constj import surface, taxonomy
+from constj import taxonomy
 from constj.cli import _surface_section, _taxonomy_section, render_json
 from constj.curve import covers, eigenspace_dims
 from constj.forms import J0, J1728, Place, form_from_roots, parse_form
@@ -42,16 +45,78 @@ def render_json_oracle(payload) -> str:
     return json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
 
 
+class FiberType(NamedTuple):
+    symbol: str
+    euler: int
+    components: int
+
+
+# multiplicity -> additive fiber, per j-case
+FIBERS_J0 = {
+    1: FiberType("II", 2, 1),
+    2: FiberType("IV", 4, 3),
+    3: FiberType("I0*", 6, 5),
+    4: FiberType("IV*", 8, 7),
+    5: FiberType("II*", 10, 9),
+}
+FIBERS_J1728 = {
+    1: FiberType("III", 3, 2),
+    2: FiberType("I0*", 6, 5),
+    3: FiberType("III*", 9, 8),
+}
+
+
+def fiber_types(f) -> tuple[FiberType, ...]:
+    table = FIBERS_J0 if f.jcase == J0 else FIBERS_J1728
+    return tuple(table[m] for m in f.pattern)
+
+
+class SurfaceInvariants(NamedTuple):
+    n: int
+    k: int
+    euler: int
+    chi_structure: int  # e / 12
+    p_g: int
+    b2: int
+    h11: int
+    fibers: tuple[FiberType, ...]
+    mw_rank_char0: int
+    ns_perp_dim: int
+
+
+def invariants_oracle(f) -> SurfaceInvariants:
+    fibers = fiber_types(f)
+    e = sum(fb.euler for fb in fibers)
+    chi = e // 12
+    p_g = chi - 1
+    b2 = e - 2
+    h11 = b2 - 2 * p_g
+    fiber_rank = sum(fb.components - 1 for fb in fibers)
+    rank = h11 - 2 - fiber_rank
+    return SurfaceInvariants(
+        n=f.n,
+        k=f.k,
+        euler=e,
+        chi_structure=chi,
+        p_g=p_g,
+        b2=b2,
+        h11=h11,
+        fibers=fibers,
+        mw_rank_char0=rank,
+        ns_perp_dim=b2 - h11,  # b2 minus the Neron-Severi rank h11
+    )
+
+
 def surface_section_oracle(f) -> dict:
     def one(g) -> dict:
-        inv = surface.invariants(g)._asdict()
+        inv = invariants_oracle(g)._asdict()
         inv["fibers"] = [fb.symbol for fb in inv["fibers"]]
         return inv
 
     return {
         "f_side": one(f),
         "partner": one(f.complement()),
-        "ns_perp_check": surface.ns_perp_check(surface.invariants(f), eigenspace_dims(covers(f))),
+        "ns_perp_check": invariants_oracle(f).p_g == eigenspace_dims(covers(f))[0],
     }
 
 

@@ -70,7 +70,9 @@ rotated as if it began the row, the zeroes left in the histogram, a
 pseudo-remainder that can flip Sturm signs, gcd(a, q-1) in place of
 gcd(a, m, q-1) at a zero, a count cached before its Weil check,
 non-ASCII digits read as a root, the genus recomputed on every read, a
-Newton hull that keeps a point above its chord, the theorem's congruence
+Newton hull that keeps a point above its chord, one that keeps a point
+on its chord (newton-hull-keeps-collinear-points: two segments of one
+slope), the theorem's congruence
 read as p = 1, the cache trusting another version's record, a JSON
 integer past 2^53 written unquoted, and every component of a disconnected
 cover counted as fixed by Frobenius.  hasse-witt-orbit-of-c-one-only
@@ -283,6 +285,12 @@ MUTANTS = [
         "                hull.pop()\n",
         "                break\n",
         ("tests/test_lfunc.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "newton-hull-keeps-collinear-points", "src/constj/lfunc.py",
+        "            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):\n",
+        "            if (y2 - y1) * (pt[0] - x1) > (pt[1] - y1) * (x2 - x1):\n",
+        ("tests/test_lfunc.py",),
     ),
     Mutant(
         "theorem-congruence-p-one", "src/constj/lfunc.py",
