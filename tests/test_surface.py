@@ -33,6 +33,25 @@ def test_fiber_table_is_additive():
                 assert euler == components + 1  # all additive types
 
 
+@pytest.mark.parametrize("jcase", [J0, J1728])
+def test_fiber_table_has_euler_number_12m_over_N_for_each_multiplicity(jcase):
+    # a zero of multiplicity m in [1, N-1] gives a fiber of Euler number 12m/N,
+    # which is what makes e = 12n for a form of degree nN
+    n_exp = jcase.exponent
+    assert sorted(FIBERS[jcase]) == list(range(1, n_exp))
+    for m, (_, euler, _) in FIBERS[jcase].items():
+        assert euler * n_exp == 12 * m
+
+
+def test_each_call_returns_its_own_section():
+    f = concrete_form(J0, (5, 5, 5, 3))
+    first = invariants(f)
+    first["fibers"].append("I1")
+    first["p_g"] = -1
+    assert invariants(f)["fibers"] == ["II*", "II*", "II*", "I0*"]
+    assert invariants(f)["p_g"] == 2
+
+
 def test_invariants_5553():
     inv = invariants(concrete_form(J0, (5, 5, 5, 3)))
     assert (inv["euler"], inv["p_g"], inv["b2"], inv["h11"]) == (36, 2, 34, 30)
