@@ -1,4 +1,4 @@
-"""Command-line front end: catalog, verify, zeta, report.
+"""Command-line front end: catalog, verify, zeta, report, with flags read off one table.
 
 Exit codes: 0 success (including "congruence does not apply"), 1 usage or
 validation error, 2 hard failure (a verdict that should hold came out false,
@@ -8,10 +8,8 @@ given config and tool version; wall-clock timing goes to stderr only.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
@@ -21,36 +19,43 @@ from .errors import InvariantViolation, ValidationError
 from .gf import make_field
 
 _JSON_INT_LIMIT = 1 << 53
+_FLAGS = {  # flag: (its choices, or None for any value; default; help)
+    "--jcase": (tuple(forms.JCASES), "0", "constant j-invariant family (default 0)"),
+    "--format": (("text", "json", "csv"), "text", "report format (default text)"),
+    "--p": (None, None, "prime > 3"),
+    "--pattern": (None, None, "multiplicities, e.g. 5,5,5,3"),
+    "--roots": (None, None, "root list matching the pattern, e.g. 0,1,inf,2 "
+                            "(default: 0,1,inf,2,3,...)"),
+    "--cache-dir": (None, None, "directory for the point-count cache"),
+}
+_USAGE = """usage: constj COMMAND [--flag VALUE | --flag=VALUE ...]
+  catalog   reproduce the classification tables
+  verify    run the full pipeline and gate on the verdict
+  zeta      counts, zeta factors and Newton polygons only
+  report    full report without verdict gating
+catalog takes --jcase and --format; verify, zeta and report take all and need --p and --pattern
+""" + "".join(f"  {flag} {'{%s}' % ','.join(c) if c else 'VALUE':<{24 - len(flag)}}{text}\n"
+              for flag, (c, _, text) in _FLAGS.items())
 
 
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="constj",
-        description="Constant j-invariant elliptic surfaces: classification tables, "
-        "superelliptic point counts, zeta factors, supersingularity checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p_cmd, with_run_flags: bool) -> None:
-        p_cmd.add_argument("--jcase", choices=forms.JCASES, default="0",
-                           help="constant j-invariant family (default 0)")
-        p_cmd.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        if with_run_flags:
-            p_cmd.add_argument("--p", type=int, required=True, help="prime > 3")
-            p_cmd.add_argument("--pattern", required=True,
-                               help="multiplicities, e.g. 5,5,5,3")
-            p_cmd.add_argument("--roots", default=None,
-                               help="root list matching the pattern, e.g. 0,1,inf,2 "
-                                    "(default: 0,1,inf,2,3,...)")
-            p_cmd.add_argument("--cache-dir", default=None,
-                               help="directory for the point-count cache")
-
-    common(sub.add_parser("catalog", help="reproduce the classification tables"), False)
-    common(sub.add_parser("verify", help="run the full pipeline and gate on the verdict"), True)
-    common(sub.add_parser("zeta", help="counts, zeta factors and Newton polygons only"), True)
-    common(sub.add_parser("report", help="full report without verdict gating"), True)
-    return parser
+def parse_args(argv: Sequence[str]) -> tuple[str, dict]:
+    """The command and each flag's value, keyed by the flag; the last of a repeated flag wins."""
+    command, words = (argv[0] if argv else ""), iter(argv[1:])
+    if command not in ("catalog", "verify", "zeta", "report"):
+        raise ValidationError(f"expected catalog, verify, zeta or report, not {command!r}")
+    args = {flag: default for flag, (_, default, _) in _FLAGS.items()}
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if flag not in (("--jcase", "--format") if command == "catalog" else _FLAGS):
+            raise ValidationError(f"{command} takes no {word!r} (constj --help lists the flags)")
+        if not eq and (value := next(words, "--")).startswith("--"):  # none left, or a flag
+            raise ValidationError(f"{flag} needs a value")
+        if value not in (_FLAGS[flag][0] or (value,)):  # no choices: any value
+            raise ValidationError(f"{flag} is one of {', '.join(_FLAGS[flag][0])}, not {value!r}")
+        args[flag] = value
+    if command != "catalog" and None in (args["--p"], args["--pattern"]):
+        raise ValidationError(f"{command} needs --p and --pattern")
+    return command, args
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +153,7 @@ def _catalog_payload(jcase: forms.JCase) -> dict:
 
 def _catalog_text(payload: dict) -> str:
     out = [f"catalog for {payload['jcase']}"]
-    header = f"{'pattern':>18} {'n':>2} {'k':>2} {'class':>22} {'torelli':>8}  congruence"
-    out.append(header)
+    out.append(f"{'pattern':>18} {'n':>2} {'k':>2} {'class':>22} {'torelli':>8}  congruence")
     for row in payload["rows"]:
         pat = ",".join(str(m) for m in row["pattern"])
         flag = "X" if row["torelli_failure_expected"] else "-"
@@ -163,11 +167,6 @@ def _catalog_text(payload: dict) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_catalog(args) -> int:
-    _write(_catalog_payload(forms.JCASES[args.jcase]), args.format, _catalog_text)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # verify / zeta / report
 
@@ -178,21 +177,25 @@ def _default_roots(k: int, p: int) -> list[str]:
     return ["0", "1", "inf"][:k] + [str(v) for v in range(2, k - 1)]
 
 
-def _parse_run_config(args, command: str) -> tuple[forms.FactoredForm, dict]:
+def _parse_run_config(args: dict, command: str) -> tuple[forms.FactoredForm, dict]:
     """The form and the config that echoes it: each root as the place it
     names, multiplicities descending, and equal ones in the default order
     0, 1, inf, 2, 3, ...; so however the pairs were typed, one form has one."""
-    jcase = forms.JCASES[args.jcase]
+    jcase = forms.JCASES[args["--jcase"]]
     try:
-        pattern = [int(tok) for tok in args.pattern.split(",") if tok.strip() != ""]
+        p = int(args["--p"])
+    except ValueError:
+        raise ValidationError(f"--p {args['--p']!r} is not an integer") from None
+    try:
+        pattern = [int(tok) for tok in args["--pattern"].split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise ValidationError(f"bad pattern {args.pattern!r}") from exc
-    make_field(args.p)  # p prime > 3 before the roots are counted or read
-    if args.roots is None:
-        roots = _default_roots(len(pattern), args.p)
+        raise ValidationError(f"bad pattern {args['--pattern']!r}") from exc
+    make_field(p)  # p prime > 3 before the roots are counted or read
+    if args["--roots"] is None:
+        roots = _default_roots(len(pattern), p)
     else:
-        roots = [tok.strip() for tok in args.roots.split(",") if tok.strip() != ""]
-    f = forms.form_from_roots(jcase, pattern, roots, p=args.p)
+        roots = [tok.strip() for tok in args["--roots"].split(",") if tok.strip() != ""]
+    f = forms.form_from_roots(jcase, pattern, roots, p=p)
     ranked = []  # (-m, rank in the default order, root); every place is linear
     for pl, m in f.places:
         r = None if pl.at_infinity else -pl.poly[0] % f.p
@@ -200,10 +203,10 @@ def _parse_run_config(args, command: str) -> tuple[forms.FactoredForm, dict]:
     return f, {
         "command": command,
         "jcase": jcase.tag,
-        "p": args.p,
+        "p": p,
         "pattern": list(f.pattern),
         "roots": [r for *_, r in sorted(ranked)],
-        "format": args.format,
+        "format": args["--format"],
     }
 
 
@@ -327,31 +330,32 @@ def _report_text(report: dict) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_run(args, command: str) -> int:
+def cmd_run(args: dict, command: str) -> int:
     f, cfg = _parse_run_config(args, command)
     started = time.perf_counter()
-    report, v = run_pipeline(f, cfg, args.cache_dir, with_verdict=command in ("verify", "report"))
+    report, v = run_pipeline(f, cfg, args["--cache-dir"], command in ("verify", "report"))
     elapsed_ms = int(1000 * (time.perf_counter() - started))
-    _write(report, args.format, _report_text)
+    _write(report, args["--format"], _report_text)
     print(f"# elapsed_ms={elapsed_ms}", file=sys.stderr)
     if command == "verify" and v.theorem_applicable and not v.surface_artin_supersingular:
-        pattern = ",".join(map(str, report["taxonomy"]["pattern"]))  # the form's, sorted
         print(f"FAILURE: supersingularity fails where the theorem applies: "
-              f"jcase={cfg['jcase']} pattern={pattern} p={cfg['p']} "
+              f"jcase={cfg['jcase']} pattern={','.join(map(str, cfg['pattern']))} p={cfg['p']} "
               f"pure_half={v.curve_new_factor_pure} E_trace={v.e_trace}", file=sys.stderr)
         return 2
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_USAGE)
+        return 0
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # --help exits 0; a usage error is invalid input
-        return 0 if exc.code == 0 else 1
-    try:
-        if args.command == "catalog":
-            return cmd_catalog(args)
-        return cmd_run(args, args.command)
+        command, args = parse_args(argv)
+        if command == "catalog":
+            _write(_catalog_payload(forms.JCASES[args["--jcase"]]), args["--format"], _catalog_text)
+            return 0
+        return cmd_run(args, command)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -360,9 +364,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
-def entry() -> None:  # console-script hook
-    sys.exit(main())
-
-
 if __name__ == "__main__":  # pragma: no cover
-    entry()
+    sys.exit(main())

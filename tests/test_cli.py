@@ -17,7 +17,7 @@ import constj.count as count_mod
 import constj.curve as curve_mod
 import constj.lfunc as lfunc_mod
 import constj.surface as surface_mod
-from constj.cli import _default_roots, build_parser, main, render_json
+from constj.cli import _FLAGS, _default_roots, main, render_json
 from constj.curve import CurveSpec
 from constj.forms import JCASES, FactoredForm
 from constj.taxonomy import catalog, enumerate_patterns
@@ -337,8 +337,17 @@ def test_report_does_not_depend_on_the_cache_dir(capsys, tmp_path):
         ["verify", "--p", "5", "--pattern", "5,5,5,3", "--jcase", "7"],
         ["verify", "--p", "5", "--pattern", "5,5,5,3", "--jobs", "2"],
         ["verify", "--p", "5", "--pattern", "5,5,5,3", "--imax", "5"],
+        [],
+        ["verify5", "--p", "5", "--pattern", "5,5,5,3"],
+        ["catalog", "--p", "5"],
+        ["verify", "--p", "5", "--pattern"],
+        ["verify", "--p", "5", "--pattern", "5,5,5,3", "--cache-dir", "--format=json"],
+        ["verify", "--p", "x", "--pattern", "5,5,5,3"],
+        ["verify", "--p", "7", "--pat", "5,5,5,3"],
     ],
-    ids=["missing-pattern", "bad-jcase", "removed-jobs", "removed-imax"],
+    ids=["missing-pattern", "bad-jcase", "removed-jobs", "removed-imax", "no-command",
+         "unknown-command", "run-flag-on-catalog", "flag-without-value", "flag-as-value",
+         "non-integer-prime", "abbreviated-flag"],
 )
 def test_usage_error_exits_one(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -346,10 +355,34 @@ def test_usage_error_exits_one(capsys, argv):
     assert out == "" and "error:" in err
 
 
-def test_help_exits_zero(capsys):
-    code, out, _ = run_cli(capsys, ["verify", "--help"])
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["--help"], list(_FLAGS)),
+        (["catalog", "--help"], ["--jcase", "--format"]),
+        (["verify", "--help"], list(_FLAGS)),
+    ],
+    ids=["top", "catalog", "verify"],
+)
+def test_help_exits_zero(capsys, argv, flags):
+    code, out, _ = run_cli(capsys, argv)
     assert code == 0
-    assert "--pattern" in out
+    assert all(f"  {flag} " in out for flag in flags), out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p=7", "--pattern=5,5,5,3", "--format=json"],
+        ["verify", "--p", "5", "--pattern=5,5,5,5,5,5", "--format", "text", "--p=7",
+         "--pattern", "5,5,5,3", "--format=json"],
+    ],
+    ids=["flag-equals-value", "repeated-flag-last-wins"],
+)
+def test_flag_spellings_give_the_golden_report(capsys, argv):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out == (GOLDEN / "verify_j0_5553_p7.json").read_text()
 
 
 def _tamper_cached_count(capsys, argv, cache_dir, p, level, delta):
@@ -488,7 +521,6 @@ def test_catalog_matches_golden_files(capsys, jcase):
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys):
-    assert build_parser() is build_parser()
     assert run_cli(capsys, ["verify", "--p", "5"])[0] == 1
     code, out, _ = run_cli(capsys, ["verify", "--help"])
     assert code == 0 and "--pattern" in out

@@ -3,7 +3,7 @@ every refusal in src/ is reached from the CLI or kept for a named reason, no
 function takes a prime beside a record that carries it, the README's
 library example runs and prints what it says, every record is immutable,
 numpy is loaded only by a count that sweeps a field, and no run loads
-dataclasses or hashlib (or inspect, which numpy brings)."""
+argparse, dataclasses or hashlib (or inspect, which numpy brings)."""
 
 import ast
 import contextlib
@@ -63,9 +63,16 @@ def test_every_definition_in_src_has_a_caller_in_src():
 # message": the tier-1 test that reaches it through cli.main, or why it stays
 # unreached.  A fuzz's draws do not count: a Hypothesis release can change them.
 _REFUSAL_TEST = "test_cli.py::test_refusal_exits_one_with_one_error_line"
+_USAGE_TEST = "test_cli.py::test_usage_error_exits_one"
 _PLACE_TOKEN = "kept: checks places built in code; the place token of ROADMAP item 7 reaches it"
 REFUSALS = {
     "cli._default_roots: distinct roots": f"{_REFUSAL_TEST}[more-roots-than-points]",
+    "cli.parse_args: expected catalog": f"{_USAGE_TEST}[no-command]",
+    "cli.parse_args: takes no": f"{_USAGE_TEST}[run-flag-on-catalog]",
+    "cli.parse_args: needs a value": f"{_USAGE_TEST}[flag-without-value]",
+    "cli.parse_args: is one of": f"{_USAGE_TEST}[bad-jcase]",
+    "cli.parse_args: needs --p and --pattern": f"{_USAGE_TEST}[missing-pattern]",
+    "cli._parse_run_config: not an integer": f"{_USAGE_TEST}[non-integer-prime]",
     "cli._parse_run_config: bad pattern": f"{_REFUSAL_TEST}[bad-pattern]",
     "cli.run_pipeline: no rational partner": "test_cli.py::test_verify_non_catalog_pattern_exit_one",
     "count.CountCache._load: not readable": "test_cli.py::test_unusable_cache_dir_exits_one",
@@ -239,9 +246,9 @@ def test_no_field_of_a_record_can_be_assigned(one_of_each_record, name):
 
 
 # runs constj.cli.main on argv in a fresh interpreter and reports, after the
-# process's own output, which of numpy, dataclasses, inspect and hashlib were
+# process's own output, which of numpy, argparse, dataclasses, inspect and hashlib were
 # loaded (this test process has them all)
-_WATCHED = ("numpy", "dataclasses", "inspect", "hashlib")
+_WATCHED = ("numpy", "argparse", "dataclasses", "inspect", "hashlib")
 _CHILD = f"""
 import sys
 import constj.cli
@@ -282,6 +289,6 @@ def test_only_a_cold_row_loads_numpy(tmp_path):
     golden = (ROOT / "tests" / "data" / "verify_j0_5553_p7.json").read_text()
     code, cold, loaded = _fresh_run(*argv)
     assert (code, cold, "numpy" in loaded) == (0, golden, True)
-    assert not {"dataclasses", "hashlib"} & loaded  # inspect may come with numpy
+    assert not {"argparse", "dataclasses", "hashlib"} & loaded  # inspect may come with numpy
     code, warm, loaded = _fresh_run(*argv)
     assert (code, warm, loaded) == (0, golden, set())
